@@ -16,12 +16,15 @@ record {engine, n_discs, moves, move_count, elapsed_ms, verified}.
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
 engine divergence), 2 usage error (bad arguments, unparseable input,
 enumerate/trace caps), 3 engine failure (step limit, solve/bfs caps).
+A reader that closes stdout early ends the output quietly with exit 0.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
+from itertools import islice, pairwise
 
 from .constructions import (
     BFS_MAX_DISCS,
@@ -35,8 +38,6 @@ from .constructions import (
     recursive_solve,
 )
 from .grammar import (
-    MAX_FORM_SYMBOLS,
-    FormTooLarge,
     NoApplicableProduction,
     StepLimitExceeded,
     derive_full,
@@ -107,12 +108,8 @@ def _run_engine(engine: str, n: int, unsafe: bool, observer=None) -> tuple:
     if engine == "grammar":
         grammar = build_hanoi_grammar(n)
         try:
-            derivation = derive_full(
-                grammar,
-                step_limit=grammar_step_limit(n),
-                max_form_symbols=None if unsafe else MAX_FORM_SYMBOLS,
-            )
-        except (StepLimitExceeded, FormTooLarge, NoApplicableProduction) as exc:
+            derivation = derive_full(grammar, step_limit=grammar_step_limit(n))
+        except (StepLimitExceeded, NoApplicableProduction) as exc:
             raise EngineFailure(str(exc)) from exc
         return derivation.word
     if engine == "pda":
@@ -140,12 +137,10 @@ def _solve_streaming_grammar(n: int, out) -> int:
     grammar = build_hanoi_grammar(n)
     board = initial_state(n)
     legal = True
-    emitted = 0
 
     def sink(move: MoveSymbol) -> None:
-        nonlocal board, legal, emitted
+        nonlocal board, legal
         print(move.code, file=out)
-        emitted += 1
         if legal:
             try:
                 board = apply_move(board, move)
@@ -153,7 +148,7 @@ def _solve_streaming_grammar(n: int, out) -> int:
                 legal = False
 
     started = time.perf_counter()
-    derive_streaming(grammar, sink, step_limit=grammar_step_limit(n))
+    emitted = derive_streaming(grammar, sink, step_limit=grammar_step_limit(n))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     verified = legal and is_solved(board, n)
     record = {
@@ -324,28 +319,18 @@ def cmd_enumerate(args) -> int:
 def _grammar_forms(n: int):
     grammar = build_hanoi_grammar(n)
     form = (grammar.start,)
-    forms = [form]
-    while True:
-        nxt = derive_step(grammar, form)
-        if nxt is None:
-            return forms
-        forms.append(nxt)
-        form = nxt
+    while form is not None:
+        yield form
+        form = derive_step(grammar, form)
 
 
 def _pda_stacks(n: int):
     machine = build_hanoi_pda(n)
     config = PdaConfiguration(machine.start_state, (), (machine.start_stack,))
-    stacks = [config.stack]
+    yield config.stack
     while config.stack:
-        successors = pda_step(machine, config)
-        config = next(iter(successors))  # deterministic: exactly one
-        stacks.append(config.stack)
-    return stacks
-
-
-def _format_stack(stack: tuple) -> str:
-    return " ".join(str(sym) for sym in stack) if stack else "ε"
+        (config,) = pda_step(machine, config)  # deterministic: exactly one
+        yield config.stack
 
 
 def cmd_trace(args) -> int:
@@ -361,34 +346,20 @@ def cmd_trace(args) -> int:
             f"at {TRACE_MAX} discs (see --unsafe-no-cap)"
         )
         return EXIT_USAGE
+    # Lazy throughout, so --limit stops the trace early; only one of
+    # entries and lines is consumed.
     if args.engine == "grammar":
-        forms = [format_form(form) for form in _grammar_forms(args.n)]
-        if args.format == "json":
-            entries = [{"step": i, "form": form} for i, form in enumerate(forms)]
-            if args.limit is not None:
-                entries = entries[: args.limit]
-            print(json.dumps(entries, indent=2, ensure_ascii=False))
-        else:
-            lines = [
-                f"{prev} ⊢ {nxt}" for prev, nxt in zip(forms, forms[1:])
-            ]
-            if args.limit is not None:
-                lines = lines[: args.limit]
-            for line in lines:
-                print(line)
+        key, texts = "form", map(format_form, _grammar_forms(args.n))
+        lines = (f"{prev} ⊢ {nxt}" for prev, nxt in pairwise(texts))
     else:
-        stacks = [_format_stack(stack) for stack in _pda_stacks(args.n)]
-        if args.format == "json":
-            entries = [{"step": i, "stack": stack} for i, stack in enumerate(stacks)]
-            if args.limit is not None:
-                entries = entries[: args.limit]
-            print(json.dumps(entries, indent=2, ensure_ascii=False))
-        else:
-            lines = [f"⟨q0, ε, {stack}⟩" for stack in stacks]
-            if args.limit is not None:
-                lines = lines[: args.limit]
-            for line in lines:
-                print(line)
+        key, texts = "stack", map(format_form, _pda_stacks(args.n))
+        lines = (f"⟨q0, ε, {text}⟩" for text in texts)
+    if args.format == "json":
+        entries = [{"step": i, key: text} for i, text in enumerate(islice(texts, args.limit))]
+        print(json.dumps(entries, indent=2, ensure_ascii=False))
+    else:
+        for line in islice(lines, args.limit):
+            print(line)
     return EXIT_OK
 
 
@@ -454,7 +425,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # an early close shows here when the output fit the buffer
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`solve --stream | head`): that ends
+        # the output, not the run. Point stdout at devnull so the flush at
+        # interpreter shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

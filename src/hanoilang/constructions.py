@@ -5,8 +5,8 @@ this module constructs:
 
 * a context-free grammar whose single generated word is the optimal
   2^N - 1 move sequence,
-* a one-state pushdown automaton that emits the same sequence while
-  draining its stack,
+* the one-state pushdown automaton derived from that grammar, which
+  emits the same sequence while draining its stack,
 * the classic recursive solver, and
 * an exhaustive breadth-first oracle that certifies minimality and
   uniqueness of the shortest solution at small N.
@@ -30,7 +30,7 @@ from .hanoi import (
     apply_move,
     initial_state,
 )
-from .pda import Pda, PdaError, StackSymbol
+from .pda import PDA_STATE, Pda, StackSymbol, pda_from_grammar
 
 # All ordered peg pairs, lexicographically. Loops below iterate in this
 # order so built artifacts are reproducible symbol-for-symbol.
@@ -38,7 +38,6 @@ PEG_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
 BFS_MAX_DISCS = 10
 
-PDA_STATE = "q0"
 STACK_BOTTOM = StackSymbol("z0")
 
 
@@ -110,89 +109,16 @@ def build_hanoi_grammar(n_discs: int) -> Grammar:
 
 
 def build_hanoi_pda(n_discs: int) -> Pda:
-    """One-state automaton that replays the N-disc solution off its stack.
+    """One-state automaton that replays the N-disc solution off its stack,
+    derived from the N-disc grammar.
 
     The stack alphabet holds the 6 move symbols (observable, so popping
     one emits the move), the task symbols h_ij(n) for n up to N-1, and
-    the bottom marker z0. The input alphabet is empty: every transition
-    is an epsilon move, and a run is the machine unwinding z0 into the
-    full move sequence and deleting it move by move.
+    the bottom marker z0, which takes the rule of h_13(N). Every
+    transition is an epsilon move: a run unwinds z0 into the full move
+    sequence and deletes it move by move.
     """
-    if n_discs < 1:
-        raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
-    moves = {
-        (i, j): StackSymbol(MoveSymbol.of(i, j), observable=True) for i, j in PEG_PAIRS
-    }
-    tasks = {
-        (i, j, n): StackSymbol(HanoiNonterminal(i, j, n))
-        for n in range(1, n_discs)
-        for i, j in PEG_PAIRS
-    }
-    transitions = {}
-    if n_discs == 1:
-        # With no sub-tower to defer, the bottom marker becomes the lone move.
-        transitions[(PDA_STATE, None, STACK_BOTTOM)] = (
-            (PDA_STATE, (moves[1, 3],)),
-        )
-    else:
-        transitions[(PDA_STATE, None, STACK_BOTTOM)] = (
-            (
-                PDA_STATE,
-                (tasks[1, 2, n_discs - 1], moves[1, 3], tasks[2, 3, n_discs - 1]),
-            ),
-        )
-        for i, j in PEG_PAIRS:
-            transitions[(PDA_STATE, None, tasks[i, j, 1])] = (
-                (PDA_STATE, (moves[i, j],)),
-            )
-        for n in range(2, n_discs):
-            for i, j in PEG_PAIRS:
-                k = spare_peg(i, j)
-                transitions[(PDA_STATE, None, tasks[i, j, n])] = (
-                    (
-                        PDA_STATE,
-                        (tasks[i, k, n - 1], moves[i, j], tasks[k, j, n - 1]),
-                    ),
-                )
-    for i, j in PEG_PAIRS:
-        transitions[(PDA_STATE, None, moves[i, j])] = ((PDA_STATE, ()),)
-    pda = Pda(
-        states=frozenset({PDA_STATE}),
-        input_alphabet=frozenset(),
-        stack_alphabet=frozenset(moves.values())
-        | frozenset(tasks.values())
-        | {STACK_BOTTOM},
-        transitions=transitions,
-        start_state=PDA_STATE,
-        start_stack=STACK_BOTTOM,
-        accepting=frozenset(),
-    )
-    _audit_stack_coverage(pda)
-    return pda
-
-
-def _audit_stack_coverage(pda: Pda) -> None:
-    """Every stack symbol the machine can push must also be consumable.
-
-    Walks the push-reachability closure from the start symbol and demands
-    a transition for each symbol found; a gap would let a run get stuck
-    mid-solution, so it is a construction bug, not a runtime outcome.
-    """
-    pushes: dict[StackSymbol, set] = {}
-    for (_, _, top), targets in pda.transitions.items():
-        bucket = pushes.setdefault(top, set())
-        for _, push in targets:
-            bucket.update(push)
-    reachable = {pda.start_stack}
-    frontier = [pda.start_stack]
-    while frontier:
-        sym = frontier.pop()
-        if sym not in pushes:
-            raise PdaError(f"stack symbol {sym} is reachable but has no transition")
-        for pushed in pushes[sym]:
-            if pushed not in reachable:
-                reachable.add(pushed)
-                frontier.append(pushed)
+    return pda_from_grammar(build_hanoi_grammar(n_discs), STACK_BOTTOM)
 
 
 def recursive_solve(instance: HanoiInstance) -> tuple[MoveSymbol, ...]:

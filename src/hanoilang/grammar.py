@@ -4,8 +4,10 @@ Symbols are terminal/nonterminal tags around opaque, hashable payloads;
 the engines never look inside a payload. Derivation is leftmost: when a
 form has several nonterminals, the leftmost one is rewritten, and when a
 nonterminal has several productions, the first registered one is applied.
-Language enumeration explores every rewrite position and production, so
-it is not limited to the leftmost strategy.
+derive_full and derive_streaming share one loop over an integer table that
+each Grammar compiles once; derive_step stays symbolic and is their
+reference. Language enumeration explores every rewrite position and
+production, so it is not limited to the leftmost strategy.
 """
 
 from dataclasses import dataclass
@@ -13,9 +15,6 @@ from typing import Any, Callable
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
-
-# Longest sentential form derive_full will materialize (~16M symbols).
-MAX_FORM_SYMBOLS = 1 << 24
 
 
 class GrammarError(ValueError):
@@ -28,10 +27,6 @@ class NoApplicableProduction(RuntimeError):
 
 class StepLimitExceeded(RuntimeError):
     """Derivation did not finish within the allowed number of rewrites."""
-
-
-class FormTooLarge(RuntimeError):
-    """The sentential form outgrew the materialization cap."""
 
 
 @dataclass(frozen=True)
@@ -125,6 +120,19 @@ class Grammar:
         object.__setattr__(
             self, "_by_lhs", {lhs: tuple(prods) for lhs, prods in index.items()}
         )
+        # The derivation loop's table. Nonterminals are ids 0..; rules[id] is
+        # the first production's rhs as ids, reversed for a work stack (None
+        # without one). Terminals are negative ids: payloads[id].
+        nonterminals = list(self.nonterminals)
+        terminals = list(self.terminals)
+        ids = {sym: i for i, sym in enumerate(nonterminals)}
+        ids.update((sym, i - len(terminals)) for i, sym in enumerate(terminals))
+        rules = [
+            tuple(ids[sym] for sym in reversed(index[nt][0].rhs)) if nt in index else None
+            for nt in nonterminals
+        ]
+        payloads = [sym.payload for sym in terminals]
+        object.__setattr__(self, "_compiled", (ids[self.start], rules, payloads, nonterminals))
 
     def productions_for(self, sym: Symbol) -> tuple:
         """Productions with this lhs, in registration order."""
@@ -156,66 +164,55 @@ def derive_step(grammar: Grammar, form) -> SententialForm | None:
     return None
 
 
-def derive_full(grammar: Grammar, step_limit: int, max_form_symbols=MAX_FORM_SYMBOLS) -> Derivation:
-    """Leftmost rewrites from the start symbol until only terminals remain.
+def _derive(grammar: Grammar, sink: Callable[[Any], None], step_limit: int) -> tuple[int, int]:
+    """The one leftmost derivation loop, on the grammar's compiled table.
 
-    Materializes the whole word, so the form length is capped (pass
-    max_form_symbols=None to lift the cap). The form is rewritten in place;
-    the rewrite choice at each step is exactly derive_step's.
+    The pending part of the form is a work stack, leftmost symbol on top;
+    each terminal payload goes to sink once it is leftmost. Rewrites with
+    the first production, as derive_step does. Returns (steps, emitted).
     """
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-    rhs_of = {lhs: prods[0].rhs for lhs, prods in grammar._by_lhs.items()}
-    form: list = [grammar.start]
-    cursor = 0  # symbols left of cursor are terminal and can never change again
-    steps = 0
-    while True:
-        size = len(form)
-        while cursor < size and form[cursor].is_terminal:
-            cursor += 1
-        if cursor == size:
-            return Derivation(tuple(sym.payload for sym in form), steps)
+    start, rules, payloads, nonterminals = grammar._compiled
+    pending = [start]
+    pop, extend = pending.pop, pending.extend
+    steps = emitted = 0
+    while pending:
+        top = pop()
+        if top < 0:
+            sink(payloads[top])
+            emitted += 1
+            continue
         if steps >= step_limit:
             raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
-        rhs = rhs_of.get(form[cursor])
+        rhs = rules[top]
         if rhs is None:
-            raise NoApplicableProduction(f"no production rewrites {form[cursor]}")
-        if max_form_symbols is not None and size - 1 + len(rhs) > max_form_symbols:
-            raise FormTooLarge(
-                f"sentential form would exceed {max_form_symbols} symbols"
-            )
-        form[cursor : cursor + 1] = rhs
+            raise NoApplicableProduction(f"no production rewrites {nonterminals[top]}")
+        extend(rhs)
         steps += 1
+    return steps, emitted
+
+
+def derive_full(grammar: Grammar, step_limit: int) -> Derivation:
+    """Leftmost rewrites from the start symbol until only terminals remain.
+
+    Materializes the whole word. step_limit also bounds its length, to at
+    most step_limit times the longest right-hand side.
+    """
+    word: list = []
+    steps, _ = _derive(grammar, word.append, step_limit)
+    return Derivation(tuple(word), steps)
 
 
 def derive_streaming(grammar: Grammar, sink: Callable[[Any], None], step_limit: int) -> int:
     """Leftmost derivation that hands each terminal payload to sink as soon
     as the terminal becomes the leftmost symbol.
 
-    Runs the pending part of the form as a work stack, so memory stays
-    proportional to the rewrite depth instead of the word length. Emits the
-    same sequence as derive_full. Returns the number of terminals emitted.
+    Memory stays proportional to the rewrite depth instead of the word
+    length. Emits the same sequence as derive_full. Returns the number of
+    terminals emitted.
     """
-    if step_limit < 1:
-        raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-    rhs_of = {lhs: prods[0].rhs for lhs, prods in grammar._by_lhs.items()}
-    pending: list = [grammar.start]  # leftmost symbol kept at the end
-    emitted = 0
-    steps = 0
-    while pending:
-        sym = pending.pop()
-        if sym.is_terminal:
-            sink(sym.payload)
-            emitted += 1
-            continue
-        if steps >= step_limit:
-            raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
-        rhs = rhs_of.get(sym)
-        if rhs is None:
-            raise NoApplicableProduction(f"no production rewrites {sym}")
-        pending.extend(reversed(rhs))
-        steps += 1
-    return emitted
+    return _derive(grammar, sink, step_limit)[1]
 
 
 def enumerate_language(grammar: Grammar, max_derivation_length: int) -> set:

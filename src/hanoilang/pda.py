@@ -5,12 +5,17 @@ word replaces the consumed top verbatim (its first symbol becomes the new
 top). Transition keys are (state, input letter, stack top); a None letter
 marks an epsilon move. Two acceptance styles are provided: a deterministic
 runner that drains the stack, and a breadth-first search for acceptance by
-final state.
+final state. pda_from_grammar builds the one-state automaton that runs a
+grammar's leftmost derivation.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
+
+from .grammar import Grammar
+
+PDA_STATE = "q0"
 
 
 class PdaError(ValueError):
@@ -140,6 +145,48 @@ class Pda:
                 entry.append((target, push))
             normalized[(state, letter, top)] = tuple(entry)
         object.__setattr__(self, "transitions", normalized)
+
+
+def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:
+    """The textbook one-state CFG-to-PDA construction, epsilon moves only.
+
+    Terminals are observable stack symbols that pop; bottom and each
+    nonterminal on some right-hand side expand by the first production of
+    the start symbol and of themselves, so a run emits derive_full's word.
+    Raises PdaError when a nonterminal that can reach the stack has no
+    production, or when bottom is also a grammar symbol.
+    """
+    first: dict = {}
+    for prod in grammar.productions:
+        first.setdefault(prod.lhs, prod.rhs)
+    pending, reached = [grammar.start], {grammar.start}
+    while pending:
+        nt = pending.pop()
+        if nt not in first:
+            raise PdaError(f"nonterminal {nt} can reach the stack but has no production")
+        fresh = {sym for sym in first[nt] if not sym.is_terminal} - reached
+        reached |= fresh
+        pending.extend(fresh)
+
+    # One StackSymbol object per grammar symbol, so that the runner's lookups
+    # match pushed symbols by identity instead of by dataclass equality.
+    symbols = grammar.terminals | {sym for prod in grammar.productions for sym in prod.rhs}
+    stacked = {sym: StackSymbol(sym.payload, observable=sym.is_terminal) for sym in symbols}
+    if bottom in stacked.values():
+        raise PdaError(f"bottom marker {bottom} is also a grammar symbol")
+    pushes = {stacked[sym]: () if sym.is_terminal else first[sym]
+              for sym in symbols if sym.is_terminal or sym in first}
+    pushes[bottom] = first[grammar.start]
+    return Pda(
+        states=frozenset({PDA_STATE}),
+        input_alphabet=frozenset(),
+        stack_alphabet=frozenset(stacked.values()) | {bottom},
+        transitions={(PDA_STATE, None, top): ((PDA_STATE, tuple(map(stacked.get, rhs))),)
+                     for top, rhs in pushes.items()},
+        start_state=PDA_STATE,
+        start_stack=bottom,
+        accepting=frozenset(),
+    )
 
 
 def step(pda: Pda, config: PdaConfiguration) -> set:

@@ -2,14 +2,21 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hanoilang
 from hanoilang.cli import main
+from hanoilang.constructions import recursive_solve
 
 TWO_DISC_WORD = "p12 p13 p23"
+
+# `python -m hanoilang` in a subprocess imports the same package as the tests
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(hanoilang.__file__).parents[1]))
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +107,30 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "--n", "2", "--engine", "dynamic")
         assert code == 2
 
+    @pytest.mark.parametrize("engine, limit, message", [
+        ("grammar", "grammar_step_limit", "derivation exceeded 1 rewrites"),
+        ("pda", "pda_step_limit", "automaton run ended step-limit"),
+    ])
+    def test_engine_failure_exits_three(self, capsys, monkeypatch, engine, limit, message):
+        monkeypatch.setattr(f"hanoilang.cli.{limit}", lambda n: 1)
+        code, out, err = run_cli(capsys, "solve", "--n", "3", "--engine", engine)
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("engine", ["grammar", "pda"])
+    def test_reader_closing_the_pipe_early_exits_zero_quietly(self, engine):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hanoilang", "solve", "--n", "16", "--stream",
+             "--engine", engine],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV,
+        )
+        assert proc.stdout.readline() == b"p12\n"
+        proc.stdout.close()  # 65534 more lines are still to come
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
 
 class TestVerify:
     def test_good_word_from_file(self, capsys, tmp_path):
@@ -166,6 +197,13 @@ class TestCompare:
         assert "bfs: skipped" in out
         assert "agreement: 3 engines, 4095 moves" in out
 
+    def test_divergence_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("hanoilang.cli.recursive_solve",
+                            lambda instance: recursive_solve(instance)[::-1])
+        code, out, _ = run_cli(capsys, "compare", "--n", "3")
+        assert code == 1
+        assert "divergence: grammar vs recursive at index 1" in out
+
 
 class TestEnumerate:
     def test_single_disc_language(self, capsys):
@@ -182,6 +220,12 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--bound", "1")
         assert code == 0
         assert out == "cardinality: 0\n"
+
+    def test_zero_bound_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "2", "--bound", "0")
+        assert code == 2
+        assert out == ""
+        assert "--bound" in err
 
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "5")
@@ -230,6 +274,12 @@ class TestTrace:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_zero_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "--n", "2", "--limit", "0")
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
+
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--n", "7")
         assert code == 2
@@ -254,6 +304,7 @@ class TestParser:
             [sys.executable, "-m", "hanoilang", "solve", "--n", "2"],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout == TWO_DISC_WORD + "\n"

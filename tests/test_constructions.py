@@ -9,7 +9,6 @@ from hanoilang.constructions import (
     PDA_STATE,
     PEG_PAIRS,
     STACK_BOTTOM,
-    _audit_stack_coverage,
     bfs_optimal,
     build_hanoi_grammar,
     build_hanoi_pda,
@@ -28,11 +27,8 @@ from hanoilang.hanoi import (
     is_solved,
 )
 from hanoilang.pda import (
-    Pda,
     PdaConfiguration,
-    PdaError,
     RunOutcome,
-    StackSymbol,
     is_deterministic,
     run_to_empty_stack,
     step,
@@ -147,20 +143,14 @@ class TestPdaBuilder:
         assert trace.emitted == (MoveSymbol(1, 3),)
         assert trace.steps == 2
 
-    def test_audit_rejects_unconsumable_reachable_symbol(self):
-        z = StackSymbol("z")
-        orphan = StackSymbol("orphan")
-        broken = Pda(
-            states=frozenset({"q"}),
-            input_alphabet=frozenset(),
-            stack_alphabet=frozenset({z, orphan}),
-            transitions={("q", None, z): (("q", (orphan,)),)},
-            start_state="q",
-            start_stack=z,
-            accepting=frozenset(),
-        )
-        with pytest.raises(PdaError):
-            _audit_stack_coverage(broken)
+
+def test_pushed_stack_symbols_are_the_transition_keys_themselves():
+    # the runner's transition lookups then match by identity, not by
+    # dataclass equality
+    m = build_hanoi_pda(5)
+    keys = {id(top) for _, _, top in m.transitions}
+    pushed = [sym for targets in m.transitions.values() for _, push in targets for sym in push]
+    assert pushed and all(id(sym) in keys for sym in pushed)
 
 
 class TestHandTraces:

@@ -3,7 +3,6 @@
 import pytest
 
 from hanoilang.grammar import (
-    FormTooLarge,
     Grammar,
     GrammarError,
     NoApplicableProduction,
@@ -106,13 +105,6 @@ class TestDeriveFull:
         g = make_grammar([Production(S, (a,))])
         with pytest.raises(ValueError):
             derive_full(g, step_limit=0)
-
-    def test_form_size_cap(self):
-        # S -> S S doubles the form every pass; the cap must trip before
-        # the step limit lets it grow without bound
-        g = make_grammar([Production(S, (S, S))])
-        with pytest.raises(FormTooLarge):
-            derive_full(g, step_limit=10_000, max_form_symbols=64)
 
     def test_matches_stepwise_derivation(self):
         g = make_grammar(
