@@ -46,15 +46,7 @@ from .grammar import (
     enumerate_language,
     format_form,
 )
-from .hanoi import (
-    IllegalMove,
-    MoveParseError,
-    MoveSymbol,
-    apply_move,
-    initial_state,
-    is_solved,
-    validate_sequence,
-)
+from .hanoi import Board, MoveParseError, MoveSymbol, validate_sequence
 from .pda import PdaConfiguration, RunOutcome, run_to_empty_stack, step as pda_step
 
 ENGINES = ("grammar", "pda", "recursive", "bfs")
@@ -65,6 +57,10 @@ ENGINES = ("grammar", "pda", "recursive", "bfs")
 SOLVE_MATERIALIZED_MAX = 24
 ENUMERATE_MAX = 4
 TRACE_MAX = 6
+
+# Streamed moves are written this many lines per write, so the buffer
+# between the engine and stdout stays a fixed size.
+STREAM_CHUNK_MOVES = 4096
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -130,27 +126,41 @@ def _run_engine(engine: str, n: int, unsafe: bool, observer=None) -> tuple:
     raise ValueError(f"unknown engine {engine!r}")
 
 
+def _write_lines(out, codes) -> None:
+    """Write move codes one per line, with one write per chunk of lines.
+
+    A write larger than the stream's buffer goes straight to the file and
+    can end short without an error when the reader closes the pipe; the
+    next chunk's write then raises BrokenPipeError.
+    """
+    for start in range(0, len(codes), STREAM_CHUNK_MOVES):
+        out.write("\n".join(codes[start:start + STREAM_CHUNK_MOVES]) + "\n")
+
+
 def _solve_streaming_grammar(n: int, out) -> int:
     """True streaming path: moves go to `out` as the derivation produces
     them, memory stays proportional to N, and legality is checked on the
     fly by replaying each move on a board."""
     grammar = build_hanoi_grammar(n)
-    board = initial_state(n)
+    board = Board(n)
+    play = board.play
+    chunk = []
     legal = True
 
     def sink(move: MoveSymbol) -> None:
-        nonlocal board, legal
-        print(move.code, file=out)
-        if legal:
-            try:
-                board = apply_move(board, move)
-            except IllegalMove:
-                legal = False
+        nonlocal legal
+        chunk.append(move.code)
+        if legal and play(move) is not None:
+            legal = False
+        if len(chunk) == STREAM_CHUNK_MOVES:
+            _write_lines(out, chunk)
+            chunk.clear()
 
     started = time.perf_counter()
     emitted = derive_streaming(grammar, sink, step_limit=grammar_step_limit(n))
+    _write_lines(out, chunk)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    verified = legal and is_solved(board, n)
+    verified = legal and board.solved()
     record = {
         "engine": "grammar",
         "n_discs": n,
@@ -197,8 +207,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     if args.stream:
         if args.engine != "pda":  # pda already printed via its observer
-            for mv in moves:
-                print(mv.code)
+            _write_lines(sys.stdout, record["moves"])
     else:
         print(" ".join(record["moves"]))
     print(_summary_line(record), file=sys.stderr)

@@ -5,8 +5,7 @@ the smallest. A move is legal when its source peg is nonempty and it
 never places a larger disc on a smaller one.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 PEGS = (1, 2, 3)
 
@@ -45,16 +44,17 @@ class MoveSymbol:
 
     src: int
     dst: int
+    # Set once at construction: a cached_property would give the instance a
+    # __dict__ on first use, which makes every later read of src and dst
+    # about 3x slower.
+    code: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.src not in PEGS or self.dst not in PEGS:
             raise ValueError(f"pegs must be in 1..3, got {self.src}->{self.dst}")
         if self.src == self.dst:
             raise ValueError("a move must use two distinct pegs")
-
-    @cached_property
-    def code(self) -> str:
-        return f"p{self.src}{self.dst}"
+        object.__setattr__(self, "code", f"p{self.src}{self.dst}")
 
     def inverse(self) -> "MoveSymbol":
         return MoveSymbol.of(self.dst, self.src)
@@ -77,23 +77,23 @@ class MoveSymbol:
 
     @classmethod
     def parse(cls, token: str) -> "MoveSymbol":
-        """Parse the "pij" text form, e.g. "p13". Strict: lowercase p, pegs 1..3."""
-        if (
-            len(token) == 3
-            and token[0] == "p"
-            and token[1] in "123"
-            and token[2] in "123"
-            and token[1] != token[2]
-        ):
-            return cls.of(int(token[1]), int(token[2]))
-        raise MoveParseError(
-            f"bad move token {token!r}: expected 'pij' with two distinct pegs in 1..3"
-        )
+        """Parse the "pij" text form, e.g. "p13". Strict: lowercase p, pegs 1..3.
+
+        Returns the shared instance. The six codes are the only tokens the
+        strict form accepts, so a table lookup decides it.
+        """
+        try:
+            return _MOVES_BY_CODE[token]
+        except KeyError:
+            raise MoveParseError(
+                f"bad move token {token!r}: expected 'pij' with two distinct pegs in 1..3"
+            ) from None
 
 
 _CANONICAL_MOVES: dict[tuple[int, int], MoveSymbol] = {
     (src, dst): MoveSymbol(src, dst) for src in PEGS for dst in PEGS if src != dst
 }
+_MOVES_BY_CODE: dict[str, MoveSymbol] = {mv.code: mv for mv in _CANONICAL_MOVES.values()}
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,6 @@ class ValidationReport:
         return self.legal
 
 
-_FAILURE_LABELS = {
-    EmptySource: "empty-source",
-    LargerOnSmaller: "larger-on-smaller",
-}
-
-
 def initial_state(n_discs: int) -> HanoiState:
     """All discs on peg 1, largest at the bottom; pegs 2 and 3 empty."""
     if n_discs < 1:
@@ -218,32 +212,66 @@ def is_solved(state: HanoiState, n_discs: int) -> bool:
     return len(state.peg(3)) == n_discs
 
 
+class Board:
+    """A mutable board for fast replay, checked by the same two rules as
+    apply_move but without rebuilding a HanoiState per move.
+
+    pegs[i] holds peg i+1's discs bottom to top. Only the top `depth`
+    discs of the n-disc tower are laid out on peg 1 (all of them by
+    default): a replay of m moves can move only the top m discs, so with
+    m + 1 laid out peg 1 never looks empty early, and the verdicts are the
+    same in memory bounded by the replay, not by n.
+    """
+
+    __slots__ = ("n_discs", "pegs")
+
+    def __init__(self, n_discs: int, depth: int | None = None):
+        if n_discs < 1:
+            raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
+        top = n_discs if depth is None else min(n_discs, depth)
+        self.n_discs = n_discs
+        self.pegs = (list(range(top, 0, -1)), [], [])
+
+    def play(self, mv: MoveSymbol) -> str | None:
+        """Apply mv and return None, or return the failure label
+        ("empty-source" or "larger-on-smaller") and leave the board as it was."""
+        src = self.pegs[mv.src - 1]
+        if not src:
+            return "empty-source"
+        dst = self.pegs[mv.dst - 1]
+        if dst and dst[-1] < src[-1]:
+            return "larger-on-smaller"
+        dst.append(src.pop())
+        return None
+
+    def solved(self) -> bool:
+        """True when peg 3 holds all n discs."""
+        return len(self.pegs[2]) == self.n_discs
+
+
 def validate_sequence(n_discs, moves) -> ValidationReport:
     """Replay moves from the initial tower; illegality is reported, not raised.
 
     Stops at the first illegal move. When every move is legal, final_solved
-    tells whether the end state has all discs on peg 3.
+    tells whether the end state has all discs on peg 3. moves is a list or
+    tuple; the board lays out only the discs that many moves can reach.
     """
-    if n_discs < 1:
-        raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
-    state = initial_state(n_discs)
-    checked = 0
+    board = Board(n_discs, depth=len(moves) + 1)
+    play = board.play
     for i, mv in enumerate(moves):
-        checked += 1
-        try:
-            state = apply_move(state, mv)
-        except IllegalMove as err:
+        reason = play(mv)
+        if reason is not None:
             return ValidationReport(
                 legal=False,
                 failing_index=i,
-                failure_reason=_FAILURE_LABELS[type(err)],
+                failure_reason=reason,
                 final_solved=False,
-                moves_checked=checked,
+                moves_checked=i + 1,
             )
     return ValidationReport(
         legal=True,
         failing_index=None,
         failure_reason=None,
-        final_solved=is_solved(state, n_discs),
-        moves_checked=checked,
+        final_solved=board.solved(),
+        moves_checked=len(moves),
     )

@@ -12,6 +12,7 @@ import pytest
 import hanoilang
 from hanoilang.cli import main
 from hanoilang.constructions import recursive_solve
+from hanoilang.hanoi import MoveSymbol
 
 TWO_DISC_WORD = "p12 p13 p23"
 
@@ -71,6 +72,26 @@ class TestSolve:
         _, plain, _ = run_cli(capsys, "solve", "--n", "4")
         assert streamed.split() == plain.split()
 
+    @pytest.mark.parametrize("engine", ["grammar", "recursive"])
+    def test_stream_is_byte_identical_across_write_chunks(self, capsys, engine):
+        # 8191 moves: two full chunks of streamed lines and a remainder
+        _, streamed, _ = run_cli(capsys, "solve", "--n", "13", "--stream", "--engine", engine)
+        _, plain, _ = run_cli(capsys, "solve", "--n", "13")
+        assert streamed == plain.replace(" ", "\n")
+
+    def test_stream_reports_an_illegal_move_as_unverified(self, capsys, monkeypatch):
+        def derive_illegal(grammar, sink, step_limit):
+            for code in ("p13", "p13", "p12"):  # the second lands disc 2 on disc 1
+                sink(MoveSymbol.parse(code))
+            return 3
+
+        monkeypatch.setattr("hanoilang.cli.derive_streaming", derive_illegal)
+        code, out, err = run_cli(capsys, "solve", "--n", "2", "--stream")
+        assert code == 0
+        assert out == "p13\np13\np12\n"
+        assert "move_count=3" in err
+        assert "verified=false" in err
+
     def test_stream_pda_goes_through_observer(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--n", "3", "--engine", "pda", "--stream")
         assert code == 0
@@ -118,7 +139,7 @@ class TestSolve:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("engine", ["grammar", "pda"])
+    @pytest.mark.parametrize("engine", ["grammar", "pda", "recursive"])
     def test_reader_closing_the_pipe_early_exits_zero_quietly(self, engine):
         proc = subprocess.Popen(
             [sys.executable, "-m", "hanoilang", "solve", "--n", "16", "--stream",

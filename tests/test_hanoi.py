@@ -1,10 +1,14 @@
 """Board model: moves, states, legality, and replay validation."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanoilang.constructions import HanoiInstance, recursive_solve
 from hanoilang.hanoi import (
+    Board,
     DiscCountMismatch,
     EmptySource,
     HanoiNonterminal,
@@ -85,6 +89,12 @@ class TestMoveSymbol:
     def test_str_is_cached_per_instance(self):
         mv = MoveSymbol.of(1, 2)
         assert str(mv) is str(mv)
+
+    def test_code_is_not_part_of_identity(self):
+        assert repr(MoveSymbol(1, 3)) == "MoveSymbol(src=1, dst=3)"
+        assert MoveSymbol(1, 3) < MoveSymbol(2, 1)
+        with pytest.raises(TypeError):
+            MoveSymbol(1, 3, "p13")
 
 
 class TestHanoiNonterminal:
@@ -197,6 +207,22 @@ class TestValidateSequence:
         assert validate_sequence(1, [MoveSymbol(1, 3)])
         assert not validate_sequence(1, [MoveSymbol(2, 3)])
 
+    def test_rejects_zero_discs(self):
+        with pytest.raises(InvalidDiscCount):
+            validate_sequence(0, [])
+
+    def test_memory_is_bounded_by_the_moves_not_the_tower(self):
+        moves = [MoveSymbol.of(1, 3), MoveSymbol.of(1, 2)]
+        tracemalloc.start()
+        try:
+            report = validate_sequence(10**7, moves)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report == validate_sequence(3, moves)
+        assert (report.legal, report.final_solved, report.moves_checked) == (True, False, 2)
+        assert peak < 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # Property tests: the board invariants hold under any legal random walk, and
@@ -241,17 +267,63 @@ def test_reverse_move_restores_state(n_discs, data):
     assert apply_move(apply_move(state, mv), mv.inverse()) == state
 
 
-@given(n_discs=st.integers(min_value=1, max_value=5), data=st.data())
-def test_validate_agrees_with_stepwise_replay(n_discs, data):
-    """validate_sequence is just a replay; it must agree with doing the
-    replay by hand, wherever the random walk we feed it stops."""
+def checked_replay(n_discs, moves):
+    """The report validate_sequence must give, by replaying through the
+    fully checked apply_move / is_solved."""
+    labels = {EmptySource: "empty-source", LargerOnSmaller: "larger-on-smaller"}
     state = initial_state(n_discs)
+    for i, mv in enumerate(moves):
+        try:
+            state = apply_move(state, mv)
+        except (EmptySource, LargerOnSmaller) as err:
+            return (False, i, labels[type(err)], False, i + 1)
+    return (True, None, None, is_solved(state, n_discs), len(moves))
+
+
+@settings(max_examples=300)
+@given(n_discs=st.integers(min_value=1, max_value=6), data=st.data())
+def test_validate_agrees_with_stepwise_replay(n_discs, data):
+    """validate_sequence replays on a fast mutable board; it must agree with
+    replaying by hand through the checked HanoiState. Input: a legal walk
+    (random, or a prefix of the optimal word so that some walks end
+    solved) with one illegal move injected at a random position, or none.
+    """
+    optimal = recursive_solve(HanoiInstance(n_discs))
+    follow_optimal = data.draw(st.booleans(), label="follow the optimal word")
+    length = data.draw(st.integers(min_value=0, max_value=len(optimal) if follow_optimal else 40))
+    states = [initial_state(n_discs)]
     moves = []
-    for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
-        mv = data.draw(st.sampled_from(legal_moves(state)))
-        state = apply_move(state, mv)
+    for i in range(length):
+        mv = optimal[i] if follow_optimal else data.draw(st.sampled_from(legal_moves(states[-1])))
         moves.append(mv)
+        states.append(apply_move(states[-1], mv))
+    bad_at = data.draw(st.none() | st.integers(min_value=0, max_value=length), label="illegal at")
+    if bad_at is not None:
+        illegal = [mv for mv in ALL_MOVES if mv not in legal_moves(states[bad_at])]
+        moves.insert(bad_at, data.draw(st.sampled_from(illegal)))
     report = validate_sequence(n_discs, moves)
-    assert report.legal
-    assert report.final_solved == is_solved(state, n_discs)
-    assert report.moves_checked == len(moves)
+    assert (
+        report.legal, report.failing_index, report.failure_reason,
+        report.final_solved, report.moves_checked,
+    ) == checked_replay(n_discs, moves)
+
+
+@settings(max_examples=200)
+@given(n_discs=st.integers(min_value=1, max_value=6), data=st.data())
+def test_board_play_tracks_apply_move(n_discs, data):
+    """Any moves, legal or not: the board follows the checked state, and an
+    illegal move returns its label and leaves the board unchanged."""
+    board = Board(n_discs)
+    state = initial_state(n_discs)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=30))):
+        mv = data.draw(st.sampled_from(ALL_MOVES))
+        expected = None
+        try:
+            state = apply_move(state, mv)
+        except EmptySource:
+            expected = "empty-source"
+        except LargerOnSmaller:
+            expected = "larger-on-smaller"
+        assert board.play(mv) == expected
+        assert tuple(map(tuple, board.pegs)) == state.pegs
+        assert board.solved() == is_solved(state, n_discs)
