@@ -40,7 +40,6 @@ from .constructions import (
 from .grammar import (
     NoApplicableProduction,
     StepLimitExceeded,
-    derive_full,
     derive_step,
     derive_streaming,
     enumerate_language,
@@ -48,8 +47,6 @@ from .grammar import (
 )
 from .hanoi import Board, MoveParseError, MoveSymbol, validate_sequence
 from .pda import PdaConfiguration, RunOutcome, run_to_empty_stack, step as pda_step
-
-ENGINES = ("grammar", "pda", "recursive", "bfs")
 
 # Disc-count caps. Materializing a word above 24 discs needs gigabytes;
 # enumeration and traces blow up far sooner. --unsafe-no-cap lifts all of
@@ -85,45 +82,43 @@ def _summary_line(record: dict) -> str:
     )
 
 
-def _record(engine: str, n: int, moves, elapsed_ms: float) -> dict:
-    report = validate_sequence(n, moves)
-    return {
-        "engine": engine,
-        "n_discs": n,
-        "moves": [mv.code for mv in moves],
-        "move_count": len(moves),
-        "elapsed_ms": round(elapsed_ms, 3),
-        "verified": report.legal and report.final_solved,
-    }
+def _grammar_engine(n: int, unsafe: bool, sink) -> None:
+    try:
+        derive_streaming(build_hanoi_grammar(n), sink, step_limit=grammar_step_limit(n))
+    except (StepLimitExceeded, NoApplicableProduction) as exc:
+        raise EngineFailure(str(exc)) from exc
 
 
-def _run_engine(engine: str, n: int, unsafe: bool, observer=None) -> tuple:
-    """Produce the N-disc move sequence with one engine, or raise
-    EngineFailure. The observer, if given, sees each move as the
-    automaton engine emits it (other engines ignore it)."""
-    if engine == "grammar":
-        grammar = build_hanoi_grammar(n)
-        try:
-            derivation = derive_full(grammar, step_limit=grammar_step_limit(n))
-        except (StepLimitExceeded, NoApplicableProduction) as exc:
-            raise EngineFailure(str(exc)) from exc
-        return derivation.word
-    if engine == "pda":
-        machine = build_hanoi_pda(n)
-        trace = run_to_empty_stack(
-            machine, (), observer=observer, step_limit=pda_step_limit(n)
-        )
-        if trace.outcome is not RunOutcome.EMPTY_STACK_HALT:
-            raise EngineFailure(f"automaton run ended {trace.outcome.value}")
-        return trace.emitted
-    if engine == "recursive":
-        return recursive_solve(HanoiInstance(n))
-    if engine == "bfs":
-        try:
-            return bfs_optimal(n, max_discs=None if unsafe else BFS_MAX_DISCS).sequence
-        except CapExceeded as exc:
-            raise EngineFailure(str(exc)) from exc
-    raise ValueError(f"unknown engine {engine!r}")
+def _pda_engine(n: int, unsafe: bool, sink) -> None:
+    trace = run_to_empty_stack(
+        build_hanoi_pda(n), (), observer=sink, step_limit=pda_step_limit(n)
+    )
+    if trace.outcome is not RunOutcome.EMPTY_STACK_HALT:
+        raise EngineFailure(f"automaton run ended {trace.outcome.value}")
+
+
+def _recursive_engine(n: int, unsafe: bool, sink) -> None:
+    for move in recursive_solve(HanoiInstance(n)):
+        sink(move)
+
+
+def _bfs_engine(n: int, unsafe: bool, sink) -> None:
+    try:
+        result = bfs_optimal(n, max_discs=None if unsafe else BFS_MAX_DISCS)
+    except CapExceeded as exc:
+        raise EngineFailure(str(exc)) from exc
+    for move in result.sequence:
+        sink(move)
+
+
+# Each engine hands the N-disc word to sink(move) one move at a time, or
+# raises EngineFailure. --unsafe-no-cap reaches the engine as `unsafe`.
+ENGINES = {
+    "grammar": _grammar_engine,
+    "pda": _pda_engine,
+    "recursive": _recursive_engine,
+    "bfs": _bfs_engine,
+}
 
 
 def _write_lines(out, codes) -> None:
@@ -137,79 +132,60 @@ def _write_lines(out, codes) -> None:
         out.write("\n".join(codes[start:start + STREAM_CHUNK_MOVES]) + "\n")
 
 
-def _solve_streaming_grammar(n: int, out) -> int:
-    """True streaming path: moves go to `out` as the derivation produces
-    them, memory stays proportional to N, and legality is checked on the
-    fly by replaying each move on a board."""
-    grammar = build_hanoi_grammar(n)
-    board = Board(n)
-    play = board.play
-    chunk = []
-    legal = True
-
-    def sink(move: MoveSymbol) -> None:
-        nonlocal legal
-        chunk.append(move.code)
-        if legal and play(move) is not None:
-            legal = False
-        if len(chunk) == STREAM_CHUNK_MOVES:
-            _write_lines(out, chunk)
-            chunk.clear()
-
-    started = time.perf_counter()
-    emitted = derive_streaming(grammar, sink, step_limit=grammar_step_limit(n))
-    _write_lines(out, chunk)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    verified = legal and board.solved()
-    record = {
-        "engine": "grammar",
-        "n_discs": n,
-        "moves": None,  # streamed, not retained
-        "move_count": emitted,
-        "elapsed_ms": round(elapsed_ms, 3),
-        "verified": verified,
-    }
-    print(_summary_line(record), file=sys.stderr)
-    return EXIT_OK
-
-
 def cmd_solve(args) -> int:
-    if args.n < 1:
-        _complain(f"--n must be at least 1, got {args.n}")
-        return EXIT_USAGE
     if args.stream and args.format == "json":
         _complain("--stream produces line output and cannot be combined with --format json")
         return EXIT_USAGE
-    if args.stream and args.engine == "grammar":
-        return _solve_streaming_grammar(args.n, sys.stdout)
-    if args.n > SOLVE_MATERIALIZED_MAX and not args.unsafe_no_cap:
+    # The grammar engine is the one that streams without holding the word.
+    exempt = args.unsafe_no_cap or (args.stream and args.engine == "grammar")
+    if args.n > SOLVE_MATERIALIZED_MAX and not exempt:
         _complain(
             f"materializing {args.n} discs means 2^{args.n} - 1 moves; "
             f"capped at {SOLVE_MATERIALIZED_MAX} (see --unsafe-no-cap, "
             "or --stream with the grammar engine)"
         )
         return EXIT_ENGINE
-    observer = None
-    if args.stream:
-        # Non-grammar engines materialize anyway; the automaton at least
-        # emits through its observer hook while running.
-        observer = (lambda mv: print(mv.code)) if args.engine == "pda" else None
+    board = Board(args.n)
+    play = board.play
+    codes = []
+    # len(codes) is never 0 after an append, so without --stream the word
+    # is kept whole and written at the end.
+    chunk = STREAM_CHUNK_MOVES if args.stream else 0
+    written = 0
+    legal = True
+
+    def sink(move: MoveSymbol) -> None:
+        nonlocal legal, written
+        codes.append(move.code)
+        if legal and play(move) is not None:
+            legal = False
+        if len(codes) == chunk:
+            _write_lines(sys.stdout, codes)
+            written += chunk
+            codes.clear()
+
     started = time.perf_counter()
     try:
-        moves = _run_engine(args.engine, args.n, args.unsafe_no_cap, observer=observer)
+        ENGINES[args.engine](args.n, args.unsafe_no_cap, sink)
     except EngineFailure as exc:
         _complain(str(exc))
         return EXIT_ENGINE
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    record = _record(args.engine, args.n, moves, elapsed_ms)
+    record = {
+        "engine": args.engine,
+        "n_discs": args.n,
+        "moves": codes,
+        "move_count": written + len(codes),
+        "elapsed_ms": round(elapsed_ms, 3),
+        "verified": legal and board.solved(),
+    }
     if args.format == "json":
         print(json.dumps(record, indent=2))
         return EXIT_OK
     if args.stream:
-        if args.engine != "pda":  # pda already printed via its observer
-            _write_lines(sys.stdout, record["moves"])
+        _write_lines(sys.stdout, codes)
     else:
-        print(" ".join(record["moves"]))
+        print(" ".join(codes))
     print(_summary_line(record), file=sys.stderr)
     return EXIT_OK
 
@@ -222,9 +198,6 @@ def _read_moves_source(source: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1:
-        _complain(f"--n must be at least 1, got {args.n}")
-        return EXIT_USAGE
     try:
         text = _read_moves_source(args.moves)
     except OSError as exc:
@@ -264,25 +237,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.n < 1:
-        _complain(f"--n must be at least 1, got {args.n}")
-        return EXIT_USAGE
     if args.n > SOLVE_MATERIALIZED_MAX and not args.unsafe_no_cap:
         _complain(
             f"comparing materialized words is capped at {SOLVE_MATERIALIZED_MAX} "
             "discs (see --unsafe-no-cap)"
         )
         return EXIT_ENGINE
-    engines = ["grammar", "pda", "recursive"]
-    if args.n <= BFS_MAX_DISCS or args.unsafe_no_cap:
-        engines.append("bfs")
-    else:
+    engines = list(ENGINES)
+    if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
+        engines.remove("bfs")
         print(f"bfs: skipped (capped at {BFS_MAX_DISCS} discs)")
     sequences = {}
     for engine in engines:
+        sequences[engine] = []
         started = time.perf_counter()
         try:
-            sequences[engine] = _run_engine(engine, args.n, args.unsafe_no_cap)
+            ENGINES[engine](args.n, args.unsafe_no_cap, sequences[engine].append)
         except EngineFailure as exc:
             _complain(f"engine {engine} failed: {exc}")
             return EXIT_ENGINE
@@ -304,9 +274,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n < 1:
-        _complain(f"--n must be at least 1, got {args.n}")
-        return EXIT_USAGE
     if args.n > ENUMERATE_MAX and not args.unsafe_no_cap:
         _complain(
             f"enumeration explores every rewrite order and is capped at "
@@ -343,9 +310,6 @@ def _pda_stacks(n: int):
 
 
 def cmd_trace(args) -> int:
-    if args.n < 1:
-        _complain(f"--n must be at least 1, got {args.n}")
-        return EXIT_USAGE
     if args.limit is not None and args.limit < 1:
         _complain(f"--limit must be at least 1, got {args.limit}")
         return EXIT_USAGE
@@ -434,6 +398,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if args.n < 1:  # every subcommand takes --n
+        _complain(f"--n must be at least 1, got {args.n}")
+        return EXIT_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()  # an early close shows here when the output fit the buffer

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import hanoilang
-from hanoilang.cli import main
+from hanoilang.cli import ENGINES, main
 from hanoilang.constructions import recursive_solve
 from hanoilang.hanoi import MoveSymbol
 
 TWO_DISC_WORD = "p12 p13 p23"
+FIVE_DISC_WORD = (Path(__file__).parent / "data" / "hanoi5_word.txt").read_text()
 
 # `python -m hanoilang` in a subprocess imports the same package as the tests
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(hanoilang.__file__).parents[1]))
@@ -39,12 +40,23 @@ class TestSolve:
         assert code == 0
         assert out == TWO_DISC_WORD + "\n"
 
-    @pytest.mark.parametrize("engine", ["grammar", "pda", "recursive", "bfs"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_engines_agree_on_stdout(self, capsys, engine):
-        code, out, _ = run_cli(capsys, "solve", "--n", "4", "--engine", engine)
+        # every engine prints the golden 5-disc word in every output mode
+        solve = ("solve", "--n", "5", "--engine", engine)
+        code, out, err = run_cli(capsys, *solve)
+        assert (code, out) == (0, FIVE_DISC_WORD)
+        assert f"engine={engine} n_discs=5 move_count=31 " in err
+        assert err.endswith(" verified=true\n")
+        code, out, streamed_err = run_cli(capsys, *solve, "--stream")
+        assert (code, out) == (0, FIVE_DISC_WORD.replace(" ", "\n"))
+        assert streamed_err.split("elapsed_ms=")[0] == err.split("elapsed_ms=")[0]
+        assert streamed_err.endswith(" verified=true\n")
+        code, out, _ = run_cli(capsys, *solve, "--format", "json")
+        record = json.loads(out)
         assert code == 0
-        moves = out.split()
-        assert len(moves) == 15
+        assert record["moves"] == FIVE_DISC_WORD.split()
+        assert (record["move_count"], record["verified"]) == (31, True)
 
     def test_json_record(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--n", "3", "--format", "json")
@@ -72,24 +84,28 @@ class TestSolve:
         _, plain, _ = run_cli(capsys, "solve", "--n", "4")
         assert streamed.split() == plain.split()
 
-    @pytest.mark.parametrize("engine", ["grammar", "recursive"])
+    @pytest.mark.parametrize("engine", ["grammar", "pda", "recursive"])
     def test_stream_is_byte_identical_across_write_chunks(self, capsys, engine):
         # 8191 moves: two full chunks of streamed lines and a remainder
-        _, streamed, _ = run_cli(capsys, "solve", "--n", "13", "--stream", "--engine", engine)
+        _, streamed, err = run_cli(capsys, "solve", "--n", "13", "--stream", "--engine", engine)
         _, plain, _ = run_cli(capsys, "solve", "--n", "13")
         assert streamed == plain.replace(" ", "\n")
+        assert " move_count=8191 " in err
+        assert err.endswith(" verified=true\n")
 
     def test_stream_reports_an_illegal_move_as_unverified(self, capsys, monkeypatch):
         def derive_illegal(grammar, sink, step_limit):
-            for code in ("p13", "p13", "p12"):  # the second lands disc 2 on disc 1
+            # the third move finds peg 1 empty; the board ignores it, and the
+            # last move still ends with both discs on peg 3
+            for code in ("p12", "p13", "p13", "p23"):
                 sink(MoveSymbol.parse(code))
-            return 3
+            return 4
 
         monkeypatch.setattr("hanoilang.cli.derive_streaming", derive_illegal)
         code, out, err = run_cli(capsys, "solve", "--n", "2", "--stream")
         assert code == 0
-        assert out == "p13\np13\np12\n"
-        assert "move_count=3" in err
+        assert out == "p12\np13\np13\np23\n"
+        assert "move_count=4" in err
         assert "verified=false" in err
 
     def test_stream_pda_goes_through_observer(self, capsys):
@@ -128,16 +144,22 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "--n", "2", "--engine", "dynamic")
         assert code == 2
 
-    @pytest.mark.parametrize("engine, limit, message", [
-        ("grammar", "grammar_step_limit", "derivation exceeded 1 rewrites"),
-        ("pda", "pda_step_limit", "automaton run ended step-limit"),
+    # ids of the unstreamed cases are the ones pytest derives from the values
+    @pytest.mark.parametrize("engine, limit, message, stream", [
+        pytest.param(*case, stream, id="-".join(case) + ("-stream" if stream else ""))
+        for case in [
+            ("grammar", "grammar_step_limit", "derivation exceeded 1 rewrites"),
+            ("pda", "pda_step_limit", "automaton run ended step-limit"),
+        ]
+        for stream in (False, True)
     ])
-    def test_engine_failure_exits_three(self, capsys, monkeypatch, engine, limit, message):
+    def test_engine_failure_exits_three(self, capsys, monkeypatch, engine, limit, message, stream):
         monkeypatch.setattr(f"hanoilang.cli.{limit}", lambda n: 1)
-        code, out, err = run_cli(capsys, "solve", "--n", "3", "--engine", engine)
+        argv = ["solve", "--n", "3", "--engine", engine] + ["--stream"] * stream
+        code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert message in err
+        assert err == f"hanoilang: {message}\n"  # one line, no traceback
 
     @pytest.mark.parametrize("engine", ["grammar", "pda", "recursive"])
     def test_reader_closing_the_pipe_early_exits_zero_quietly(self, engine):
@@ -316,6 +338,14 @@ class TestTrace:
 class TestParser:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys, )[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "-"], ["compare"], ["enumerate"], ["trace"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_discs_is_usage_error_in_every_other_subcommand(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--n", "0")
+        assert (code, out) == (2, "")
+        assert err == "hanoilang: --n must be at least 1, got 0\n"
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
