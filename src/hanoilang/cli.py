@@ -136,13 +136,13 @@ def cmd_solve(args) -> int:
     if args.stream and args.format == "json":
         _complain("--stream produces line output and cannot be combined with --format json")
         return EXIT_USAGE
-    # The grammar engine is the one that streams without holding the word.
-    exempt = args.unsafe_no_cap or (args.stream and args.engine == "grammar")
+    # The grammar and pda engines stream without holding the word.
+    exempt = args.unsafe_no_cap or (args.stream and args.engine in ("grammar", "pda"))
     if args.n > SOLVE_MATERIALIZED_MAX and not exempt:
         _complain(
             f"materializing {args.n} discs means 2^{args.n} - 1 moves; "
             f"capped at {SOLVE_MATERIALIZED_MAX} (see --unsafe-no-cap, "
-            "or --stream with the grammar engine)"
+            "or --stream with the grammar or pda engine)"
         )
         return EXIT_ENGINE
     board = Board(args.n)

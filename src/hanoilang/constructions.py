@@ -54,21 +54,13 @@ def spare_peg(src: int, dst: int) -> int:
 
 @dataclass(frozen=True)
 class HanoiInstance:
-    """A puzzle instance: disc count plus a peg role assignment."""
+    """A puzzle instance: N discs to carry from peg 1 to peg 3."""
 
     n_discs: int
-    source: int = 1
-    target: int = 3
-    auxiliary: int = 2
 
     def __post_init__(self):
         if self.n_discs < 1:
             raise InvalidDiscCount(f"need at least one disc, got {self.n_discs}")
-        if {self.source, self.target, self.auxiliary} != {1, 2, 3}:
-            raise ValueError(
-                "source/target/auxiliary must be pegs 1..3 in some order, got "
-                f"({self.source}, {self.target}, {self.auxiliary})"
-            )
 
 
 def build_hanoi_grammar(n_discs: int) -> Grammar:
@@ -137,7 +129,7 @@ def recursive_solve(instance: HanoiInstance) -> tuple[MoveSymbol, ...]:
         moves.append(MoveSymbol.of(src, dst))
         go(n - 1, aux, dst)
 
-    go(instance.n_discs, instance.source, instance.target)
+    go(instance.n_discs, 1, 3)
     return tuple(moves)
 
 

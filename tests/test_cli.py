@@ -128,12 +128,27 @@ class TestSolve:
         assert code == 3
         assert "capped" in err
 
-    def test_stream_only_exempts_the_grammar_engine(self, capsys):
-        # a streamed pda run still materializes its trace, so the cap
-        # stays in force for it
-        code, _, err = run_cli(capsys, "solve", "--n", "25", "--engine", "pda", "--stream")
+    def test_stream_exempts_only_the_grammar_and_pda_engines(self, capsys):
+        # the recursive and bfs engines build their whole word before the
+        # first move comes out, so the cap stays in force for them
+        code, _, err = run_cli(capsys, "solve", "--n", "25", "--engine", "recursive", "--stream")
         assert code == 3
         assert "capped" in err
+        assert "--stream with the grammar or pda engine" in err
+
+    def test_stream_pda_above_the_cap_prints_its_first_move(self):
+        solve = subprocess.Popen(
+            [sys.executable, "-m", "hanoilang", "solve", "--n", "25", "--engine", "pda",
+             "--stream"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV,
+        )
+        head = subprocess.run(["head", "-1"], stdin=solve.stdout, capture_output=True,
+                              timeout=60)
+        solve.stdout.close()  # with head gone too, the next write finds no reader
+        err = solve.stderr.read()
+        assert solve.wait(timeout=60) == 0
+        assert head.stdout == b"p13\n"
+        assert err == b""  # no traceback, and no summary for a closed pipe
 
     def test_bfs_cap(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--n", "11", "--engine", "bfs")

@@ -1,6 +1,8 @@
 """Generic pushdown automaton machinery, independent of the Hanoi builders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hanoilang.pda import (
     EmptyStack,
@@ -9,6 +11,7 @@ from hanoilang.pda import (
     PdaConfiguration,
     PdaError,
     RunOutcome,
+    RunTrace,
     StackSymbol,
     accepts_by_final_state,
     is_deterministic,
@@ -175,11 +178,14 @@ class TestRunToEmptyStack:
                 ("q", None, M2): (("q", ()),),
             }
         )
-        seen = []
-        trace = run_to_empty_stack(pda, (), observer=seen.append, step_limit=10)
+        trace = run_to_empty_stack(pda, (), step_limit=10)
         assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
         assert trace.steps == 3
         assert trace.emitted == ("m1", "m2")
+        # an observer receives the payloads instead of the trace
+        seen = []
+        observed = run_to_empty_stack(pda, (), observer=seen.append, step_limit=10)
+        assert observed == RunTrace(steps=3, emitted=(), outcome=RunOutcome.EMPTY_STACK_HALT)
         assert seen == ["m1", "m2"]
 
     def test_observer_is_optional(self):
@@ -247,3 +253,112 @@ class TestAcceptsByFinalState:
     def test_empty_word_accepted_when_start_is_accepting(self):
         pda = make_pda({}, accepting={"q"})
         assert accepts_by_final_state(pda, (), step_limit=1)
+
+
+LETTERS = ("a", "b")
+# what a (state, stack top) gets, moves twice as often as dead ends
+KINDS = ("epsilon", "letters") * 2 + ("none", "empty")
+
+
+@st.composite
+def deterministic_runs(draw):
+    """A random deterministic automaton, an input word and a step limit.
+
+    Each (state, stack top) gets nothing (a dead end), one epsilon move, an
+    entry with no targets, or at most one move per input letter. Pushed
+    words reuse the stack alphabet, so runs may loop until the step limit.
+    Input words may hold a letter with no moves at all.
+    """
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    symbols = [StackSymbol(f"s{i}", observable=draw(st.booleans()))
+               for i in range(draw(st.integers(2, 5)))]
+    moves = st.tuples(st.sampled_from(states), st.lists(st.sampled_from(symbols), max_size=3))
+    transitions = {}
+    for state in states:
+        for top in symbols:
+            kind = draw(st.sampled_from(KINDS))
+            if kind == "epsilon":
+                transitions[state, None, top] = (draw(moves),)
+            elif kind == "empty":
+                transitions[state, None, top] = ()
+            elif kind == "letters":
+                for letter in draw(st.sets(st.sampled_from(LETTERS), min_size=1)):
+                    transitions[state, letter, top] = (draw(moves),)
+    pda = Pda(
+        states=frozenset(states),
+        input_alphabet=frozenset(LETTERS),
+        stack_alphabet=frozenset(symbols),
+        transitions=transitions,
+        start_state=draw(st.sampled_from(states)),
+        start_stack=draw(st.sampled_from(symbols)),
+        accepting=frozenset(),
+    )
+    word = tuple(draw(st.lists(st.sampled_from(LETTERS + ("c",)), max_size=4)))
+    return pda, word, draw(st.integers(1, 12))
+
+
+def stepwise_run(pda, word, step_limit):
+    """run_to_empty_stack's contract, by iterating the symbolic step."""
+    config = PdaConfiguration(pda.start_state, word, (pda.start_stack,))
+    emitted = []
+    steps = 0
+    while config.stack:
+        successors = step(pda, config)
+        if not successors:
+            return RunTrace(steps, tuple(emitted), RunOutcome.STUCK)
+        if steps >= step_limit:
+            return RunTrace(steps, tuple(emitted), RunOutcome.STEP_LIMIT)
+        top = config.stack[0]
+        if top.observable:
+            emitted.append(top.payload)
+        (config,) = successors
+        steps += 1
+    outcome = RunOutcome.STUCK if config.remaining_input else RunOutcome.EMPTY_STACK_HALT
+    return RunTrace(steps, tuple(emitted), outcome)
+
+
+@settings(max_examples=400)
+@given(deterministic_runs())
+def test_compiled_run_matches_stepwise_run(case):
+    pda, word, step_limit = case
+    assert is_deterministic(pda)
+    expected = stepwise_run(pda, word, step_limit)
+    assert run_to_empty_stack(pda, word, step_limit=step_limit) == expected
+    seen = []
+    observed = run_to_empty_stack(pda, word, observer=seen.append, step_limit=step_limit)
+    assert observed == RunTrace(expected.steps, (), expected.outcome)
+    assert tuple(seen) == expected.emitted
+
+
+# Hand-built runs that end each way, including paths random machines rarely
+# take; each goes through the same comparison as the random ones.
+OUTCOME_CASES = {
+    "halt-after-input-and-output": (
+        make_pda({("q", "a", Z): (("q", (M1,)),), ("q", None, M1): (("q", ()),)},
+                 input_alphabet={"a"}),
+        ("a",), RunOutcome.EMPTY_STACK_HALT),
+    "halt-through-a-state-change": (
+        make_pda({("p", "a", Z): (("q", (Z,)),), ("q", None, Z): (("p", ()),)},
+                 states=("p", "q"), start_state="p", input_alphabet={"a"}),
+        ("a",), RunOutcome.EMPTY_STACK_HALT),
+    "epsilon-entry-without-targets-falls-to-the-letter": (
+        make_pda({("q", None, Z): (), ("q", "a", Z): (("q", ()),)}, input_alphabet={"a"}),
+        ("a",), RunOutcome.EMPTY_STACK_HALT),
+    "stuck-without-a-move": (
+        make_pda({("q", None, Z): (("q", (M1, A)),), ("q", None, M1): (("q", ()),)}),
+        (), RunOutcome.STUCK),
+    "stuck-with-input-left": (
+        make_pda({("q", None, Z): (("q", (M1,)),), ("q", None, M1): (("q", ()),)}),
+        ("a",), RunOutcome.STUCK),
+    "step-limit": (
+        make_pda({("q", None, Z): (("q", (M1, Z)),), ("q", None, M1): (("q", ()),)}),
+        (), RunOutcome.STEP_LIMIT),
+}
+
+
+@pytest.mark.parametrize("name", OUTCOME_CASES)
+def test_compiled_run_matches_stepwise_run_on_each_outcome(name):
+    pda, word, outcome = OUTCOME_CASES[name]
+    expected = stepwise_run(pda, word, 5)
+    assert expected.outcome is outcome
+    assert run_to_empty_stack(pda, word, step_limit=5) == expected
