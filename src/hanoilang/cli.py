@@ -122,14 +122,18 @@ ENGINES = {
 
 
 def _write_lines(out, codes) -> None:
-    """Write move codes one per line, with one write per chunk of lines.
+    """Write move codes one per line to the binary stream out, with one
+    write per chunk of lines.
 
     A write larger than the stream's buffer goes straight to the file and
-    can end short without an error when the reader closes the pipe; the
-    next chunk's write then raises BrokenPipeError.
+    ends short, without an error, when the reader closes the pipe. A short
+    count is therefore raised as the BrokenPipeError it stands for, so the
+    output ends there even when it was the last chunk.
     """
     for start in range(0, len(codes), STREAM_CHUNK_MOVES):
-        out.write("\n".join(codes[start:start + STREAM_CHUNK_MOVES]) + "\n")
+        data = ("\n".join(codes[start:start + STREAM_CHUNK_MOVES]) + "\n").encode()
+        if out.write(data) < len(data):
+            raise BrokenPipeError("stdout took only part of a write")
 
 
 def cmd_solve(args) -> int:
@@ -160,7 +164,7 @@ def cmd_solve(args) -> int:
         if legal and play(move) is not None:
             legal = False
         if len(codes) == chunk:
-            _write_lines(sys.stdout, codes)
+            _write_lines(sys.stdout.buffer, codes)
             written += chunk
             codes.clear()
 
@@ -183,7 +187,7 @@ def cmd_solve(args) -> int:
         print(json.dumps(record, indent=2))
         return EXIT_OK
     if args.stream:
-        _write_lines(sys.stdout, codes)
+        _write_lines(sys.stdout.buffer, codes)
     else:
         print(" ".join(codes))
     print(_summary_line(record), file=sys.stderr)

@@ -8,8 +8,8 @@ this module constructs:
 * the one-state pushdown automaton derived from that grammar, which
   emits the same sequence while draining its stack,
 * the classic recursive solver, and
-* an exhaustive breadth-first oracle that certifies minimality and
-  uniqueness of the shortest solution at small N.
+* an exhaustive breadth-first oracle, over integer-coded positions, that
+  certifies minimality and uniqueness of the shortest solution at small N.
 
 The grammar and automaton share a naming scheme: a terminal/stack symbol
 ``p_ij`` is the move of the top disc from peg i to peg j, and a
@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .grammar import Grammar, Production, nonterminal, terminal
-from .hanoi import (
-    HanoiNonterminal,
-    HanoiState,
-    InvalidDiscCount,
-    MoveSymbol,
-    apply_move,
-    initial_state,
-)
+from .hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol
 from .pda import PDA_STATE, Pda, StackSymbol, pda_from_grammar
 
 # All ordered peg pairs, lexicographically. Loops below iterate in this
@@ -138,6 +131,64 @@ class BfsResult(NamedTuple):
     shortest_path_count: int
 
 
+def _legal_moves(n_discs: int):
+    """The move relation of the N-disc puzzle on integer positions.
+
+    Base-3 digit d-1 of a position is the peg (0..2) of disc d, so the
+    start tower is 0 and the goal tower is 3^N - 1. The returned function
+    maps a position to its (move, next position) pairs, legal moves only,
+    in PEG_PAIRS order. Moving disc t from peg a to peg b adds
+    (b - a) * 3^(t-1).
+    """
+    moves = [(MoveSymbol.of(i, j), i - 1, j - 1) for i, j in PEG_PAIRS]
+    empty = n_discs + 1  # the "top disc" of an empty peg: larger than any disc
+    place = [3 ** d for d in range(n_discs)]
+
+    def legal_moves(position: int) -> list[tuple[MoveSymbol, int]]:
+        # Top disc of each peg: the smallest disc on it, found by reading
+        # the digits smallest disc first until all three pegs are seen.
+        top = [empty, empty, empty]
+        unseen = 3
+        rest = position
+        for disc in range(1, n_discs + 1):
+            peg = rest % 3
+            rest //= 3
+            if top[peg] == empty:
+                top[peg] = disc
+                unseen -= 1
+                if not unseen:
+                    break
+        return [
+            (mv, position + (dst - src) * place[top[src] - 1])
+            for mv, src, dst in moves
+            if top[src] < top[dst]
+        ]
+
+    return legal_moves
+
+
+def _breadth_first(legal_moves, size: int, source: int) -> tuple[list[int], list[int]]:
+    """Distances from source to each of the size positions, and the number
+    of shortest paths to each, counted layer by layer: a position's count
+    is the sum of the counts of its neighbours one step nearer source."""
+    dist = [-1] * size
+    ways = [0] * size
+    dist[source] = 0
+    ways[source] = 1
+    frontier = deque([source])
+    while frontier:
+        position = frontier.popleft()
+        step = dist[position] + 1
+        for _, succ in legal_moves(position):
+            if dist[succ] < 0:
+                dist[succ] = step
+                ways[succ] = ways[position]
+                frontier.append(succ)
+            elif dist[succ] == step:
+                ways[succ] += ways[position]
+    return dist, ways
+
+
 def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResult:
     """Exhaustive shortest-path search over all legal positions.
 
@@ -157,58 +208,25 @@ def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResul
             f"breadth-first search over 3^{n_discs} positions exceeds the "
             f"{max_discs}-disc cap"
         )
-    all_moves = [MoveSymbol.of(i, j) for i, j in PEG_PAIRS]
+    legal_moves = _legal_moves(n_discs)
+    size = 3 ** n_discs
+    start, goal = 0, size - 1
 
-    def neighbours(state: HanoiState):
-        for mv in all_moves:
-            source = state.peg(mv.src)
-            if not source:
-                continue
-            destination = state.peg(mv.dst)
-            if destination and destination[-1] < source[-1]:
-                continue
-            yield mv, apply_move(state, mv)
+    # Pass 1: shortest-path counts from the start. Pass 2: distances to the
+    # goal; disc moves are reversible, so the same move relation searches
+    # the transposed graph.
+    _, ways = _breadth_first(legal_moves, size, start)
+    to_goal, _ = _breadth_first(legal_moves, size, goal)
 
-    start = initial_state(n_discs)
-    goal = HanoiState(((), (), tuple(range(n_discs, 0, -1))))
-    if start == goal:  # unreachable for n_discs >= 1, kept for clarity
-        return BfsResult((), 1)
-
-    # Pass 1: distances and shortest-path counts grown outward from the
-    # start. Counts accumulate along edges that step to the next layer.
-    dist = {start: 0}
-    ways = {start: 1}
-    frontier = deque([start])
-    while frontier:
-        state = frontier.popleft()
-        for _, succ in neighbours(state):
-            if succ not in dist:
-                dist[succ] = dist[state] + 1
-                ways[succ] = ways[state]
-                frontier.append(succ)
-            elif dist[succ] == dist[state] + 1:
-                ways[succ] += ways[state]
-
-    # Pass 2: distances to the goal. Disc moves are reversible, so the
-    # same neighbour relation searches the transposed graph.
-    to_goal = {goal: 0}
-    frontier = deque([goal])
-    while frontier:
-        state = frontier.popleft()
-        for _, succ in neighbours(state):
-            if succ not in to_goal:
-                to_goal[succ] = to_goal[state] + 1
-                frontier.append(succ)
-
-    # Reconstruct one shortest path greedily; neighbours() yields moves
+    # Reconstruct one shortest path greedily; legal_moves() lists moves
     # in lexicographic order, so the first on-shortest-path move wins.
     sequence = []
-    state = start
-    while state != goal:
-        for mv, succ in neighbours(state):
-            if to_goal[succ] == to_goal[state] - 1:
+    position = start
+    while position != goal:
+        for mv, succ in legal_moves(position):
+            if to_goal[succ] == to_goal[position] - 1:
                 sequence.append(mv)
-                state = succ
+                position = succ
                 break
         else:
             raise AssertionError("shortest-path reconstruction lost its way")

@@ -1,4 +1,4 @@
-"""Towers of Hanoi domain model: pegs, moves, states, rule checking.
+"""Towers of Hanoi domain model: pegs, moves, rule checking and replay.
 
 Pegs are numbered 1..3 and discs are identified by their size, 1 being
 the smallest. A move is legal when its source peg is nonempty and it
@@ -14,24 +14,8 @@ class InvalidDiscCount(ValueError):
     """Disc count outside the supported range (must be >= 1)."""
 
 
-class DiscCountMismatch(ValueError):
-    """A state holds a different number of discs than the caller claimed."""
-
-
 class MoveParseError(ValueError):
     """Textual move token does not encode a valid move."""
-
-
-class IllegalMove(ValueError):
-    """A move that breaks the puzzle rules."""
-
-
-class EmptySource(IllegalMove):
-    """The source peg has no disc to move."""
-
-
-class LargerOnSmaller(IllegalMove):
-    """The moved disc would land on a smaller one."""
 
 
 @dataclass(frozen=True, order=True)
@@ -132,37 +116,6 @@ class HanoiNonterminal:
 
 
 @dataclass(frozen=True)
-class HanoiState:
-    """The three pegs, each a bottom-to-top sequence of disc sizes.
-
-    Construction validates the global invariants: the discs are exactly the
-    sizes 1..N with no repeats, and every peg is strictly decreasing from
-    bottom to top.
-    """
-
-    pegs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pegs", tuple(tuple(p) for p in self.pegs))
-        if len(self.pegs) != 3:
-            raise ValueError("a state has exactly three pegs")
-        discs = [d for peg in self.pegs for d in peg]
-        if sorted(discs) != list(range(1, len(discs) + 1)):
-            raise ValueError("discs must be exactly the sizes 1..N, once each")
-        for peg in self.pegs:
-            for below, above in zip(peg, peg[1:]):
-                if below <= above:
-                    raise ValueError("each peg must decrease strictly bottom to top")
-
-    @property
-    def n_discs(self) -> int:
-        return sum(len(p) for p in self.pegs)
-
-    def peg(self, peg_id: int) -> tuple[int, ...]:
-        return self.pegs[peg_id - 1]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of replaying a move sequence from the initial tower.
     Truthy iff every move was legal."""
@@ -177,44 +130,9 @@ class ValidationReport:
         return self.legal
 
 
-def initial_state(n_discs: int) -> HanoiState:
-    """All discs on peg 1, largest at the bottom; pegs 2 and 3 empty."""
-    if n_discs < 1:
-        raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
-    return HanoiState((tuple(range(n_discs, 0, -1)), (), ()))
-
-
-def apply_move(state: HanoiState, mv: MoveSymbol) -> HanoiState:
-    """Move the top disc of mv.src onto mv.dst, returning a new state.
-
-    Raises EmptySource or LargerOnSmaller when the move is illegal; the
-    input state is never modified.
-    """
-    src = state.peg(mv.src)
-    if not src:
-        raise EmptySource(f"peg {mv.src} is empty, cannot apply {mv}")
-    disc = src[-1]
-    dst = state.peg(mv.dst)
-    if dst and dst[-1] < disc:
-        raise LargerOnSmaller(f"disc {disc} cannot sit on disc {dst[-1]} ({mv})")
-    pegs = list(state.pegs)
-    pegs[mv.src - 1] = src[:-1]
-    pegs[mv.dst - 1] = dst + (disc,)
-    return HanoiState(tuple(pegs))
-
-
-def is_solved(state: HanoiState, n_discs: int) -> bool:
-    """True when peg 3 holds all discs (pegs 1 and 2 empty)."""
-    if state.n_discs != n_discs:
-        raise DiscCountMismatch(
-            f"state holds {state.n_discs} discs, expected {n_discs}"
-        )
-    return len(state.peg(3)) == n_discs
-
-
 class Board:
-    """A mutable board for fast replay, checked by the same two rules as
-    apply_move but without rebuilding a HanoiState per move.
+    """A mutable board for fast replay, checked by the two puzzle rules in
+    place; tests compare it with a replay that validates every position.
 
     pegs[i] holds peg i+1's discs bottom to top. Only the top `depth`
     discs of the n-disc tower are laid out on peg 1 (all of them by

@@ -24,15 +24,9 @@ from hanoilang.constructions import (
     recursive_solve,
 )
 from hanoilang.grammar import derive_full, enumerate_language
-from hanoilang.hanoi import (
-    EmptySource,
-    LargerOnSmaller,
-    MoveSymbol,
-    apply_move,
-    initial_state,
-    validate_sequence,
-)
+from hanoilang.hanoi import MoveSymbol, validate_sequence
 from hanoilang.pda import RunOutcome, is_deterministic, run_to_empty_stack
+from oracle import EmptySource, LargerOnSmaller, apply_move, initial_state
 
 GOLDEN_WORD_FILE = Path(__file__).parent / "data" / "hanoi5_word.txt"
 

@@ -189,6 +189,35 @@ class TestSolve:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    def test_short_write_of_the_last_chunk_exits_zero_quietly(self, capsys, monkeypatch, tmp_path):
+        # A pipe whose reader closes during a large write takes part of it
+        # and reports the short count without an error.
+        class ShortPipe:
+            def __init__(self, room, fd):
+                self.buffer, self.room, self.fd, self.taken = self, room, fd, b""
+
+            def write(self, data):
+                accepted = data[:self.room - len(self.taken)]
+                self.taken += accepted
+                return len(accepted)
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        _, plain, _ = run_cli(capsys, "solve", "--n", "13")
+        stream = plain.replace(" ", "\n").encode()  # 8191 lines: the last chunk holds 3999
+        with open(tmp_path / "stdout", "wb") as target:
+            pipe = ShortPipe(len(stream) - 100, target.fileno())
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = main(["solve", "--n", "13", "--stream"])
+            monkeypatch.undo()
+        assert code == 0
+        assert capsys.readouterr().err == ""  # no summary
+        assert pipe.taken == stream[:-100]
+
 
 class TestVerify:
     def test_good_word_from_file(self, capsys, tmp_path):

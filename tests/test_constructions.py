@@ -1,6 +1,8 @@
 """Hanoi grammar/automaton builders, reference solvers, and cross-checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hanoilang.constructions import (
     BfsResult,
@@ -9,6 +11,8 @@ from hanoilang.constructions import (
     PDA_STATE,
     PEG_PAIRS,
     STACK_BOTTOM,
+    _breadth_first,
+    _legal_moves,
     bfs_optimal,
     build_hanoi_grammar,
     build_hanoi_pda,
@@ -22,9 +26,6 @@ from hanoilang.hanoi import (
     HanoiNonterminal,
     InvalidDiscCount,
     MoveSymbol,
-    initial_state,
-    apply_move,
-    is_solved,
     validate_sequence,
 )
 from hanoilang.pda import (
@@ -33,6 +34,16 @@ from hanoilang.pda import (
     is_deterministic,
     run_to_empty_stack,
     step,
+)
+from oracle import (
+    ALL_MOVES,
+    IllegalMove,
+    apply_move,
+    decode_position,
+    initial_state,
+    is_solved,
+    reference_bfs,
+    reference_path_counts,
 )
 
 
@@ -321,6 +332,50 @@ class TestBfsOptimal:
     def test_rejects_zero_discs(self):
         with pytest.raises(InvalidDiscCount):
             bfs_optimal(0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_checked_reference(self, n):
+        assert bfs_optimal(n) == reference_bfs(n)
+
+
+class TestIntegerPositions:
+    @settings(max_examples=200)
+    @given(n=st.integers(min_value=1, max_value=8), data=st.data())
+    def test_legal_moves_follow_apply_move(self, n, data):
+        """Along a random legal walk, each position's successors decode to
+        the states apply_move reaches, in PEG_PAIRS order, and the moves
+        apply_move rejects have no successor."""
+        legal_moves = _legal_moves(n)
+        position, state = 0, initial_state(n)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=60))):
+            expected = []
+            for mv in ALL_MOVES:
+                try:
+                    expected.append((mv, apply_move(state, mv)))
+                except IllegalMove:
+                    pass
+            got = legal_moves(position)
+            assert [(mv, decode_position(n, succ)) for mv, succ in got] == expected
+            pick = data.draw(st.integers(min_value=0, max_value=len(got) - 1))
+            position, state = got[pick][1], expected[pick][1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_path_counts_sum_over_every_shortest_predecessor(self, n):
+        """Per-position distances and shortest-path counts equal the checked
+        reference's. From the start tower every count is 1, so other
+        sources are searched too: there some positions have two."""
+        size = 3 ** n
+        legal_moves = _legal_moves(n)
+        states = [decode_position(n, position) for position in range(size)]
+        sources = range(size) if n <= 4 else range(0, size, size // 20)
+        most = 0
+        for source in sources:
+            dist, ways = _breadth_first(legal_moves, size, source)
+            ref_dist, ref_ways = reference_path_counts(states[source])
+            assert dict(zip(states, dist)) == ref_dist
+            assert dict(zip(states, ways)) == ref_ways
+            most = max(most, *ways)
+        assert most == (1 if n == 1 else 2)
 
 
 def test_step_limit_helpers_cover_the_real_costs():

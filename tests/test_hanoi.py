@@ -9,18 +9,20 @@ from hypothesis import strategies as st
 from hanoilang.constructions import HanoiInstance, recursive_solve
 from hanoilang.hanoi import (
     Board,
-    DiscCountMismatch,
-    EmptySource,
     HanoiNonterminal,
-    HanoiState,
     InvalidDiscCount,
-    LargerOnSmaller,
     MoveParseError,
     MoveSymbol,
+    validate_sequence,
+)
+from oracle import (
+    DiscCountMismatch,
+    EmptySource,
+    HanoiState,
+    LargerOnSmaller,
     apply_move,
     initial_state,
     is_solved,
-    validate_sequence,
 )
 
 ALL_MOVES = [MoveSymbol(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
