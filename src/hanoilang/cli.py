@@ -14,8 +14,9 @@ stays byte-comparable against golden files. JSON mode prints a single
 record {engine, n_discs, moves, move_count, elapsed_ms, verified}.
 
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
-engine divergence), 2 usage error (bad arguments, unparseable input,
-enumerate/trace caps), 3 engine failure (step limit, solve/bfs caps).
+engine divergence), 2 usage error (bad arguments, unreadable or
+unparseable input, enumerate/trace caps), 3 engine failure (step limit,
+solve/bfs caps).
 A reader that closes stdout early ends the output quietly with exit 0.
 """
 
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from itertools import islice, pairwise
 
 from .constructions import (
@@ -45,7 +47,7 @@ from .grammar import (
     enumerate_language,
     format_form,
 )
-from .hanoi import Board, MoveParseError, MoveSymbol, validate_sequence
+from .hanoi import Board, MoveParseError, MoveSymbol
 from .pda import PdaConfiguration, RunOutcome, run_to_empty_stack, step as pda_step
 
 # Disc-count caps. Materializing a word above 24 discs needs gigabytes;
@@ -58,6 +60,9 @@ TRACE_MAX = 6
 # Streamed moves are written this many lines per write, so the buffer
 # between the engine and stdout stays a fixed size.
 STREAM_CHUNK_MOVES = 4096
+# verify reads its input this many characters at a time, so its memory
+# stays a fixed size whatever the length of the word.
+VERIFY_CHUNK_CHARS = 1 << 13
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -150,20 +155,22 @@ def cmd_solve(args) -> int:
         )
         return EXIT_ENGINE
     board = Board(args.n)
-    play = board.play
     codes = []
     # len(codes) is never 0 after an append, so without --stream the word
-    # is kept whole and written at the end.
+    # is kept whole and replayed and written at the end.
     chunk = STREAM_CHUNK_MOVES if args.stream else 0
     written = 0
     legal = True
 
+    def replay() -> None:
+        nonlocal legal
+        legal = legal and board.run(codes)[1] is None
+
     def sink(move: MoveSymbol) -> None:
-        nonlocal legal, written
+        nonlocal written
         codes.append(move.code)
-        if legal and play(move) is not None:
-            legal = False
         if len(codes) == chunk:
+            replay()
             _write_lines(sys.stdout.buffer, codes)
             written += chunk
             codes.clear()
@@ -174,6 +181,7 @@ def cmd_solve(args) -> int:
     except EngineFailure as exc:
         _complain(str(exc))
         return EXIT_ENGINE
+    replay()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     record = {
         "engine": args.engine,
@@ -194,27 +202,48 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _read_moves_source(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _token_chunks(source: str):
+    """Yield the whitespace-separated tokens of a file, or of stdin for
+    '-', one list per chunk of at least VERIFY_CHUNK_CHARS characters
+    read. A token that a chunk boundary cuts is carried whole into the
+    next list."""
+    with open(source, encoding="utf-8") if source != "-" else nullcontext(sys.stdin) as handle:
+        carry = ""
+        # A token longer than a chunk doubles the next read, so carrying
+        # it costs time linear in its length.
+        while chunk := handle.read(max(VERIFY_CHUNK_CHARS, len(carry))):
+            text = carry + chunk
+            tokens = text.split()
+            carry = "" if text[-1].isspace() else tokens.pop()
+            yield tokens
+        if carry:
+            yield [carry]
 
 
 def cmd_verify(args) -> int:
+    board = Board(args.n)
+    table = board.table
+    seen = played = 0
+    reason = None
     try:
-        text = _read_moves_source(args.moves)
-    except OSError as exc:
+        for tokens in _token_chunks(args.moves):
+            if not all(map(table.__contains__, tokens)):
+                try:
+                    for index, token in enumerate(tokens, seen):
+                        MoveSymbol.parse(token)
+                except MoveParseError as exc:
+                    _complain(f"token {index} ({token!r}): {exc}")
+                    return EXIT_USAGE
+            # After an illegal move only a later unparseable token can
+            # change the outcome, so the rest is read but not replayed.
+            if reason is None:
+                count, reason = board.run(tokens)
+                played += count
+            seen += len(tokens)
+    except (OSError, UnicodeDecodeError) as exc:
         _complain(f"cannot read moves from {args.moves!r}: {exc}")
         return EXIT_USAGE
-    moves = []
-    for index, token in enumerate(text.split()):
-        try:
-            moves.append(MoveSymbol.parse(token))
-        except MoveParseError as exc:
-            _complain(f"token {index} ({token!r}): {exc}")
-            return EXIT_USAGE
-    report = validate_sequence(args.n, moves)
+    report = board.report(played, reason)
     solved = report.legal and report.final_solved
     if args.format == "json":
         print(

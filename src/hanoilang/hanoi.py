@@ -6,6 +6,7 @@ never places a larger disc on a smaller one.
 """
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 PEGS = (1, 2, 3)
 
@@ -39,9 +40,6 @@ class MoveSymbol:
         if self.src == self.dst:
             raise ValueError("a move must use two distinct pegs")
         object.__setattr__(self, "code", f"p{self.src}{self.dst}")
-
-    def inverse(self) -> "MoveSymbol":
-        return MoveSymbol.of(self.dst, self.src)
 
     def __str__(self) -> str:
         return self.code
@@ -99,21 +97,6 @@ class HanoiNonterminal:
     def __str__(self) -> str:
         return f"h{self.src}{self.dst}({self.n})"
 
-    @classmethod
-    def parse(cls, token: str) -> "HanoiNonterminal":
-        """Parse the "hij(n)" text form, e.g. "h12(4)"."""
-        if (
-            len(token) >= 6
-            and token[0] == "h"
-            and token[1] in "123"
-            and token[2] in "123"
-            and token[3] == "("
-            and token[-1] == ")"
-            and token[4:-1].isdigit()
-        ):
-            return cls(int(token[1]), int(token[2]), int(token[4:-1]))
-        raise MoveParseError(f"bad subplan token {token!r}: expected 'hij(n)'")
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -134,62 +117,61 @@ class Board:
     """A mutable board for fast replay, checked by the two puzzle rules in
     place; tests compare it with a replay that validates every position.
 
-    pegs[i] holds peg i+1's discs bottom to top. Only the top `depth`
-    discs of the n-disc tower are laid out on peg 1 (all of them by
-    default): a replay of m moves can move only the top m discs, so with
-    m + 1 laid out peg 1 never looks empty early, and the verdicts are the
-    same in memory bounded by the replay, not by n.
+    pegs[i] holds peg i+1's discs bottom to top. Only the top min(n, 64)
+    discs are laid out on peg 1. Disc d cannot move before 2^(d-1) - 1
+    earlier moves, so no input anyone can read reaches a disc below the
+    64th: the verdicts are those of the full tower, in memory bounded by
+    64 discs, not by n. table maps each of the six move codes to its
+    (source list, target list).
     """
 
-    __slots__ = ("n_discs", "pegs")
+    __slots__ = ("n_discs", "pegs", "table")
 
-    def __init__(self, n_discs: int, depth: int | None = None):
+    def __init__(self, n_discs: int):
         if n_discs < 1:
             raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
-        top = n_discs if depth is None else min(n_discs, depth)
         self.n_discs = n_discs
-        self.pegs = (list(range(top, 0, -1)), [], [])
+        self.pegs = (list(range(min(n_discs, 64), 0, -1)), [], [])
+        self.table = {
+            mv.code: (self.pegs[mv.src - 1], self.pegs[mv.dst - 1])
+            for mv in _CANONICAL_MOVES.values()
+        }
 
-    def play(self, mv: MoveSymbol) -> str | None:
-        """Apply mv and return None, or return the failure label
-        ("empty-source" or "larger-on-smaller") and leave the board as it was."""
-        src = self.pegs[mv.src - 1]
-        if not src:
-            return "empty-source"
-        dst = self.pegs[mv.dst - 1]
-        if dst and dst[-1] < src[-1]:
-            return "larger-on-smaller"
-        dst.append(src.pop())
-        return None
+    def run(self, codes) -> tuple[int, str | None]:
+        """Replay move codes up to the first illegal one.
+
+        Returns (moves played, None), or (index, label) for the first
+        illegal move, labelled "empty-source" or "larger-on-smaller", and
+        leaves the board as it was before that move.
+        """
+        table = self.table
+        index = -1
+        for index, code in enumerate(codes):
+            src, dst = table[code]
+            if not src:
+                return index, "empty-source"
+            if dst and dst[-1] < src[-1]:
+                return index, "larger-on-smaller"
+            dst.append(src.pop())
+        return index + 1, None
 
     def solved(self) -> bool:
         """True when peg 3 holds all n discs."""
         return len(self.pegs[2]) == self.n_discs
+
+    def report(self, played: int, reason: str | None) -> ValidationReport:
+        """The report on a replay that played `played` moves and then
+        stopped at a move labelled `reason`, or ran out of moves."""
+        if reason is None:
+            return ValidationReport(True, None, None, self.solved(), played)
+        return ValidationReport(False, played, reason, False, played + 1)
 
 
 def validate_sequence(n_discs, moves) -> ValidationReport:
     """Replay moves from the initial tower; illegality is reported, not raised.
 
     Stops at the first illegal move. When every move is legal, final_solved
-    tells whether the end state has all discs on peg 3. moves is a list or
-    tuple; the board lays out only the discs that many moves can reach.
+    tells whether the end state has all discs on peg 3.
     """
-    board = Board(n_discs, depth=len(moves) + 1)
-    play = board.play
-    for i, mv in enumerate(moves):
-        reason = play(mv)
-        if reason is not None:
-            return ValidationReport(
-                legal=False,
-                failing_index=i,
-                failure_reason=reason,
-                final_solved=False,
-                moves_checked=i + 1,
-            )
-    return ValidationReport(
-        legal=True,
-        failing_index=None,
-        failure_reason=None,
-        final_solved=board.solved(),
-        moves_checked=len(moves),
-    )
+    board = Board(n_discs)
+    return board.report(*board.run(map(attrgetter("code"), moves)))

@@ -1,18 +1,23 @@
 """Command-line behaviour: output shapes, exit codes, caps, and streams."""
 
+import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hanoilang
 from hanoilang.cli import ENGINES, main
-from hanoilang.constructions import recursive_solve
-from hanoilang.hanoi import MoveSymbol
+from hanoilang.constructions import HanoiInstance, recursive_solve
+from hanoilang.hanoi import MoveParseError, MoveSymbol, validate_sequence
 
 TWO_DISC_WORD = "p12 p13 p23"
 FIVE_DISC_WORD = (Path(__file__).parent / "data" / "hanoi5_word.txt").read_text()
@@ -219,6 +224,27 @@ class TestSolve:
         assert pipe.taken == stream[:-100]
 
 
+VALID_CODES = ["p12", "p13", "p21", "p23", "p31", "p32"]
+BAD_TOKENS = ["p14", "x", "p1", "P13", "p131", "p13p12p23", "pp1313"]
+WHITESPACE = " \t\n\r\x0b\x1c\u2028\u3000"
+
+
+def whole_text_verdict(n, text):
+    """What `verify --format json` must print for text: the exit code,
+    stdout and stderr of parsing every token first and then replaying the
+    parsed list with validate_sequence."""
+    moves = []
+    for index, token in enumerate(text.split()):
+        try:
+            moves.append(MoveSymbol.parse(token))
+        except MoveParseError as exc:
+            return 2, "", f"hanoilang: token {index} ({token!r}): {exc}\n"
+    report = validate_sequence(n, moves)
+    record = {"n_discs": n, **dataclasses.asdict(report)}
+    exit_code = 0 if report.legal and report.final_solved else 1
+    return exit_code, json.dumps(record, indent=2) + "\n", ""
+
+
 class TestVerify:
     def test_good_word_from_file(self, capsys, tmp_path):
         path = tmp_path / "moves.txt"
@@ -269,6 +295,83 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "2", str(tmp_path / "nope.txt"))
         assert code == 2
         assert "cannot read" in err
+
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "moves.bin"
+        path.write_bytes(b"p13 \xff\xfe p12\n")
+        code, out, err = run_cli(capsys, "verify", "--n", "3", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"hanoilang: cannot read moves from {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_stdin_is_usage_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"p13 \xff\xfe p12\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("hanoilang: cannot read moves from '-': ")
+        assert err.count("\n") == 1
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_streamed_verdict_matches_the_whole_text_verdict(self, data):
+        """verify reads a few characters at a time, so nearly every token
+        is cut by a chunk boundary; its output must be that of parsing the
+        whole text first and replaying the list with validate_sequence."""
+        n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+        if data.draw(st.booleans(), label="follow the optimal word"):
+            codes = [mv.code for mv in recursive_solve(HanoiInstance(n))]
+            codes = codes[:data.draw(st.integers(min_value=0, max_value=len(codes)))]
+        else:
+            codes = data.draw(st.lists(st.sampled_from(VALID_CODES), max_size=20))
+        for label, alphabet in (("illegal", VALID_CODES), ("bad token", BAD_TOKENS)):
+            if data.draw(st.booleans(), label=f"insert {label}"):
+                at = data.draw(st.integers(min_value=0, max_value=len(codes)), label="at")
+                codes.insert(at, data.draw(st.sampled_from(alphabet), label=label))
+        separators = st.text(WHITESPACE, min_size=1, max_size=3)
+        text = data.draw(st.text(WHITESPACE, max_size=2), label="lead")
+        for code in codes:
+            text += code + data.draw(separators, label="separator")
+        if codes and data.draw(st.booleans(), label="no trailing whitespace"):
+            text = text.rstrip()
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("hanoilang.cli.VERIFY_CHUNK_CHARS", 5)
+            patch.setattr("sys.stdin", io.StringIO(text))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", "--n", str(n), "-", "--format", "json"])
+        assert (code, out.getvalue(), err.getvalue()) == whole_text_verdict(n, text)
+
+    def test_a_token_longer_than_a_chunk_is_read_in_doubling_chunks(self, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingStdin(io.StringIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        token = "p" * 100_000
+        monkeypatch.setattr("hanoilang.cli.VERIFY_CHUNK_CHARS", 5)
+        monkeypatch.setattr("sys.stdin", RecordingStdin(f"p13 {token} p12"))
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"hanoilang: token 1 ({token!r}): ")
+        assert len(sizes) < 40  # 20,000 reads of 5 characters without doubling
+
+    def test_memory_does_not_grow_with_the_input(self, capsys, monkeypatch):
+        word = " ".join(mv.code for mv in recursive_solve(HanoiInstance(16)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(word))
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--n", "16", "-"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "moves_checked: 65535" in capsys.readouterr().out
+        # Parsing the whole 262,140-character text first peaks near 5 MB;
+        # reading it 8,192 characters at a time peaks near 0.3 MB.
+        assert peak < 600_000
 
 
 class TestCompare:
