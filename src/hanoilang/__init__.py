@@ -5,13 +5,13 @@ one-state pushdown automaton derived from it, whose single generated word
 is the optimal 2^N - 1 move solution, alongside independent reference
 solvers (the classic recursion and an exhaustive breadth-first oracle) and
 a replay validator for arbitrary move sequences.
+
+Only the documented API is re-exported here; every other name, such as the
+generic Grammar and Pda types and their exceptions, is imported from its
+own module.
 """
 
 from .constructions import (
-    BFS_MAX_DISCS,
-    PEG_PAIRS,
-    BfsResult,
-    CapExceeded,
     HanoiInstance,
     bfs_optimal,
     build_hanoi_grammar,
@@ -19,81 +19,17 @@ from .constructions import (
     grammar_step_limit,
     pda_step_limit,
     recursive_solve,
-    spare_peg,
 )
-from .grammar import (
-    Derivation,
-    Grammar,
-    GrammarError,
-    NoApplicableProduction,
-    Production,
-    StepLimitExceeded,
-    Symbol,
-    derive_full,
-    derive_step,
-    derive_streaming,
-    enumerate_language,
-    format_form,
-    nonterminal,
-    terminal,
-)
-from .hanoi import (
-    HanoiNonterminal,
-    InvalidDiscCount,
-    MoveParseError,
-    MoveSymbol,
-    ValidationReport,
-    validate_sequence,
-)
-from .pda import (
-    AcceptanceResult,
-    DeterminismReport,
-    EmptyStack,
-    NondeterministicPda,
-    Pda,
-    PdaConfiguration,
-    PdaError,
-    RunOutcome,
-    RunTrace,
-    StackSymbol,
-    accepts_by_final_state,
-    is_deterministic,
-    pda_from_grammar,
-    run_to_empty_stack,
-    step,
-)
+from .grammar import derive_full, derive_step, derive_streaming, enumerate_language
+from .hanoi import MoveSymbol, validate_sequence
+from .pda import StackSymbol, is_deterministic, pda_from_grammar, run_to_empty_stack
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceResult",
-    "BFS_MAX_DISCS",
-    "BfsResult",
-    "CapExceeded",
-    "Derivation",
-    "DeterminismReport",
-    "EmptyStack",
-    "Grammar",
-    "GrammarError",
     "HanoiInstance",
-    "HanoiNonterminal",
-    "InvalidDiscCount",
-    "MoveParseError",
     "MoveSymbol",
-    "NoApplicableProduction",
-    "NondeterministicPda",
-    "PEG_PAIRS",
-    "Pda",
-    "PdaConfiguration",
-    "PdaError",
-    "Production",
-    "RunOutcome",
-    "RunTrace",
     "StackSymbol",
-    "StepLimitExceeded",
-    "Symbol",
-    "ValidationReport",
-    "accepts_by_final_state",
     "bfs_optimal",
     "build_hanoi_grammar",
     "build_hanoi_pda",
@@ -101,16 +37,11 @@ __all__ = [
     "derive_step",
     "derive_streaming",
     "enumerate_language",
-    "format_form",
     "grammar_step_limit",
     "is_deterministic",
-    "nonterminal",
     "pda_from_grammar",
     "pda_step_limit",
     "recursive_solve",
     "run_to_empty_stack",
-    "spare_peg",
-    "step",
-    "terminal",
     "validate_sequence",
 ]

@@ -47,7 +47,7 @@ from .grammar import (
     enumerate_language,
     format_form,
 )
-from .hanoi import Board, MoveParseError, MoveSymbol
+from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
 from .pda import PdaConfiguration, RunOutcome, run_to_empty_stack, step as pda_step
 
 # Disc-count caps. Materializing a word above 24 discs needs gigabytes;
@@ -204,17 +204,16 @@ def cmd_solve(args) -> int:
 
 def _token_chunks(source: str):
     """Yield the whitespace-separated tokens of a file, or of stdin for
-    '-', one list per chunk of at least VERIFY_CHUNK_CHARS characters
-    read. A token that a chunk boundary cuts is carried whole into the
-    next list."""
+    '-', one list per chunk of VERIFY_CHUNK_CHARS characters read. A token
+    that a chunk boundary cuts is carried into the next list, cut to its
+    first QUOTE_CHARS + 1 characters: no longer token is a move, and that
+    prefix is all its quote needs."""
     with open(source, encoding="utf-8") if source != "-" else nullcontext(sys.stdin) as handle:
         carry = ""
-        # A token longer than a chunk doubles the next read, so carrying
-        # it costs time linear in its length.
-        while chunk := handle.read(max(VERIFY_CHUNK_CHARS, len(carry))):
+        while chunk := handle.read(VERIFY_CHUNK_CHARS):
             text = carry + chunk
             tokens = text.split()
-            carry = "" if text[-1].isspace() else tokens.pop()
+            carry = "" if text[-1].isspace() else tokens.pop()[:QUOTE_CHARS + 1]
             yield tokens
         if carry:
             yield [carry]
@@ -232,7 +231,7 @@ def cmd_verify(args) -> int:
                     for index, token in enumerate(tokens, seen):
                         MoveSymbol.parse(token)
                 except MoveParseError as exc:
-                    _complain(f"token {index} ({token!r}): {exc}")
+                    _complain(f"token {index} ({quote_token(token)}): {exc}")
                     return EXIT_USAGE
             # After an illegal move only a later unparseable token can
             # change the outcome, so the rest is read but not replayed.

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .grammar import Grammar, Production, nonterminal, terminal
 from .hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol
-from .pda import PDA_STATE, Pda, StackSymbol, pda_from_grammar
+from .pda import Pda, StackSymbol, pda_from_grammar
 
 # All ordered peg pairs, lexicographically. Loops below iterate in this
 # order so built artifacts are reproducible symbol-for-symbol.

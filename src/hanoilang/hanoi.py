@@ -9,6 +9,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 PEGS = (1, 2, 3)
+# A bad token is quoted by at most this many characters, so a message about
+# it stays short whatever the length of the input.
+QUOTE_CHARS = 64
 
 
 class InvalidDiscCount(ValueError):
@@ -17,6 +20,13 @@ class InvalidDiscCount(ValueError):
 
 class MoveParseError(ValueError):
     """Textual move token does not encode a valid move."""
+
+
+def quote_token(token: str) -> str:
+    """repr(token), or the repr of its first QUOTE_CHARS characters and '...'."""
+    if len(token) <= QUOTE_CHARS:
+        return repr(token)
+    return f"{token[:QUOTE_CHARS]!r}..."
 
 
 @dataclass(frozen=True, order=True)
@@ -68,7 +78,8 @@ class MoveSymbol:
             return _MOVES_BY_CODE[token]
         except KeyError:
             raise MoveParseError(
-                f"bad move token {token!r}: expected 'pij' with two distinct pegs in 1..3"
+                f"bad move token {quote_token(token)}: "
+                "expected 'pij' with two distinct pegs in 1..3"
             ) from None
 
 

@@ -1,19 +1,18 @@
-"""Generic pushdown automaton types and runners.
+"""Generic pushdown automaton types, step relation and deterministic runner.
 
 Configurations keep the stack top at the front, and a transition's pushed
 word replaces the consumed top verbatim (its first symbol becomes the new
 top). Transition keys are (state, input letter, stack top); a None letter
-marks an epsilon move. Two acceptance styles are provided: a deterministic
-runner that drains the stack, and a breadth-first search for acceptance by
-final state. pda_from_grammar builds the one-state automaton that runs a
+marks an epsilon move. The deterministic runner accepts by emptying the
+stack. pda_from_grammar builds the one-state automaton that runs a
 grammar's leftmost derivation.
 
 Each Pda compiles its transitions once into an integer table: states and
 stack symbols become ids, epsilon moves sit in a flat list indexed by
 state and stack top, and input-letter moves in a small dict. The
-deterministic runner loops over that table on an integer stack. step and
-accepts_by_final_state stay symbolic; iterating step is the runner's
-checked reference, as derive_step is for the grammar's compiled derivation.
+deterministic runner loops over that table on an integer stack. step
+stays symbolic; iterating it is the runner's checked reference, as
+derive_step is for the grammar's compiled derivation.
 """
 
 from dataclasses import dataclass
@@ -67,7 +66,6 @@ class PdaConfiguration:
 
 class RunOutcome(Enum):
     EMPTY_STACK_HALT = "empty-stack-halt"
-    ACCEPTING_STATE_HALT = "accepting-state-halt"
     STUCK = "stuck"
     STEP_LIMIT = "step-limit"
 
@@ -95,18 +93,6 @@ class DeterminismReport:
         return self.deterministic
 
 
-@dataclass(frozen=True)
-class AcceptanceResult:
-    """Truthy iff accepted. inconclusive means the search hit its step
-    limit before covering the whole reachable configuration space."""
-
-    accepted: bool
-    inconclusive: bool = False
-
-    def __bool__(self) -> bool:
-        return self.accepted
-
-
 @dataclass(frozen=True, eq=False)
 class Pda:
     """Immutable pushdown automaton.
@@ -121,21 +107,17 @@ class Pda:
     transitions: dict
     start_state: Any
     start_stack: StackSymbol
-    accepting: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
         object.__setattr__(self, "input_alphabet", frozenset(self.input_alphabet))
         object.__setattr__(self, "stack_alphabet", frozenset(self.stack_alphabet))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
         if not self.stack_alphabet:
             raise PdaError("stack alphabet must be nonempty")
         if self.start_state not in self.states:
             raise PdaError(f"start state {self.start_state!r} is not a listed state")
         if self.start_stack not in self.stack_alphabet:
             raise PdaError(f"start stack symbol {self.start_stack} is not in the stack alphabet")
-        if not self.accepting <= self.states:
-            raise PdaError("accepting states must be a subset of the states")
         normalized = {}
         for (state, letter, top), targets in self.transitions.items():
             if state not in self.states:
@@ -216,7 +198,6 @@ def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:
                      for top, rhs in pushes.items()},
         start_state=PDA_STATE,
         start_stack=bottom,
-        accepting=frozenset(),
     )
 
 
@@ -325,39 +306,3 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
         row, push = move
         extend(push)
     return RunTrace(steps=steps, emitted=tuple(emitted), outcome=outcome)
-
-
-def accepts_by_final_state(pda: Pda, input_word, *, step_limit: int) -> AcceptanceResult:
-    """Breadth-first search for a configuration with exhausted input in an
-    accepting state, within step_limit transitions.
-
-    Conclusive False only when the whole reachable space was covered before
-    the limit; otherwise the result is flagged inconclusive.
-    """
-    if step_limit < 1:
-        raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-
-    def accepts(config):
-        return not config.remaining_input and config.state in pda.accepting
-
-    start = PdaConfiguration(pda.start_state, tuple(input_word), (pda.start_stack,))
-    if accepts(start):
-        return AcceptanceResult(True)
-    seen = {start}
-    frontier = [start]
-    for _ in range(step_limit):
-        successors = []
-        for config in frontier:
-            if not config.stack:
-                continue
-            for succ in step(pda, config):
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                if accepts(succ):
-                    return AcceptanceResult(True)
-                successors.append(succ)
-        if not successors:
-            return AcceptanceResult(False)
-        frontier = successors
-    return AcceptanceResult(False, inconclusive=True)

@@ -225,8 +225,23 @@ class TestSolve:
 
 
 VALID_CODES = ["p12", "p13", "p21", "p23", "p31", "p32"]
-BAD_TOKENS = ["p14", "x", "p1", "P13", "p131", "p13p12p23", "pp1313"]
+BAD_TOKENS = ["p14", "x", "p1", "P13", "p131", "p13p12p23", "pp1313",
+              # around the 64-character quote limit, and far past it
+              "p13" * 21 + "p", "p13" * 21 + "p1", "".join(VALID_CODES) * 11, "it's" * 20]
 WHITESPACE = " \t\n\r\x0b\x1c\u2028\u3000"
+
+
+def quoted(token):
+    """A bad token as verify quotes it: whole up to 64 characters, else
+    its first 64 characters and '...'."""
+    return repr(token) if len(token) <= 64 else repr(token[:64]) + "..."
+
+
+def parse_error(index, token):
+    """verify's stderr for an unparseable token at index."""
+    quote = quoted(token)
+    return (f"hanoilang: token {index} ({quote}): bad move token {quote}: "
+            "expected 'pij' with two distinct pegs in 1..3\n")
 
 
 def whole_text_verdict(n, text):
@@ -237,8 +252,8 @@ def whole_text_verdict(n, text):
     for index, token in enumerate(text.split()):
         try:
             moves.append(MoveSymbol.parse(token))
-        except MoveParseError as exc:
-            return 2, "", f"hanoilang: token {index} ({token!r}): {exc}\n"
+        except MoveParseError:
+            return 2, "", parse_error(index, token)
     report = validate_sequence(n, moves)
     record = {"n_discs": n, **dataclasses.asdict(report)}
     exit_code = 0 if report.legal and report.final_solved else 1
@@ -342,21 +357,21 @@ class TestVerify:
                 code = main(["verify", "--n", str(n), "-", "--format", "json"])
         assert (code, out.getvalue(), err.getvalue()) == whole_text_verdict(n, text)
 
-    def test_a_token_longer_than_a_chunk_is_read_in_doubling_chunks(self, capsys, monkeypatch):
-        sizes = []
-
-        class RecordingStdin(io.StringIO):
-            def read(self, size=-1):
-                sizes.append(size)
-                return super().read(size)
-
-        token = "p" * 100_000
-        monkeypatch.setattr("hanoilang.cli.VERIFY_CHUNK_CHARS", 5)
-        monkeypatch.setattr("sys.stdin", RecordingStdin(f"p13 {token} p12"))
-        code, out, err = run_cli(capsys, "verify", "--n", "3", "-")
+    def test_a_long_token_is_quoted_short_in_bounded_memory(self, capsys, monkeypatch):
+        token = "p" * 1_000_000
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"p13 {token} p12"))
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--n", "3", "-"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
         assert (code, out) == (2, "")
-        assert err.startswith(f"hanoilang: token 1 ({token!r}): ")
-        assert len(sizes) < 40  # 20,000 reads of 5 characters without doubling
+        assert err == parse_error(1, token)
+        assert len(err.encode()) < 300
+        # Carrying the whole token across chunk boundaries peaks above 1 MB.
+        assert peak < 600_000
 
     def test_memory_does_not_grow_with_the_input(self, capsys, monkeypatch):
         word = " ".join(mv.code for mv in recursive_solve(HanoiInstance(16)))

@@ -8,7 +8,6 @@ from hanoilang.constructions import (
     BfsResult,
     CapExceeded,
     HanoiInstance,
-    PDA_STATE,
     PEG_PAIRS,
     STACK_BOTTOM,
     _breadth_first,
@@ -29,6 +28,7 @@ from hanoilang.hanoi import (
     validate_sequence,
 )
 from hanoilang.pda import (
+    PDA_STATE,
     PdaConfiguration,
     RunOutcome,
     is_deterministic,
@@ -123,7 +123,6 @@ class TestPdaBuilder:
         m = build_hanoi_pda(3)
         assert m.states == frozenset({PDA_STATE})
         assert m.input_alphabet == frozenset()
-        assert m.accepting == frozenset()
         assert m.start_stack == STACK_BOTTOM
 
     @pytest.mark.parametrize("n", range(2, 13))

@@ -13,7 +13,6 @@ from hanoilang.pda import (
     RunOutcome,
     RunTrace,
     StackSymbol,
-    accepts_by_final_state,
     is_deterministic,
     run_to_empty_stack,
     step,
@@ -26,7 +25,7 @@ M2 = StackSymbol("m2", observable=True)
 
 
 def make_pda(transitions, states=("q",), start_state="q", start_stack=Z,
-             input_alphabet=(), stack_alphabet=None, accepting=()):
+             input_alphabet=(), stack_alphabet=None):
     if stack_alphabet is None:
         stack_alphabet = {Z, A, M1, M2}
     return Pda(
@@ -36,12 +35,12 @@ def make_pda(transitions, states=("q",), start_state="q", start_stack=Z,
         transitions=transitions,
         start_state=start_state,
         start_stack=start_stack,
-        accepting=frozenset(accepting),
     )
 
 
 def anbn_pda():
-    """Accepts a^n b^n (n >= 1) by final state."""
+    """Accepts a^n b^n (n >= 1) by empty stack: an A is pushed per a and
+    popped per b, and the bottom is popped once the b's have matched."""
     return Pda(
         states=frozenset({"q0", "q1", "qf"}),
         input_alphabet=frozenset({"a", "b"}),
@@ -51,11 +50,10 @@ def anbn_pda():
             ("q0", "a", A): (("q0", (A, A)),),
             ("q0", "b", A): (("q1", ()),),
             ("q1", "b", A): (("q1", ()),),
-            ("q1", None, Z): (("qf", (Z,)),),
+            ("q1", None, Z): (("qf", ()),),
         },
         start_state="q0",
         start_stack=Z,
-        accepting=frozenset({"qf"}),
     )
 
 
@@ -81,10 +79,6 @@ class TestConstruction:
     def test_transition_on_unknown_letter_rejected(self):
         with pytest.raises(PdaError):
             make_pda({("q", "x", Z): (("q", ()),)})
-
-    def test_accepting_must_be_states(self):
-        with pytest.raises(PdaError):
-            make_pda({}, accepting={"qf"})
 
 
 class TestStep:
@@ -234,25 +228,27 @@ class TestRunToEmptyStack:
             run_to_empty_stack(pda, (), step_limit=0)
 
 
-class TestAcceptsByFinalState:
+class TestAcceptsByEmptyStack:
     @pytest.mark.parametrize("word", ["ab", "aabb", "aaabbb"])
     def test_accepts_balanced_words(self, word):
-        assert accepts_by_final_state(anbn_pda(), tuple(word), step_limit=50)
+        trace = run_to_empty_stack(anbn_pda(), tuple(word), step_limit=50)
+        assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
+        assert trace.steps == len(word) + 1
 
     @pytest.mark.parametrize("word", ["", "a", "b", "ba", "abb", "aab", "abab"])
     def test_rejects_unbalanced_words(self, word):
-        result = accepts_by_final_state(anbn_pda(), tuple(word), step_limit=50)
-        assert not result.accepted
-        assert not result.inconclusive
+        trace = run_to_empty_stack(anbn_pda(), tuple(word), step_limit=50)
+        assert trace.outcome is RunOutcome.STUCK
 
     def test_tiny_limit_is_inconclusive(self):
-        result = accepts_by_final_state(anbn_pda(), ("a", "a", "b", "b"), step_limit=2)
-        assert not result.accepted
-        assert result.inconclusive
+        trace = run_to_empty_stack(anbn_pda(), ("a", "a", "b", "b"), step_limit=2)
+        assert trace.outcome is RunOutcome.STEP_LIMIT
+        assert trace.steps == 2
 
-    def test_empty_word_accepted_when_start_is_accepting(self):
-        pda = make_pda({}, accepting={"q"})
-        assert accepts_by_final_state(pda, (), step_limit=1)
+    def test_empty_word_accepted_when_the_start_stack_pops(self):
+        pda = make_pda({("q", None, Z): (("q", ()),)})
+        trace = run_to_empty_stack(pda, (), step_limit=1)
+        assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
 
 
 LETTERS = ("a", "b")
@@ -291,7 +287,6 @@ def deterministic_runs(draw):
         transitions=transitions,
         start_state=draw(st.sampled_from(states)),
         start_stack=draw(st.sampled_from(symbols)),
-        accepting=frozenset(),
     )
     word = tuple(draw(st.lists(st.sampled_from(LETTERS + ("c",)), max_size=4)))
     return pda, word, draw(st.integers(1, 12))
