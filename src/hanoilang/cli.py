@@ -21,7 +21,6 @@ A reader that closes stdout early ends the output quietly with exit 0.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -127,17 +126,22 @@ ENGINES = {
 
 
 def _write_lines(out, codes) -> None:
-    """Write move codes one per line to the binary stream out, with one
+    """Write move codes one per line to the text stream out, with one
     write per chunk of lines.
 
-    A write larger than the stream's buffer goes straight to the file and
+    When out has a binary buffer, as sys.stdout does, the chunks go there.
+    A write larger than the buffer's own goes straight to the file and
     ends short, without an error, when the reader closes the pipe. A short
     count is therefore raised as the BrokenPipeError it stands for, so the
-    output ends there even when it was the last chunk.
+    output ends there even when it was the last chunk. A stream without a
+    binary buffer, such as an io.StringIO, takes the text.
     """
+    binary = getattr(out, "buffer", None)
     for start in range(0, len(codes), STREAM_CHUNK_MOVES):
-        data = ("\n".join(codes[start:start + STREAM_CHUNK_MOVES]) + "\n").encode()
-        if out.write(data) < len(data):
+        text = "\n".join(codes[start:start + STREAM_CHUNK_MOVES]) + "\n"
+        if binary is None:
+            out.write(text)
+        elif binary.write(data := text.encode()) < len(data):
             raise BrokenPipeError("stdout took only part of a write")
 
 
@@ -171,7 +175,7 @@ def cmd_solve(args) -> int:
         codes.append(move.code)
         if len(codes) == chunk:
             replay()
-            _write_lines(sys.stdout.buffer, codes)
+            _write_lines(sys.stdout, codes)
             written += chunk
             codes.clear()
 
@@ -192,10 +196,11 @@ def cmd_solve(args) -> int:
         "verified": legal and board.solved(),
     }
     if args.format == "json":
+        import json
         print(json.dumps(record, indent=2))
         return EXIT_OK
     if args.stream:
-        _write_lines(sys.stdout.buffer, codes)
+        _write_lines(sys.stdout, codes)
     else:
         print(" ".join(codes))
     print(_summary_line(record), file=sys.stderr)
@@ -245,6 +250,7 @@ def cmd_verify(args) -> int:
     report = board.report(played, reason)
     solved = report.legal and report.final_solved
     if args.format == "json":
+        import json
         print(
             json.dumps(
                 {
@@ -360,6 +366,7 @@ def cmd_trace(args) -> int:
         key, texts = "stack", map(format_form, _pda_stacks(args.n))
         lines = (f"⟨q0, ε, {text}⟩" for text in texts)
     if args.format == "json":
+        import json
         entries = [{"step": i, key: text} for i, text in enumerate(islice(texts, args.limit))]
         print(json.dumps(entries, indent=2, ensure_ascii=False))
     else:

@@ -17,8 +17,7 @@ nonterminal ``h_ij(n)`` stands for the whole task of relocating a tower
 of n discs from peg i to peg j.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import NamedTuple
 
 from .grammar import Grammar, Production, nonterminal, terminal
@@ -45,15 +44,15 @@ def spare_peg(src: int, dst: int) -> int:
     return 6 - src - dst
 
 
-@dataclass(frozen=True)
-class HanoiInstance:
+class HanoiInstance(namedtuple("HanoiInstance", "n_discs")):
     """A puzzle instance: N discs to carry from peg 1 to peg 3."""
 
-    n_discs: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_discs < 1:
-            raise InvalidDiscCount(f"need at least one disc, got {self.n_discs}")
+    def __new__(cls, n_discs: int):
+        if n_discs < 1:
+            raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
+        return super().__new__(cls, n_discs)
 
 
 def build_hanoi_grammar(n_discs: int) -> Grammar:

@@ -10,7 +10,7 @@ reference. Language enumeration explores every rewrite position and
 production, so it is not limited to the leftmost strategy.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any, Callable
 
 TERMINAL = "terminal"
@@ -29,16 +29,15 @@ class StepLimitExceeded(RuntimeError):
     """Derivation did not finish within the allowed number of rewrites."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(namedtuple("Symbol", "kind payload")):
     """Tagged grammar symbol. Equal iff tag and payload are both equal."""
 
-    kind: str
-    payload: Any
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (TERMINAL, NONTERMINAL):
-            raise GrammarError(f"unknown symbol kind {self.kind!r}")
+    def __new__(cls, kind: str, payload: Any):
+        if kind not in (TERMINAL, NONTERMINAL):
+            raise GrammarError(f"unknown symbol kind {kind!r}")
+        return super().__new__(cls, kind, payload)
 
     @property
     def is_terminal(self) -> bool:
@@ -65,35 +64,30 @@ def format_form(form) -> str:
     return " ".join(str(sym) for sym in form) if form else "ε"
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(namedtuple("Production", "lhs rhs")):
     """Rewrite rule lhs -> rhs with a single nonterminal on the left."""
 
-    lhs: Symbol
-    rhs: SententialForm
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        if self.lhs.is_terminal:
-            raise GrammarError(f"production lhs must be a nonterminal, got {self.lhs}")
+    def __new__(cls, lhs: Symbol, rhs):
+        if lhs.is_terminal:
+            raise GrammarError(f"production lhs must be a nonterminal, got {lhs}")
+        return super().__new__(cls, lhs, tuple(rhs))
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {format_form(self.rhs)}"
 
 
-@dataclass(frozen=True)
 class Grammar:
-    """Immutable grammar with an insertion-ordered production index by lhs."""
+    """Immutable grammar with an insertion-ordered production index by lhs.
+    Equal to another Grammar with the same four fields."""
 
-    terminals: frozenset
-    nonterminals: frozenset
-    start: Symbol
-    productions: tuple
+    __slots__ = ("terminals", "nonterminals", "start", "productions", "_by_lhs", "_compiled")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
-        object.__setattr__(self, "productions", tuple(self.productions))
+    def __init__(self, terminals, nonterminals, start: Symbol, productions):
+        fields = (frozenset(terminals), frozenset(nonterminals), start, tuple(productions))
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
         for sym in self.terminals:
             if not sym.is_terminal:
                 raise GrammarError(f"{sym} is tagged nonterminal but listed as terminal")
@@ -134,18 +128,30 @@ class Grammar:
         payloads = [sym.payload for sym in terminals]
         object.__setattr__(self, "_compiled", (ids[self.start], rules, payloads, nonterminals))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not Grammar:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.terminals, self.nonterminals, self.start, self.productions
+
     def productions_for(self, sym: Symbol) -> tuple:
         """Productions with this lhs, in registration order."""
         return self._by_lhs.get(sym, ())
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(namedtuple("Derivation", "word steps")):
     """A finished leftmost derivation: the terminal word (as payloads,
     leftmost first) and the number of direct derivations it took."""
 
-    word: tuple
-    steps: int
+    __slots__ = ()
 
 
 def derive_step(grammar: Grammar, form) -> SententialForm | None:

@@ -5,7 +5,7 @@ the smallest. A move is legal when its source peg is nonempty and it
 never places a larger disc on a smaller one.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import attrgetter
 
 PEGS = (1, 2, 3)
@@ -29,27 +29,29 @@ def quote_token(token: str) -> str:
     return f"{token[:QUOTE_CHARS]!r}..."
 
 
-@dataclass(frozen=True, order=True)
-class MoveSymbol:
+class MoveSymbol(namedtuple("MoveSymbol", "src dst code")):
     """One disc transfer, "take the top disc of peg src and put it on dst".
 
-    Ordering is lexicographic on (src, dst), which is also the order the
-    breadth-first oracle tries moves in.
+    Built from src and dst; code, the "pij" text form, is kept as a third
+    field because it is read once per move on the hot paths. Ordering is
+    lexicographic on (src, dst), which is also the order the breadth-first
+    oracle tries moves in.
     """
 
-    src: int
-    dst: int
-    # Set once at construction: a cached_property would give the instance a
-    # __dict__ on first use, which makes every later read of src and dst
-    # about 3x slower.
-    code: str = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.src not in PEGS or self.dst not in PEGS:
-            raise ValueError(f"pegs must be in 1..3, got {self.src}->{self.dst}")
-        if self.src == self.dst:
+    def __new__(cls, src: int, dst: int):
+        if src not in PEGS or dst not in PEGS:
+            raise ValueError(f"pegs must be in 1..3, got {src}->{dst}")
+        if src == dst:
             raise ValueError("a move must use two distinct pegs")
-        object.__setattr__(self, "code", f"p{self.src}{self.dst}")
+        return super().__new__(cls, src, dst, f"p{src}{dst}")
+
+    def __getnewargs__(self):
+        return self.src, self.dst
+
+    def __repr__(self) -> str:
+        return f"MoveSymbol(src={self.src}, dst={self.dst})"
 
     def __str__(self) -> str:
         return self.code
@@ -89,36 +91,30 @@ _CANONICAL_MOVES: dict[tuple[int, int], MoveSymbol] = {
 _MOVES_BY_CODE: dict[str, MoveSymbol] = {mv.code: mv for mv in _CANONICAL_MOVES.values()}
 
 
-@dataclass(frozen=True)
-class HanoiNonterminal:
+class HanoiNonterminal(namedtuple("HanoiNonterminal", "src dst n")):
     """A pending subplan, "carry the top n discs from peg src to peg dst"."""
 
-    src: int
-    dst: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.src not in PEGS or self.dst not in PEGS:
-            raise ValueError(f"pegs must be in 1..3, got {self.src}->{self.dst}")
-        if self.src == self.dst:
+    def __new__(cls, src: int, dst: int, n: int):
+        if src not in PEGS or dst not in PEGS:
+            raise ValueError(f"pegs must be in 1..3, got {src}->{dst}")
+        if src == dst:
             raise ValueError("a subplan must use two distinct pegs")
-        if self.n < 1:
-            raise ValueError(f"disc count must be >= 1, got {self.n}")
+        if n < 1:
+            raise ValueError(f"disc count must be >= 1, got {n}")
+        return super().__new__(cls, src, dst, n)
 
     def __str__(self) -> str:
         return f"h{self.src}{self.dst}({self.n})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple(
+        "ValidationReport", "legal failing_index failure_reason final_solved moves_checked")):
     """Outcome of replaying a move sequence from the initial tower.
     Truthy iff every move was legal."""
 
-    legal: bool
-    failing_index: int | None
-    failure_reason: str | None
-    final_solved: bool
-    moves_checked: int
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.legal

@@ -15,7 +15,7 @@ stays symbolic; iterating it is the runner's checked reference, as
 derive_step is for the grammar's compiled derivation.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Any, Callable
 
@@ -39,29 +39,23 @@ class NondeterministicPda(RuntimeError):
     """The deterministic runner was given a nondeterministic automaton."""
 
 
-@dataclass(frozen=True)
-class StackSymbol:
+class StackSymbol(namedtuple("StackSymbol", "payload observable", defaults=(False,))):
     """Stack alphabet element. Observable symbols report their payload to
     the run observer at the moment a transition consults them."""
 
-    payload: Any
-    observable: bool = False
+    __slots__ = ()
 
     def __str__(self) -> str:
         return str(self.payload)
 
 
-@dataclass(frozen=True)
-class PdaConfiguration:
+class PdaConfiguration(namedtuple("PdaConfiguration", "state remaining_input stack")):
     """Instantaneous description: state, unread input, stack (top first)."""
 
-    state: Any
-    remaining_input: tuple
-    stack: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "remaining_input", tuple(self.remaining_input))
-        object.__setattr__(self, "stack", tuple(self.stack))
+    def __new__(cls, state: Any, remaining_input, stack):
+        return super().__new__(cls, state, tuple(remaining_input), tuple(stack))
 
 
 class RunOutcome(Enum):
@@ -70,48 +64,40 @@ class RunOutcome(Enum):
     STEP_LIMIT = "step-limit"
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(namedtuple("RunTrace", "steps emitted outcome")):
     """Summary of one deterministic run: transitions taken, payloads
     observed along the way, and how the run ended."""
 
-    steps: int
-    emitted: tuple
-    outcome: RunOutcome
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeterminismReport:
+class DeterminismReport(namedtuple("DeterminismReport", "deterministic witness reason",
+                                   defaults=(None, None))):
     """Result of the determinism check; truthy iff deterministic. On
     failure, witness names the (state, stack symbol) pair at fault."""
 
-    deterministic: bool
-    witness: tuple | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.deterministic
 
 
-@dataclass(frozen=True, eq=False)
 class Pda:
-    """Immutable pushdown automaton.
+    """Immutable pushdown automaton, equal only to itself.
 
     transitions maps (state, letter-or-None, StackSymbol) to a collection
     of (target state, pushed word) pairs; missing keys mean no move.
     """
 
-    states: frozenset
-    input_alphabet: frozenset
-    stack_alphabet: frozenset
-    transitions: dict
-    start_state: Any
-    start_stack: StackSymbol
+    __slots__ = ("states", "input_alphabet", "stack_alphabet", "transitions", "start_state",
+                 "start_stack", "_compiled")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "input_alphabet", frozenset(self.input_alphabet))
-        object.__setattr__(self, "stack_alphabet", frozenset(self.stack_alphabet))
+    def __init__(self, states, input_alphabet, stack_alphabet, transitions: dict,
+                 start_state: Any, start_stack: StackSymbol):
+        fields = (frozenset(states), frozenset(input_alphabet), frozenset(stack_alphabet),
+                  transitions, start_state, start_stack)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
         if not self.stack_alphabet:
             raise PdaError("stack alphabet must be nonempty")
         if self.start_state not in self.states:
@@ -160,6 +146,9 @@ class Pda:
         payloads = [sym.payload if sym.observable else _SILENT for sym in symbols]
         start = (rows[self.start_state], symbols[self.start_stack])
         object.__setattr__(self, "_compiled", (start, epsilon, letters, payloads))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:

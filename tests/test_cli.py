@@ -1,7 +1,6 @@
 """Command-line behaviour: output shapes, exit codes, caps, and streams."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -223,6 +222,16 @@ class TestSolve:
         assert capsys.readouterr().err == ""  # no summary
         assert pipe.taken == stream[:-100]
 
+    def test_stream_to_a_stdout_without_a_binary_buffer_prints_text(self, capsys):
+        _, plain, _ = run_cli(capsys, "solve", "--n", "13")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["solve", "--n", "13", "--stream"])  # 8191 lines: a chunk, then the rest
+        err = capsys.readouterr().err
+        assert code == 0
+        assert out.getvalue() == plain.replace(" ", "\n")
+        assert err.startswith("engine=grammar n_discs=13 move_count=8191 ")
+        assert err.endswith(" verified=true\n")
+
 
 VALID_CODES = ["p12", "p13", "p21", "p23", "p31", "p32"]
 BAD_TOKENS = ["p14", "x", "p1", "P13", "p131", "p13p12p23", "pp1313",
@@ -255,9 +264,47 @@ def whole_text_verdict(n, text):
         except MoveParseError:
             return 2, "", parse_error(index, token)
     report = validate_sequence(n, moves)
-    record = {"n_discs": n, **dataclasses.asdict(report)}
+    record = {"n_discs": n, **report._asdict()}
     exit_code = 0 if report.legal and report.final_solved else 1
     return exit_code, json.dumps(record, indent=2) + "\n", ""
+
+
+# Runs cli.main in a fresh interpreter and reports, as its last stderr
+# line, which of the modules that text output does without it loaded.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from hanoilang.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print("loaded:", *sorted({"dataclasses", "inspect", "json"} & set(sys.modules) - before),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_probe(*argv):
+    return subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], input="p13\n",
+                          capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60)
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "1"),
+        ("solve", "--n", "1", "--stream"),
+        ("verify", "--n", "1", "-"),  # reads the probe's stdin, "p13"
+        ("compare", "--n", "1"),
+    ], ids=" ".join)
+    def test_text_output_loads_no_dataclasses_inspect_or_json(self, argv):
+        proc = run_probe(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "loaded:"
+
+    def test_json_output_still_prints_its_record(self):
+        proc = run_probe("solve", "--n", "3", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert (record["move_count"], record["moves"][0], record["verified"]) == (7, "p13", True)
 
 
 class TestVerify:

@@ -98,7 +98,7 @@ def test_records_normalise_their_sequences_to_tuples():
 
 
 def test_records_take_their_fields_by_keyword_and_default():
-    assert MoveSymbol(src=1, dst=3) is not P13 and MoveSymbol(src=1, dst=3) == P13
+    assert MoveSymbol(src=1, dst=3) == P13
     assert StackSymbol("z0").observable is False
     assert DeterminismReport(True).witness is None and DeterminismReport(True).reason is None
     assert HanoiInstance(n_discs=2).n_discs == 2
