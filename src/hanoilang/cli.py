@@ -18,6 +18,8 @@ engine divergence), 2 usage error (bad arguments, unreadable or
 unparseable input, enumerate/trace caps), 3 engine failure (step limit,
 solve/bfs caps).
 A reader that closes stdout early ends the output quietly with exit 0.
+A closed stdout or stderr takes output as /dev/null would, and a closed
+stdin makes `verify -` exit 2.
 """
 
 import argparse
@@ -213,6 +215,8 @@ def _token_chunks(source: str):
     that a chunk boundary cuts is carried into the next list, cut to its
     first QUOTE_CHARS + 1 characters: no longer token is a move, and that
     prefix is all its quote needs."""
+    if source == "-" and sys.stdin is None:  # stdin was closed
+        raise OSError("stdin is closed")
     with open(source, encoding="utf-8") if source != "-" else nullcontext(sys.stdin) as handle:
         carry = ""
         while chunk := handle.read(VERIFY_CHUNK_CHARS):
@@ -358,7 +362,8 @@ def cmd_trace(args) -> int:
         )
         return EXIT_USAGE
     # Lazy throughout, so --limit stops the trace early; only one of
-    # entries and lines is consumed.
+    # entries and lines is consumed. No trace is longer than sys.maxsize.
+    limit = None if args.limit is None else min(args.limit, sys.maxsize)
     if args.engine == "grammar":
         key, texts = "form", map(format_form, _grammar_forms(args.n))
         lines = (f"{prev} ⊢ {nxt}" for prev, nxt in pairwise(texts))
@@ -367,10 +372,10 @@ def cmd_trace(args) -> int:
         lines = (f"⟨q0, ε, {text}⟩" for text in texts)
     if args.format == "json":
         import json
-        entries = [{"step": i, key: text} for i, text in enumerate(islice(texts, args.limit))]
+        entries = [{"step": i, key: text} for i, text in enumerate(islice(texts, limit))]
         print(json.dumps(entries, indent=2, ensure_ascii=False))
     else:
-        for line in islice(lines, args.limit):
+        for line in islice(lines, limit):
             print(line)
     return EXIT_OK
 
@@ -432,6 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    for fd, name in ((1, "stdout"), (2, "stderr")):
+        try:
+            os.write(fd, b"")
+        except OSError:  # closed or read-only: take output as /dev/null would
+            setattr(sys, name, open(os.devnull, "w"))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

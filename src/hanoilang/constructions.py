@@ -48,6 +48,7 @@ class HanoiInstance(namedtuple("HanoiInstance", "n_discs")):
     """A puzzle instance: N discs to carry from peg 1 to peg 3."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
 
     def __new__(cls, n_discs: int):
         if n_discs < 1:
@@ -211,11 +212,9 @@ def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResul
     size = 3 ** n_discs
     start, goal = 0, size - 1
 
-    # Pass 1: shortest-path counts from the start. Pass 2: distances to the
-    # goal; disc moves are reversible, so the same move relation searches
-    # the transposed graph.
-    _, ways = _breadth_first(legal_moves, size, start)
-    to_goal, _ = _breadth_first(legal_moves, size, goal)
+    # One search from the goal: disc moves are reversible, so the move graph
+    # is undirected and its goal->start path count is the start->goal count.
+    to_goal, ways = _breadth_first(legal_moves, size, goal)
 
     # Reconstruct one shortest path greedily; legal_moves() lists moves
     # in lexicographic order, so the first on-shortest-path move wins.
@@ -229,7 +228,7 @@ def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResul
                 break
         else:
             raise AssertionError("shortest-path reconstruction lost its way")
-    return BfsResult(tuple(sequence), ways[goal])
+    return BfsResult(tuple(sequence), ways[start])
 
 
 def grammar_step_limit(n_discs: int) -> int:

@@ -33,6 +33,7 @@ class Symbol(namedtuple("Symbol", "kind payload")):
     """Tagged grammar symbol. Equal iff tag and payload are both equal."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
 
     def __new__(cls, kind: str, payload: Any):
         if kind not in (TERMINAL, NONTERMINAL):
@@ -68,6 +69,7 @@ class Production(namedtuple("Production", "lhs rhs")):
     """Rewrite rule lhs -> rhs with a single nonterminal on the left."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
 
     def __new__(cls, lhs: Symbol, rhs):
         if lhs.is_terminal:

@@ -47,6 +47,13 @@ class MoveSymbol(namedtuple("MoveSymbol", "src dst code")):
             raise ValueError("a move must use two distinct pegs")
         return super().__new__(cls, src, dst, f"p{src}{dst}")
 
+    @classmethod
+    def _make(cls, fields):  # _replace too; code must name the move of src and dst
+        src, dst, code = fields
+        if (move := cls(src, dst)).code != code:
+            raise ValueError(f"code {code!r} does not name the move {move.code}")
+        return move
+
     def __getnewargs__(self):
         return self.src, self.dst
 
@@ -95,6 +102,7 @@ class HanoiNonterminal(namedtuple("HanoiNonterminal", "src dst n")):
     """A pending subplan, "carry the top n discs from peg src to peg dst"."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
 
     def __new__(cls, src: int, dst: int, n: int):
         if src not in PEGS or dst not in PEGS:

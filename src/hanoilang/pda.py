@@ -53,6 +53,7 @@ class PdaConfiguration(namedtuple("PdaConfiguration", "state remaining_input sta
     """Instantaneous description: state, unread input, stack (top first)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
 
     def __new__(cls, state: Any, remaining_input, stack):
         return super().__new__(cls, state, tuple(remaining_input), tuple(stack))

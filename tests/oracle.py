@@ -122,8 +122,11 @@ def decode_position(n_discs: int, position: int) -> HanoiState:
 
 
 def reference_bfs(n_discs: int) -> BfsResult:
-    """bfs_optimal on checked HanoiState positions, without its cap: the
-    same two passes, path count and lexicographic reconstruction."""
+    """bfs_optimal on checked HanoiState positions, without its cap, and
+    searched twice: path counts grown from the start, distances from the
+    goal. bfs_optimal takes both from one search from the goal, so the
+    two count the shortest solutions independently; the lexicographic
+    reconstruction is the same."""
     start = initial_state(n_discs)
     goal = HanoiState(((), (), tuple(range(n_discs, 0, -1))))
 

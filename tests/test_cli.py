@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -307,6 +308,49 @@ class TestStartup:
         assert (record["move_count"], record["moves"][0], record["verified"]) == (7, "p13", True)
 
 
+def run_shell(redirect, *argv):
+    """Run the CLI through sh -c with a redirection such as '>&-' applied,
+    on an empty stdin, with the timings in its stderr masked."""
+    proc = subprocess.run(["sh", "-c", f'"$0" -m hanoilang "$@" {redirect}', sys.executable,
+                           *argv], stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          env=SUBPROCESS_ENV, timeout=60)
+    proc.stderr = re.sub(r"elapsed_ms=[0-9.]+", "elapsed_ms=", proc.stderr)
+    return proc
+
+
+class TestClosedStreams:
+    def test_closed_stdin_is_a_read_error(self):
+        proc = run_shell("<&-", "verify", "--n", "3", "-")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "hanoilang: cannot read moves from '-': stdin is closed\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "3"),
+        ("solve", "--n", "3", "--stream"),
+        ("solve", "--n", "3", "--format", "json"),
+        ("solve", "--n", "30"),
+        ("verify", "--n", "3", "-"),
+        ("verify", "--n", "3", "no-such-file"),
+        ("compare", "--n", "3"),
+        ("enumerate", "--n", "2"),
+        ("trace", "--n", "2", "--engine", "pda"),
+    ], ids=" ".join)
+    def test_closed_stdout_acts_as_dev_null(self, argv):
+        closed, null = run_shell(">&-", *argv), run_shell(">/dev/null", *argv)
+        assert (closed.returncode, closed.stderr) == (null.returncode, null.stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "3"),
+        ("solve", "--n", "30"),
+        ("verify", "--n", "3", "no-such-file"),
+        ("trace", "--n", "2", "--limit", "0"),
+    ], ids=" ".join)
+    def test_closed_stderr_acts_as_dev_null(self, argv):
+        closed, null = run_shell("2>&-", *argv), run_shell("2>/dev/null", *argv)
+        assert (closed.returncode, closed.stdout) == (null.returncode, null.stdout)
+        assert run_shell("2>&- >&-", *argv).returncode == null.returncode
+
+
 class TestVerify:
     def test_good_word_from_file(self, capsys, tmp_path):
         path = tmp_path / "moves.txt"
@@ -525,6 +569,16 @@ class TestTrace:
         code, out, _ = run_cli(capsys, "trace", "--n", "3", "--limit", "2")
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("engine", ["grammar", "pda"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_limit_above_maxsize_is_no_limit(self, capsys, engine, fmt):
+        # islice takes at most sys.maxsize; no trace has that many entries
+        argv = ["trace", "--n", "2", "--engine", engine, "--format", fmt]
+        unlimited = run_cli(capsys, *argv)
+        assert unlimited[0] == 0
+        for limit in (sys.maxsize, sys.maxsize + 1, 10 ** 23):
+            assert run_cli(capsys, *argv, "--limit", str(limit)) == unlimited
 
     def test_zero_limit_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "trace", "--n", "2", "--limit", "0")

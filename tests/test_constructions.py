@@ -376,6 +376,24 @@ class TestIntegerPositions:
             most = max(most, *ways)
         assert most == (1 if n == 1 else 2)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_distances_and_path_counts_are_symmetric(self, n):
+        """The search from s gives at t the distance and count that the
+        search from t gives at s. bfs_optimal relies on this to count
+        start->goal paths with one search from the goal; both towers have
+        count 1, so no end-to-end test could tell ways[start] from
+        ways[goal]. Sources as in the test above, so counts of 2 occur."""
+        size = 3 ** n
+        legal_moves = _legal_moves(n)
+        sources = range(size) if n <= 4 else range(0, size, size // 20)
+        searched = {s: _breadth_first(legal_moves, size, s) for s in sources}
+        most = 0
+        for s, (dist, ways) in searched.items():
+            for t in sources:
+                assert (dist[t], ways[t]) == (searched[t][0][s], searched[t][1][s])
+                most = max(most, ways[t])
+        assert most == (1 if n == 1 else 2)
+
 
 def test_step_limit_helpers_cover_the_real_costs():
     for n in range(1, 20):

@@ -91,10 +91,22 @@ def test_records_survive_pickling(cls, args, other, field):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+@pytest.mark.parametrize("cls, args, other, field", RECORDS, ids=RECORD_IDS)
+def test_make_and_replace_rebuild_records_from_their_fields(cls, args, other, field):
+    record, changed = cls(*args), cls(*other)
+    made = cls._make(tuple(record))
+    assert made == record and type(made) is cls
+    assert record._replace() == record
+    assert record._replace(**changed._asdict()) == changed
+
+
 def test_records_normalise_their_sequences_to_tuples():
     assert Production(S, [a]) == Production(S, (a,))
     assert PdaConfiguration("q0", [], [Z]).stack == (Z,)
     assert PdaConfiguration("q0", ["c"], []).remaining_input == ("c",)
+    assert Production(S, (a,))._replace(rhs=[a, S]).rhs == (a, S)
+    assert PdaConfiguration._make(("q0", ["c"], [Z])) == PdaConfiguration("q0", ("c",), (Z,))
+    assert PdaConfiguration("q0", (), (Z,))._replace(stack=[Z, Z]).stack == (Z, Z)
 
 
 def test_records_take_their_fields_by_keyword_and_default():
@@ -115,6 +127,20 @@ def test_records_take_their_fields_by_keyword_and_default():
     (lambda: HanoiInstance(0), InvalidDiscCount, "need at least one disc, got 0"),
     (lambda: Symbol("letter", "a"), GrammarError, "unknown symbol kind 'letter'"),
     (lambda: Production(a, (S,)), GrammarError, "production lhs must be a nonterminal, got a"),
+    # namedtuple's own _make, which _replace calls, would skip these checks.
+    (lambda: MoveSymbol._make((0, 3, "p03")), ValueError, "pegs must be in 1..3, got 0->3"),
+    (lambda: MoveSymbol._make((1, 2, "p13")), ValueError, "code 'p13' does not name the move p12"),
+    (lambda: P13._replace(src=2), ValueError, "code 'p13' does not name the move p23"),
+    (lambda: P13._replace(code="p12"), ValueError, "code 'p12' does not name the move p13"),
+    (lambda: HanoiNonterminal._make((1, 5, 1)), ValueError, "pegs must be in 1..3, got 1->5"),
+    (lambda: HanoiNonterminal(1, 3, 2)._replace(n=-1), ValueError,
+     "disc count must be >= 1, got -1"),
+    (lambda: HanoiInstance._make([-1]), InvalidDiscCount, "need at least one disc, got -1"),
+    (lambda: HanoiInstance(3)._replace(n_discs=-2), InvalidDiscCount,
+     "need at least one disc, got -2"),
+    (lambda: Symbol._make(("rule", "a")), GrammarError, "unknown symbol kind 'rule'"),
+    (lambda: Production(S, (a,))._replace(lhs=terminal("b")), GrammarError,
+     "production lhs must be a nonterminal, got b"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_record_constructors_keep_their_checks(make, error, message):
     with raises_exactly(error, message):
