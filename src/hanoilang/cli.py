@@ -16,7 +16,7 @@ record {engine, n_discs, moves, move_count, elapsed_ms, verified}.
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
 engine divergence), 2 usage error (bad arguments, unreadable or
 unparseable input, enumerate/trace caps), 3 engine failure (step limit,
-solve/bfs caps).
+solve/bfs caps, a size past the interpreter's index or recursion limits).
 A reader that closes stdout early ends the output quietly with exit 0.
 A closed stdout or stderr takes output as /dev/null would, and a closed
 stdin makes `verify -` exit 2.
@@ -104,7 +104,11 @@ def _pda_engine(n: int, unsafe: bool, sink) -> None:
 
 
 def _recursive_engine(n: int, unsafe: bool, sink) -> None:
-    for move in recursive_solve(HanoiInstance(n)):
+    try:
+        moves = recursive_solve(HanoiInstance(n))
+    except RecursionError as exc:  # the recursion nests n + 1 calls deep
+        raise EngineFailure(f"recursive solver at {n} discs: {exc}") from exc
+    for move in moves:
         sink(move)
 
 
@@ -113,6 +117,8 @@ def _bfs_engine(n: int, unsafe: bool, sink) -> None:
         result = bfs_optimal(n, max_discs=None if unsafe else BFS_MAX_DISCS)
     except CapExceeded as exc:
         raise EngineFailure(str(exc)) from exc
+    except OverflowError as exc:  # 3^n positions cannot be indexed
+        raise EngineFailure(f"breadth-first search at {n} discs: {exc}") from exc
     for move in result.sequence:
         sink(move)
 

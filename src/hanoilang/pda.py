@@ -1,18 +1,19 @@
 """Generic pushdown automaton types, step relation and deterministic runner.
 
-Configurations keep the stack top at the front, and a transition's pushed
-word replaces the consumed top verbatim (its first symbol becomes the new
-top). Transition keys are (state, input letter, stack top); a None letter
-marks an epsilon move. The deterministic runner accepts by emptying the
-stack. pda_from_grammar builds the one-state automaton that runs a
-grammar's leftmost derivation.
+The automata read no input: like the paper's automaton, which emits the
+solution while it empties its stack, they only generate, so every move is
+an epsilon move. Configurations keep the stack top at the front, and a
+transition's pushed word replaces the consumed top verbatim (its first
+symbol becomes the new top). Transition keys are (state, stack top). The
+deterministic runner accepts by emptying the stack, and so accepts only
+the empty input word. pda_from_grammar builds the one-state automaton
+that runs a grammar's leftmost derivation.
 
 Each Pda compiles its transitions once into an integer table: states and
-stack symbols become ids, epsilon moves sit in a flat list indexed by
-state and stack top, and input-letter moves in a small dict. The
-deterministic runner loops over that table on an integer stack. step
-stays symbolic; iterating it is the runner's checked reference, as
-derive_step is for the grammar's compiled derivation.
+stack symbols become ids, and moves sit in a flat list indexed by state
+and stack top. The deterministic runner loops over that table on an
+integer stack. step stays symbolic; iterating it is the runner's checked
+reference, as derive_step is for the grammar's compiled derivation.
 """
 
 from collections import namedtuple
@@ -84,19 +85,19 @@ class DeterminismReport(namedtuple("DeterminismReport", "deterministic witness r
 
 
 class Pda:
-    """Immutable pushdown automaton, equal only to itself.
+    """Immutable pushdown automaton without input letters, equal only to itself.
 
-    transitions maps (state, letter-or-None, StackSymbol) to a collection
-    of (target state, pushed word) pairs; missing keys mean no move.
+    transitions maps (state, StackSymbol) to a collection of (target state,
+    pushed word) pairs; missing keys mean no move.
     """
 
-    __slots__ = ("states", "input_alphabet", "stack_alphabet", "transitions", "start_state",
-                 "start_stack", "_compiled")
+    __slots__ = ("states", "stack_alphabet", "transitions", "start_state", "start_stack",
+                 "_compiled")
 
-    def __init__(self, states, input_alphabet, stack_alphabet, transitions: dict,
-                 start_state: Any, start_stack: StackSymbol):
-        fields = (frozenset(states), frozenset(input_alphabet), frozenset(stack_alphabet),
-                  transitions, start_state, start_stack)
+    def __init__(self, states, stack_alphabet, transitions: dict, start_state: Any,
+                 start_stack: StackSymbol):
+        fields = (frozenset(states), frozenset(stack_alphabet), transitions, start_state,
+                  start_stack)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
         if not self.stack_alphabet:
@@ -106,11 +107,9 @@ class Pda:
         if self.start_stack not in self.stack_alphabet:
             raise PdaError(f"start stack symbol {self.start_stack} is not in the stack alphabet")
         normalized = {}
-        for (state, letter, top), targets in self.transitions.items():
+        for (state, top), targets in self.transitions.items():
             if state not in self.states:
                 raise PdaError(f"transition from unknown state {state!r}")
-            if letter is not None and letter not in self.input_alphabet:
-                raise PdaError(f"transition on unknown input letter {letter!r}")
             if top not in self.stack_alphabet:
                 raise PdaError(f"transition on unknown stack symbol {top}")
             entry = []
@@ -122,31 +121,26 @@ class Pda:
                     if sym not in self.stack_alphabet:
                         raise PdaError(f"transition pushes unknown stack symbol {sym}")
                 entry.append((target, push))
-            normalized[(state, letter, top)] = tuple(entry)
+            normalized[state, top] = tuple(entry)
         object.__setattr__(self, "transitions", normalized)
         # The runner's table. States and stack symbols are ids 0..; a state
-        # is kept as its row, id * K for K stack symbols. epsilon[row + top]
-        # is (target row, pushed ids reversed for a list stack) or None, and
-        # letters[row, letter, top] the same for input moves. Only the first
-        # target is kept: the runner refuses nondeterministic machines.
-        # payloads[top] is what an observable top reports, else _SILENT.
+        # is kept as its row, id * K for K stack symbols. moves[row + top]
+        # is (target row, pushed ids reversed for a list stack) or None.
+        # Only the first target is kept: the runner refuses nondeterministic
+        # machines. payloads[top] is what an observable top reports, else
+        # _SILENT.
         symbols = {sym: i for i, sym in enumerate(self.stack_alphabet)}
         width = len(symbols)
         rows = {state: i * width for i, state in enumerate(self.states)}
-        epsilon = [None] * (len(rows) * width)
-        letters = {}
-        for (state, letter, top), targets in normalized.items():
-            if not targets:
-                continue
-            target, push = targets[0]
-            move = (rows[target], tuple(symbols[sym] for sym in reversed(push)))
-            if letter is None:
-                epsilon[rows[state] + symbols[top]] = move
-            else:
-                letters[rows[state], letter, symbols[top]] = move
+        moves = [None] * (len(rows) * width)
+        for (state, top), targets in normalized.items():
+            if targets:
+                target, push = targets[0]
+                moves[rows[state] + symbols[top]] = (
+                    rows[target], tuple(symbols[sym] for sym in reversed(push)))
         payloads = [sym.payload if sym.observable else _SILENT for sym in symbols]
         start = (rows[self.start_state], symbols[self.start_stack])
-        object.__setattr__(self, "_compiled", (start, epsilon, letters, payloads))
+        object.__setattr__(self, "_compiled", (start, moves, payloads))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -161,15 +155,13 @@ def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:
     Raises PdaError when a nonterminal that can reach the stack has no
     production, or when bottom is also a grammar symbol.
     """
-    first: dict = {}
-    for prod in grammar.productions:
-        first.setdefault(prod.lhs, prod.rhs)
     pending, reached = [grammar.start], {grammar.start}
     while pending:
         nt = pending.pop()
-        if nt not in first:
+        if not grammar.productions_for(nt):
             raise PdaError(f"nonterminal {nt} can reach the stack but has no production")
-        fresh = {sym for sym in first[nt] if not sym.is_terminal} - reached
+        rhs = grammar.productions_for(nt)[0].rhs
+        fresh = {sym for sym in rhs if not sym.is_terminal} - reached
         reached |= fresh
         pending.extend(fresh)
 
@@ -177,14 +169,13 @@ def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:
     stacked = {sym: StackSymbol(sym.payload, observable=sym.is_terminal) for sym in symbols}
     if bottom in stacked.values():
         raise PdaError(f"bottom marker {bottom} is also a grammar symbol")
-    pushes = {stacked[sym]: () if sym.is_terminal else first[sym]
-              for sym in symbols if sym.is_terminal or sym in first}
-    pushes[bottom] = first[grammar.start]
+    pushes = {stacked[sym]: () if sym.is_terminal else grammar.productions_for(sym)[0].rhs
+              for sym in symbols if sym.is_terminal or grammar.productions_for(sym)}
+    pushes[bottom] = grammar.productions_for(grammar.start)[0].rhs
     return Pda(
         states=frozenset({PDA_STATE}),
-        input_alphabet=frozenset(),
         stack_alphabet=frozenset(stacked.values()) | {bottom},
-        transitions={(PDA_STATE, None, top): ((PDA_STATE, tuple(map(stacked.get, rhs))),)
+        transitions={(PDA_STATE, top): ((PDA_STATE, tuple(map(stacked.get, rhs))),)
                      for top, rhs in pushes.items()},
         start_state=PDA_STATE,
         start_stack=bottom,
@@ -194,52 +185,22 @@ def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:
 def step(pda: Pda, config: PdaConfiguration) -> set:
     """All successor configurations in one transition.
 
-    Union of the input-consuming moves on the next letter and the epsilon
-    moves; both replace the stack top with the pushed word. The empty set
-    means the configuration is stuck.
+    Each move replaces the stack top with the pushed word and leaves the
+    input unread. The empty set means the configuration is stuck.
     """
     if not config.stack:
         raise EmptyStack("an empty stack has no successor configuration")
-    top = config.stack[0]
     rest = config.stack[1:]
-    successors = set()
-    for target, push in pda.transitions.get((config.state, None, top), ()):
-        successors.add(PdaConfiguration(target, config.remaining_input, push + rest))
-    if config.remaining_input:
-        letter = config.remaining_input[0]
-        for target, push in pda.transitions.get((config.state, letter, top), ()):
-            successors.add(
-                PdaConfiguration(target, config.remaining_input[1:], push + rest)
-            )
-    return successors
+    return {PdaConfiguration(target, config.remaining_input, push + rest)
+            for target, push in pda.transitions.get((config.state, config.stack[0]), ())}
 
 
 def is_deterministic(pda: Pda) -> DeterminismReport:
-    """Check the at-most-one-move property for every (state, stack top).
-
-    A pair passes if either (1) every input letter has at most one move and
-    there is no epsilon move, or (2) no input letter has a move and there is
-    at most one epsilon move. Pairs with no transitions at all pass both.
-    """
-    by_pair: dict[tuple, dict] = {}
-    for (state, letter, top), targets in pda.transitions.items():
-        if targets:
-            by_pair.setdefault((state, top), {})[letter] = len(targets)
-    for (state, top), moves in by_pair.items():
-        eps_moves = moves.get(None, 0)
-        letter_moves = {k: v for k, v in moves.items() if k is not None}
-        condition_1 = eps_moves == 0 and all(v <= 1 for v in letter_moves.values())
-        condition_2 = not letter_moves and eps_moves <= 1
-        if condition_1 or condition_2:
-            continue
-        if eps_moves and letter_moves:
-            reason = "both epsilon and input moves are enabled"
-        elif eps_moves > 1:
-            reason = f"{eps_moves} epsilon moves for one situation"
-        else:
-            worst = max(letter_moves.values())
-            reason = f"{worst} moves on one input letter"
-        return DeterminismReport(False, witness=(state, top), reason=reason)
+    """Check that every (state, stack top) has at most one move."""
+    for (state, top), targets in pda.transitions.items():
+        if len(targets) > 1:
+            return DeterminismReport(False, witness=(state, top),
+                                     reason=f"{len(targets)} epsilon moves for one situation")
     return DeterminismReport(True)
 
 
@@ -250,9 +211,10 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
     Requires a deterministic automaton. Every transition that consults an
     observable stack top reports that symbol's payload at the moment the
     transition fires: to the observer if one is given, otherwise to the
-    returned trace's emitted. Ends with EMPTY_STACK_HALT when the stack and
-    the input are both exhausted, STUCK when no transition applies first,
-    or STEP_LIMIT. Runs on the compiled table; iterating step is the
+    returned trace's emitted. No move reads a letter, so the run ends with
+    EMPTY_STACK_HALT when the stack drains on an empty input word, STUCK
+    when it drains on a nonempty one or no transition applies first, or
+    STEP_LIMIT. Runs on the compiled table; iterating step is the
     reference.
     """
     report = is_deterministic(pda)
@@ -262,31 +224,25 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
         )
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-    input_word = tuple(input_word)
-    (row, bottom), epsilon, letters, payloads = pda._compiled
+    drained = RunOutcome.STUCK if tuple(input_word) else RunOutcome.EMPTY_STACK_HALT
+    (row, bottom), moves, payloads = pda._compiled
     stack = [bottom]  # top kept at the end for cheap push/pop
     pop, extend = stack.pop, stack.extend
     emitted = []
     sink = emitted.append if observer is None else observer
-    position = 0
     # Pass k has taken k transitions. A for loop ends each pass with the
     # backward jump at which CPython 3.11 counts warm-up, so the loop is
     # specialized within its first call; under `while stack:` it ran about
     # twice as slowly until the eighth call.
     for steps in range(step_limit + 1):
         if not stack:
-            drained_input = position == len(input_word)
-            outcome = RunOutcome.EMPTY_STACK_HALT if drained_input else RunOutcome.STUCK
+            outcome = drained
             break
         top = pop()
-        move = epsilon[row + top]
+        move = moves[row + top]
         if move is None:
-            if position < len(input_word):
-                move = letters.get((row, input_word[position], top))
-            if move is None:
-                outcome = RunOutcome.STUCK
-                break
-            position += 1
+            outcome = RunOutcome.STUCK
+            break
         if steps == step_limit:
             outcome = RunOutcome.STEP_LIMIT
             break

@@ -181,6 +181,17 @@ class TestSolve:
         assert out == ""
         assert err == f"hanoilang: {message}\n"  # one line, no traceback
 
+    # Both fail before any allocation: 3^41 positions cannot be indexed, and
+    # the recursion goes deeper than the interpreter allows.
+    @pytest.mark.parametrize("argv", [
+        ("--n", "41", "--engine", "bfs"),
+        ("--n", "1100", "--engine", "recursive", "--stream"),
+    ])
+    def test_engine_beyond_the_interpreter_exits_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, "solve", "--unsafe-no-cap", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("hanoilang: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("engine", ["grammar", "pda", "recursive"])
     def test_reader_closing_the_pipe_early_exits_zero_quietly(self, engine):
         proc = subprocess.Popen(
@@ -541,11 +552,16 @@ class TestTrace:
 
     def test_pda_two_discs_configurations(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--n", "2", "--engine", "pda")
-        lines = out.splitlines()
         assert code == 0
-        assert lines[0] == "⟨q0, ε, z0⟩"
-        assert lines[1] == "⟨q0, ε, h12(1) p13 h23(1)⟩"
-        assert lines[-1] == "⟨q0, ε, ε⟩"
+        assert out.splitlines() == [
+            "⟨q0, ε, z0⟩",
+            "⟨q0, ε, h12(1) p13 h23(1)⟩",
+            "⟨q0, ε, p12 p13 h23(1)⟩",
+            "⟨q0, ε, p13 h23(1)⟩",
+            "⟨q0, ε, h23(1)⟩",
+            "⟨q0, ε, p23⟩",
+            "⟨q0, ε, ε⟩",
+        ]
 
     def test_json_grammar_trace(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--n", "2", "--format", "json")

@@ -122,7 +122,7 @@ class TestPdaBuilder:
     def test_shape(self):
         m = build_hanoi_pda(3)
         assert m.states == frozenset({PDA_STATE})
-        assert m.input_alphabet == frozenset()
+        assert {state for state, _ in m.transitions} == {PDA_STATE}
         assert m.start_stack == STACK_BOTTOM
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -156,7 +156,7 @@ def test_pushed_stack_symbols_are_the_transition_keys_themselves():
     # the symbolic step, which `trace --engine pda` runs, then matches its
     # transition lookups by identity, not by dataclass equality
     m = build_hanoi_pda(5)
-    keys = {id(top) for _, _, top in m.transitions}
+    keys = {id(top) for _, top in m.transitions}
     pushed = [sym for targets in m.transitions.values() for _, push in targets for sym in push]
     assert pushed and all(id(sym) in keys for sym in pushed)
 

@@ -24,36 +24,13 @@ M1 = StackSymbol("m1", observable=True)
 M2 = StackSymbol("m2", observable=True)
 
 
-def make_pda(transitions, states=("q",), start_state="q", start_stack=Z,
-             input_alphabet=(), stack_alphabet=None):
-    if stack_alphabet is None:
-        stack_alphabet = {Z, A, M1, M2}
+def make_pda(transitions, states=("q",), start_state="q", start_stack=Z):
     return Pda(
         states=frozenset(states),
-        input_alphabet=frozenset(input_alphabet),
-        stack_alphabet=frozenset(stack_alphabet),
+        stack_alphabet=frozenset({Z, A, M1, M2}),
         transitions=transitions,
         start_state=start_state,
         start_stack=start_stack,
-    )
-
-
-def anbn_pda():
-    """Accepts a^n b^n (n >= 1) by empty stack: an A is pushed per a and
-    popped per b, and the bottom is popped once the b's have matched."""
-    return Pda(
-        states=frozenset({"q0", "q1", "qf"}),
-        input_alphabet=frozenset({"a", "b"}),
-        stack_alphabet=frozenset({Z, A}),
-        transitions={
-            ("q0", "a", Z): (("q0", (A, Z)),),
-            ("q0", "a", A): (("q0", (A, A)),),
-            ("q0", "b", A): (("q1", ()),),
-            ("q1", "b", A): (("q1", ()),),
-            ("q1", None, Z): (("qf", ()),),
-        },
-        start_state="q0",
-        start_stack=Z,
     )
 
 
@@ -69,42 +46,19 @@ class TestConstruction:
     def test_transition_on_unknown_stack_symbol_rejected(self):
         ghost = StackSymbol("ghost")
         with pytest.raises(PdaError):
-            make_pda({("q", None, ghost): (("q", ()),)})
+            make_pda({("q", ghost): (("q", ()),)})
 
     def test_transition_pushing_unknown_symbol_rejected(self):
         ghost = StackSymbol("ghost")
         with pytest.raises(PdaError):
-            make_pda({("q", None, Z): (("q", (ghost,)),)})
-
-    def test_transition_on_unknown_letter_rejected(self):
-        with pytest.raises(PdaError):
-            make_pda({("q", "x", Z): (("q", ()),)})
+            make_pda({("q", Z): (("q", (ghost,)),)})
 
 
 class TestStep:
     def test_epsilon_move_replaces_top(self):
-        pda = make_pda({("q", None, Z): (("q", (A, Z)),)})
-        config = PdaConfiguration("q", (), (Z,))
-        assert step(pda, config) == {PdaConfiguration("q", (), (A, Z))}
-
-    def test_input_move_consumes_letter(self):
-        pda = anbn_pda()
-        config = PdaConfiguration("q0", ("a", "b"), (Z,))
-        assert step(pda, config) == {PdaConfiguration("q0", ("b",), (A, Z))}
-
-    def test_union_of_epsilon_and_input_moves(self):
-        pda = make_pda(
-            {
-                ("q", None, Z): (("q", ()),),
-                ("q", "a", Z): (("q", (A, Z)),),
-            },
-            input_alphabet={"a"},
-        )
+        pda = make_pda({("q", Z): (("q", (A, Z)),)})
         config = PdaConfiguration("q", ("a",), (Z,))
-        assert step(pda, config) == {
-            PdaConfiguration("q", ("a",), ()),
-            PdaConfiguration("q", (), (A, Z)),
-        }
+        assert step(pda, config) == {PdaConfiguration("q", ("a",), (A, Z))}
 
     def test_stuck_configuration_has_no_successors(self):
         pda = make_pda({})
@@ -121,55 +75,25 @@ class TestIsDeterministic:
         assert is_deterministic(make_pda({}))
 
     def test_single_epsilon_moves_are_deterministic(self):
-        pda = make_pda({("q", None, Z): (("q", (A,)),), ("q", None, A): (("q", ()),)})
+        pda = make_pda({("q", Z): (("q", (A,)),), ("q", A): (("q", ()),)})
         report = is_deterministic(pda)
         assert report
         assert report.witness is None
 
     def test_two_epsilon_targets_fail(self):
-        pda = make_pda({("q", None, Z): (("q", (A,)), ("q", ()))})
+        pda = make_pda({("q", Z): (("q", (A,)), ("q", ()))})
         report = is_deterministic(pda)
         assert not report
         assert report.witness == ("q", Z)
-
-    def test_epsilon_plus_input_move_fails(self):
-        pda = make_pda(
-            {
-                ("q", None, Z): (("q", ()),),
-                ("q", "a", Z): (("q", (Z,)),),
-            },
-            input_alphabet={"a"},
-        )
-        report = is_deterministic(pda)
-        assert not report
-        assert report.witness == ("q", Z)
-        assert "epsilon" in report.reason
-
-    def test_two_targets_on_one_letter_fail(self):
-        pda = make_pda(
-            {("q", "a", Z): (("q", (Z,)), ("q", ()))},
-            input_alphabet={"a"},
-        )
-        assert not is_deterministic(pda)
-
-    def test_distinct_letters_do_not_conflict(self):
-        pda = make_pda(
-            {
-                ("q", "a", Z): (("q", (A, Z)),),
-                ("q", "b", Z): (("q", ()),),
-            },
-            input_alphabet={"a", "b"},
-        )
-        assert is_deterministic(pda)
 
 
 class TestRunToEmptyStack:
     def test_emits_observables_in_pop_order(self):
         pda = make_pda(
             {
-                ("q", None, Z): (("q", (M1, M2)),),
-                ("q", None, M1): (("q", ()),),
-                ("q", None, M2): (("q", ()),),
+                ("q", Z): (("q", (M1, M2)),),
+                ("q", M1): (("q", ()),),
+                ("q", M2): (("q", ()),),
             }
         )
         trace = run_to_empty_stack(pda, (), step_limit=10)
@@ -183,25 +107,13 @@ class TestRunToEmptyStack:
         assert seen == ["m1", "m2"]
 
     def test_observer_is_optional(self):
-        pda = make_pda({("q", None, Z): (("q", ()),)})
+        pda = make_pda({("q", Z): (("q", ()),)})
         trace = run_to_empty_stack(pda, (), step_limit=5)
         assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
         assert trace.emitted == ()
 
-    def test_consumes_input_letters(self):
-        pda = make_pda(
-            {
-                ("q", "a", Z): (("q", (Z,)),),
-                ("q", "b", Z): (("q", ()),),
-            },
-            input_alphabet={"a", "b"},
-        )
-        trace = run_to_empty_stack(pda, ("a", "a", "b"), step_limit=10)
-        assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
-        assert trace.steps == 3
-
     def test_leftover_input_is_stuck_not_halted(self):
-        pda = make_pda({("q", None, Z): (("q", ()),)})
+        pda = make_pda({("q", Z): (("q", ()),)})
         trace = run_to_empty_stack(pda, ("a",), step_limit=10,)
         assert trace.outcome is RunOutcome.STUCK
 
@@ -212,13 +124,13 @@ class TestRunToEmptyStack:
         assert trace.steps == 0
 
     def test_step_limit_outcome(self):
-        pda = make_pda({("q", None, Z): (("q", (Z,)),)})
+        pda = make_pda({("q", Z): (("q", (Z,)),)})
         trace = run_to_empty_stack(pda, (), step_limit=5)
         assert trace.outcome is RunOutcome.STEP_LIMIT
         assert trace.steps == 5
 
     def test_rejects_nondeterministic_machine(self):
-        pda = make_pda({("q", None, Z): (("q", (A,)), ("q", ()))})
+        pda = make_pda({("q", Z): (("q", (A,)), ("q", ()))})
         with pytest.raises(NondeterministicPda):
             run_to_empty_stack(pda, (), step_limit=10)
 
@@ -229,41 +141,24 @@ class TestRunToEmptyStack:
 
 
 class TestAcceptsByEmptyStack:
-    @pytest.mark.parametrize("word", ["ab", "aabb", "aaabbb"])
-    def test_accepts_balanced_words(self, word):
-        trace = run_to_empty_stack(anbn_pda(), tuple(word), step_limit=50)
-        assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
-        assert trace.steps == len(word) + 1
-
-    @pytest.mark.parametrize("word", ["", "a", "b", "ba", "abb", "aab", "abab"])
-    def test_rejects_unbalanced_words(self, word):
-        trace = run_to_empty_stack(anbn_pda(), tuple(word), step_limit=50)
-        assert trace.outcome is RunOutcome.STUCK
-
-    def test_tiny_limit_is_inconclusive(self):
-        trace = run_to_empty_stack(anbn_pda(), ("a", "a", "b", "b"), step_limit=2)
-        assert trace.outcome is RunOutcome.STEP_LIMIT
-        assert trace.steps == 2
-
     def test_empty_word_accepted_when_the_start_stack_pops(self):
-        pda = make_pda({("q", None, Z): (("q", ()),)})
+        pda = make_pda({("q", Z): (("q", ()),)})
         trace = run_to_empty_stack(pda, (), step_limit=1)
         assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
 
 
-LETTERS = ("a", "b")
 # what a (state, stack top) gets, moves twice as often as dead ends
-KINDS = ("epsilon", "letters") * 2 + ("none", "empty")
+KINDS = ("move",) * 4 + ("none", "empty")
 
 
 @st.composite
 def deterministic_runs(draw):
     """A random deterministic automaton, an input word and a step limit.
 
-    Each (state, stack top) gets nothing (a dead end), one epsilon move, an
-    entry with no targets, or at most one move per input letter. Pushed
-    words reuse the stack alphabet, so runs may loop until the step limit.
-    Input words may hold a letter with no moves at all.
+    Each (state, stack top) gets nothing (a dead end), one move, or an
+    entry with no targets. Pushed words reuse the stack alphabet, so runs
+    may loop until the step limit. Input words may be nonempty, and no
+    move reads them.
     """
     states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
     symbols = [StackSymbol(f"s{i}", observable=draw(st.booleans()))
@@ -273,22 +168,18 @@ def deterministic_runs(draw):
     for state in states:
         for top in symbols:
             kind = draw(st.sampled_from(KINDS))
-            if kind == "epsilon":
-                transitions[state, None, top] = (draw(moves),)
+            if kind == "move":
+                transitions[state, top] = (draw(moves),)
             elif kind == "empty":
-                transitions[state, None, top] = ()
-            elif kind == "letters":
-                for letter in draw(st.sets(st.sampled_from(LETTERS), min_size=1)):
-                    transitions[state, letter, top] = (draw(moves),)
+                transitions[state, top] = ()
     pda = Pda(
         states=frozenset(states),
-        input_alphabet=frozenset(LETTERS),
         stack_alphabet=frozenset(symbols),
         transitions=transitions,
         start_state=draw(st.sampled_from(states)),
         start_stack=draw(st.sampled_from(symbols)),
     )
-    word = tuple(draw(st.lists(st.sampled_from(LETTERS + ("c",)), max_size=4)))
+    word = tuple(draw(st.lists(st.sampled_from("ab"), max_size=4)))
     return pda, word, draw(st.integers(1, 12))
 
 
@@ -328,25 +219,21 @@ def test_compiled_run_matches_stepwise_run(case):
 # Hand-built runs that end each way, including paths random machines rarely
 # take; each goes through the same comparison as the random ones.
 OUTCOME_CASES = {
-    "halt-after-input-and-output": (
-        make_pda({("q", "a", Z): (("q", (M1,)),), ("q", None, M1): (("q", ()),)},
-                 input_alphabet={"a"}),
-        ("a",), RunOutcome.EMPTY_STACK_HALT),
     "halt-through-a-state-change": (
-        make_pda({("p", "a", Z): (("q", (Z,)),), ("q", None, Z): (("p", ()),)},
-                 states=("p", "q"), start_state="p", input_alphabet={"a"}),
-        ("a",), RunOutcome.EMPTY_STACK_HALT),
-    "epsilon-entry-without-targets-falls-to-the-letter": (
-        make_pda({("q", None, Z): (), ("q", "a", Z): (("q", ()),)}, input_alphabet={"a"}),
-        ("a",), RunOutcome.EMPTY_STACK_HALT),
+        make_pda({("p", Z): (("q", (M1, Z)),), ("q", M1): (("q", ()),), ("q", Z): (("p", ()),)},
+                 states=("p", "q"), start_state="p"),
+        (), RunOutcome.EMPTY_STACK_HALT),
+    "entry-without-targets-is-stuck": (
+        make_pda({("q", Z): (("q", (M1, A)),), ("q", M1): (("q", ()),), ("q", A): ()}),
+        (), RunOutcome.STUCK),
     "stuck-without-a-move": (
-        make_pda({("q", None, Z): (("q", (M1, A)),), ("q", None, M1): (("q", ()),)}),
+        make_pda({("q", Z): (("q", (M1, A)),), ("q", M1): (("q", ()),)}),
         (), RunOutcome.STUCK),
     "stuck-with-input-left": (
-        make_pda({("q", None, Z): (("q", (M1,)),), ("q", None, M1): (("q", ()),)}),
+        make_pda({("q", Z): (("q", (M1,)),), ("q", M1): (("q", ()),)}),
         ("a",), RunOutcome.STUCK),
     "step-limit": (
-        make_pda({("q", None, Z): (("q", (M1, Z)),), ("q", None, M1): (("q", ()),)}),
+        make_pda({("q", Z): (("q", (M1, Z)),), ("q", M1): (("q", ()),)}),
         (), RunOutcome.STEP_LIMIT),
 }
 

@@ -59,9 +59,8 @@ def grammar(start=S, rhs=(a,)):
 
 
 def pda(**changes):
-    fields = dict(states=frozenset({"q"}), input_alphabet=frozenset({"c"}),
-                  stack_alphabet=frozenset({Z, M}), transitions={("q", None, Z): (("q", (M,)),)},
-                  start_state="q", start_stack=Z)
+    fields = dict(states=frozenset({"q"}), stack_alphabet=frozenset({Z, M}),
+                  transitions={("q", Z): (("q", (M,)),)}, start_state="q", start_stack=Z)
     return Pda(**{**fields, **changes})
 
 
@@ -171,12 +170,10 @@ def test_grammar_keeps_its_checks(make, message):
     (dict(stack_alphabet=frozenset()), "stack alphabet must be nonempty"),
     (dict(start_state="r"), "start state 'r' is not a listed state"),
     (dict(start_stack=StackSymbol("y")), "start stack symbol y is not in the stack alphabet"),
-    (dict(transitions={("r", None, Z): ()}), "transition from unknown state 'r'"),
-    (dict(transitions={("q", "d", Z): ()}), "transition on unknown input letter 'd'"),
-    (dict(transitions={("q", None, StackSymbol("y")): ()}),
-     "transition on unknown stack symbol y"),
-    (dict(transitions={("q", None, Z): (("r", ()),)}), "transition into unknown state 'r'"),
-    (dict(transitions={("q", None, Z): (("q", (StackSymbol("y"),)),)}),
+    (dict(transitions={("r", Z): ()}), "transition from unknown state 'r'"),
+    (dict(transitions={("q", StackSymbol("y")): ()}), "transition on unknown stack symbol y"),
+    (dict(transitions={("q", Z): (("r", ()),)}), "transition into unknown state 'r'"),
+    (dict(transitions={("q", Z): (("q", (StackSymbol("y"),)),)}),
      "transition pushes unknown stack symbol y"),
 ])
 def test_pda_keeps_its_checks(changes, message):
@@ -189,7 +186,7 @@ def test_grammar_and_pda_take_keywords_and_cannot_be_assigned():
     assert (g.terminals, g.nonterminals, g.start, g.productions) == (
         frozenset({a}), frozenset({S}), S, (Production(S, (a,)),))
     assert (m.states, m.start_state, m.start_stack) == (frozenset({"q"}), "q", Z)
-    assert m.transitions == {("q", None, Z): (("q", (M,)),)}
+    assert m.transitions == {("q", Z): (("q", (M,)),)}
     with pytest.raises(AttributeError):
         g.start = S
     with pytest.raises(AttributeError):
