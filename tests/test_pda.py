@@ -60,6 +60,23 @@ class TestStep:
         config = PdaConfiguration("q", ("a",), (Z,))
         assert step(pda, config) == {PdaConfiguration("q", ("a",), (A, Z))}
 
+    def test_move_leaves_the_input_unread(self):
+        pda = make_pda({("q", M1): (("q", ()),)})
+        config = PdaConfiguration("q", ("a", "b"), (M1, Z))
+        assert step(pda, config) == {PdaConfiguration("q", ("a", "b"), (Z,))}
+
+    def test_move_changes_state(self):
+        pda = make_pda({("p", Z): (("q", (M1,)),)}, states=("p", "q"), start_state="p")
+        assert step(pda, PdaConfiguration("p", (), (Z,))) == {PdaConfiguration("q", (), (M1,))}
+
+    def test_several_targets_give_several_successors(self):
+        pda = make_pda({("p", Z): (("q", (A, Z)), ("p", ()))}, states=("p", "q"),
+                       start_state="p")
+        assert step(pda, PdaConfiguration("p", ("a",), (Z, M1))) == {
+            PdaConfiguration("q", ("a",), (A, Z, M1)),
+            PdaConfiguration("p", ("a",), (M1,)),
+        }
+
     def test_stuck_configuration_has_no_successors(self):
         pda = make_pda({})
         assert step(pda, PdaConfiguration("q", (), (Z,))) == set()
@@ -85,6 +102,21 @@ class TestIsDeterministic:
         report = is_deterministic(pda)
         assert not report
         assert report.witness == ("q", Z)
+        assert report.reason == "2 epsilon moves for one situation"
+
+    def test_reason_counts_the_targets(self):
+        pda = make_pda({("q", A): (("q", ()),), ("q", Z): (("q", ()), ("q", (A,)), ("q", (M1,)))})
+        report = is_deterministic(pda)
+        assert (report.deterministic, report.witness) == (False, ("q", Z))
+        assert report.reason == "3 epsilon moves for one situation"
+
+    def test_one_top_in_different_states_does_not_conflict(self):
+        pda = make_pda({("p", Z): (("q", (Z,)),), ("q", Z): (("p", ()),)}, states=("p", "q"),
+                       start_state="p")
+        assert is_deterministic(pda)
+
+    def test_entry_without_targets_is_deterministic(self):
+        assert is_deterministic(make_pda({("q", Z): ()}))
 
 
 class TestRunToEmptyStack:
@@ -129,6 +161,23 @@ class TestRunToEmptyStack:
         assert trace.outcome is RunOutcome.STEP_LIMIT
         assert trace.steps == 5
 
+    def test_input_word_does_not_change_the_moves(self):
+        pda = make_pda({("q", Z): (("q", (M1, M2, A)),), ("q", M1): (("q", ()),),
+                        ("q", M2): (("q", ()),), ("q", A): (("q", ()),)})
+        accepted = run_to_empty_stack(pda, (), step_limit=10)
+        rejected = run_to_empty_stack(pda, ("a", "b"), step_limit=10)
+        assert (accepted.steps, accepted.emitted) == (rejected.steps, rejected.emitted) == (
+            4, ("m1", "m2"))
+        assert (accepted.outcome, rejected.outcome) == (RunOutcome.EMPTY_STACK_HALT,
+                                                        RunOutcome.STUCK)
+
+    def test_nondeterminism_error_names_the_witness(self):
+        pda = make_pda({("q", Z): (("q", (A,)), ("q", ()))})
+        with pytest.raises(NondeterministicPda) as raised:
+            run_to_empty_stack(pda, (), step_limit=10)
+        assert str(raised.value) == (f"runner needs a deterministic automaton; witness "
+                                     f"{('q', Z)}: 2 epsilon moves for one situation")
+
     def test_rejects_nondeterministic_machine(self):
         pda = make_pda({("q", Z): (("q", (A,)), ("q", ()))})
         with pytest.raises(NondeterministicPda):
@@ -140,7 +189,36 @@ class TestRunToEmptyStack:
             run_to_empty_stack(pda, (), step_limit=0)
 
 
+def countdown_pda(depth):
+    """Pops Z, then walks states c{depth-1} .. c0 on A, emitting m1 at each."""
+    states = [f"c{i}" for i in range(depth)] + ["start"]
+    transitions = {("start", Z): ((f"c{depth - 1}", (M1,) * (depth - 1) + (A,)),),
+                   ("c0", A): (("c0", ()),)}
+    for i in range(1, depth):
+        transitions[f"c{i}", M1] = ((f"c{i - 1}", ()),)
+    # an A in any other counting state is a dead end
+    return make_pda(transitions, states=states, start_state="start")
+
+
 class TestAcceptsByEmptyStack:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_accepts_the_empty_word_after_draining(self, depth):
+        trace = run_to_empty_stack(countdown_pda(depth), (), step_limit=50)
+        assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
+        assert trace.steps == depth + 1
+        assert trace.emitted == ("m1",) * (depth - 1)
+
+    @pytest.mark.parametrize("word", ["a", "b", "ab", "ba", "abb", "aabb", "abab"])
+    def test_rejects_every_nonempty_word(self, word):
+        trace = run_to_empty_stack(countdown_pda(3), tuple(word), step_limit=50)
+        assert trace.outcome is RunOutcome.STUCK
+        assert trace.steps == 4
+
+    def test_tiny_limit_is_inconclusive(self):
+        trace = run_to_empty_stack(countdown_pda(3), ("a", "b"), step_limit=2)
+        assert trace.outcome is RunOutcome.STEP_LIMIT
+        assert trace.steps == 2
+
     def test_empty_word_accepted_when_the_start_stack_pops(self):
         pda = make_pda({("q", Z): (("q", ()),)})
         trace = run_to_empty_stack(pda, (), step_limit=1)
@@ -232,6 +310,12 @@ OUTCOME_CASES = {
     "stuck-with-input-left": (
         make_pda({("q", Z): (("q", (M1,)),), ("q", M1): (("q", ()),)}),
         ("a",), RunOutcome.STUCK),
+    "stuck-on-an-entry-without-targets-with-input-left": (
+        make_pda({("q", Z): (("q", (M1, A)),), ("q", M1): (("q", ()),), ("q", A): ()}),
+        ("a", "b"), RunOutcome.STUCK),
+    "step-limit-with-input-left": (
+        make_pda({("q", Z): (("q", (M1, Z)),), ("q", M1): (("q", ()),)}),
+        ("a",), RunOutcome.STEP_LIMIT),
     "step-limit": (
         make_pda({("q", Z): (("q", (M1, Z)),), ("q", M1): (("q", ()),)}),
         (), RunOutcome.STEP_LIMIT),
