@@ -28,6 +28,7 @@ import sys
 import time
 from contextlib import nullcontext
 from itertools import islice, pairwise
+from operator import attrgetter
 
 from .constructions import (
     BFS_MAX_DISCS,
@@ -43,13 +44,13 @@ from .constructions import (
 from .grammar import (
     NoApplicableProduction,
     StepLimitExceeded,
+    derive_chunks,
     derive_step,
-    derive_streaming,
     enumerate_language,
     format_form,
 )
 from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
-from .pda import PdaConfiguration, RunOutcome, run_to_empty_stack, step as pda_step
+from .pda import PdaConfiguration, RunOutcome, run_chunks, step as pda_step
 
 # Disc-count caps. Materializing a word above 24 discs needs gigabytes;
 # enumeration and traces blow up far sooner. --unsafe-no-cap lifts all of
@@ -58,8 +59,9 @@ SOLVE_MATERIALIZED_MAX = 24
 ENUMERATE_MAX = 4
 TRACE_MAX = 6
 
-# Streamed moves are written this many lines per write, so the buffer
-# between the engine and stdout stays a fixed size.
+# Engines hand over moves in chunks of about this many codes, and streamed
+# moves are written this many lines per write, so the buffer between the
+# engine and stdout stays a fixed size.
 STREAM_CHUNK_MOVES = 4096
 # verify reads its input this many characters at a time, so its memory
 # stays a fixed size whatever the length of the word.
@@ -88,19 +90,28 @@ def _summary_line(record: dict) -> str:
     )
 
 
+_code = attrgetter("code")
+
+
+def _hand_over(moves, sink) -> None:
+    """Pass a materialized word to sink as codes, one chunk at a time."""
+    for start in range(0, len(moves), STREAM_CHUNK_MOVES):
+        sink(list(map(_code, moves[start:start + STREAM_CHUNK_MOVES])))
+
+
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
     try:
-        derive_streaming(build_hanoi_grammar(n), sink, step_limit=grammar_step_limit(n))
+        derive_chunks(build_hanoi_grammar(n), sink, grammar_step_limit(n), STREAM_CHUNK_MOVES,
+                      _code)
     except (StepLimitExceeded, NoApplicableProduction) as exc:
         raise EngineFailure(str(exc)) from exc
 
 
 def _pda_engine(n: int, unsafe: bool, sink) -> None:
-    trace = run_to_empty_stack(
-        build_hanoi_pda(n), (), observer=sink, step_limit=pda_step_limit(n)
-    )
-    if trace.outcome is not RunOutcome.EMPTY_STACK_HALT:
-        raise EngineFailure(f"automaton run ended {trace.outcome.value}")
+    _, outcome = run_chunks(build_hanoi_pda(n), sink, step_limit=pda_step_limit(n),
+                            chunk=STREAM_CHUNK_MOVES, translate=_code)
+    if outcome is not RunOutcome.EMPTY_STACK_HALT:
+        raise EngineFailure(f"automaton run ended {outcome.value}")
 
 
 def _recursive_engine(n: int, unsafe: bool, sink) -> None:
@@ -108,8 +119,7 @@ def _recursive_engine(n: int, unsafe: bool, sink) -> None:
         moves = recursive_solve(HanoiInstance(n))
     except RecursionError as exc:  # the recursion nests n + 1 calls deep
         raise EngineFailure(f"recursive solver at {n} discs: {exc}") from exc
-    for move in moves:
-        sink(move)
+    _hand_over(moves, sink)
 
 
 def _bfs_engine(n: int, unsafe: bool, sink) -> None:
@@ -117,20 +127,29 @@ def _bfs_engine(n: int, unsafe: bool, sink) -> None:
         result = bfs_optimal(n, max_discs=None if unsafe else BFS_MAX_DISCS)
     except CapExceeded as exc:
         raise EngineFailure(str(exc)) from exc
-    except OverflowError as exc:  # 3^n positions cannot be indexed
-        raise EngineFailure(f"breadth-first search at {n} discs: {exc}") from exc
-    for move in result.sequence:
-        sink(move)
+    except (OverflowError, MemoryError) as exc:  # no list of 3^n positions
+        reason = str(exc) or "out of memory"
+        raise EngineFailure(f"breadth-first search at {n} discs: {reason}") from exc
+    _hand_over(result.sequence, sink)
 
 
-# Each engine hands the N-disc word to sink(move) one move at a time, or
-# raises EngineFailure. --unsafe-no-cap reaches the engine as `unsafe`.
+# Each engine hands the N-disc word to sink as lists of move codes, in
+# order and at most a few chunks long each, or raises EngineFailure; sink
+# may keep a list. --unsafe-no-cap reaches the engine as `unsafe`.
 ENGINES = {
     "grammar": _grammar_engine,
     "pda": _pda_engine,
     "recursive": _recursive_engine,
     "bfs": _bfs_engine,
 }
+
+
+def _bfs_fits(n: int) -> bool:
+    """Whether CPython can size a list of the search's 3^n positions. Past
+    sys.maxsize it cannot index one, and past sys.maxsize bytes of slots it
+    refuses one from its size arithmetic; neither case allocates."""
+    slot = (sys.maxsize.bit_length() + 1) // 8  # bytes in a list slot
+    return 3 ** n * slot <= sys.maxsize
 
 
 def _write_lines(out, codes) -> None:
@@ -167,25 +186,18 @@ def cmd_solve(args) -> int:
         )
         return EXIT_ENGINE
     board = Board(args.n)
-    codes = []
-    # len(codes) is never 0 after an append, so without --stream the word
-    # is kept whole and replayed and written at the end.
-    chunk = STREAM_CHUNK_MOVES if args.stream else 0
-    written = 0
+    codes = []  # the whole word, kept without --stream
+    count = 0
     legal = True
 
-    def replay() -> None:
-        nonlocal legal
-        legal = legal and board.run(codes)[1] is None
-
-    def sink(move: MoveSymbol) -> None:
-        nonlocal written
-        codes.append(move.code)
-        if len(codes) == chunk:
-            replay()
-            _write_lines(sys.stdout, codes)
-            written += chunk
-            codes.clear()
+    def sink(chunk: list) -> None:
+        nonlocal count, legal
+        legal = legal and board.run(chunk)[1] is None
+        count += len(chunk)
+        if args.stream:
+            _write_lines(sys.stdout, chunk)
+        else:
+            codes.extend(chunk)
 
     started = time.perf_counter()
     try:
@@ -193,13 +205,12 @@ def cmd_solve(args) -> int:
     except EngineFailure as exc:
         _complain(str(exc))
         return EXIT_ENGINE
-    replay()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     record = {
         "engine": args.engine,
         "n_discs": args.n,
         "moves": codes,
-        "move_count": written + len(codes),
+        "move_count": count,
         "elapsed_ms": round(elapsed_ms, 3),
         "verified": legal and board.solved(),
     }
@@ -207,9 +218,7 @@ def cmd_solve(args) -> int:
         import json
         print(json.dumps(record, indent=2))
         return EXIT_OK
-    if args.stream:
-        _write_lines(sys.stdout, codes)
-    else:
+    if not args.stream:
         print(" ".join(codes))
     print(_summary_line(record), file=sys.stderr)
     return EXIT_OK
@@ -291,6 +300,11 @@ def cmd_compare(args) -> int:
             "discs (see --unsafe-no-cap)"
         )
         return EXIT_ENGINE
+    if args.unsafe_no_cap and not _bfs_fits(args.n):
+        # refused before the other engines spend hours on 2^n moves
+        _complain(f"breadth-first search at {args.n} discs: "
+                  f"3^{args.n} positions do not fit in a list")
+        return EXIT_ENGINE
     engines = list(ENGINES)
     if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
         engines.remove("bfs")
@@ -300,7 +314,7 @@ def cmd_compare(args) -> int:
         sequences[engine] = []
         started = time.perf_counter()
         try:
-            ENGINES[engine](args.n, args.unsafe_no_cap, sequences[engine].append)
+            ENGINES[engine](args.n, args.unsafe_no_cap, sequences[engine].extend)
         except EngineFailure as exc:
             _complain(f"engine {engine} failed: {exc}")
             return EXIT_ENGINE

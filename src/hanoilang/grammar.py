@@ -4,10 +4,12 @@ Symbols are terminal/nonterminal tags around opaque, hashable payloads;
 the engines never look inside a payload. Derivation is leftmost: when a
 form has several nonterminals, the leftmost one is rewritten, and when a
 nonterminal has several productions, the first registered one is applied.
-derive_full and derive_streaming share one loop over an integer table that
-each Grammar compiles once; derive_step stays symbolic and is their
-reference. Language enumeration explores every rewrite position and
-production, so it is not limited to the leftmost strategy.
+derive_chunks, derive_full and derive_streaming share one loop over an
+integer table that each Grammar compiles once; it hands terminals over in
+chunks and replays the words of small nonterminals from a cache.
+derive_step stays symbolic and is their reference. Language enumeration
+explores every rewrite position and production, so it is not limited to
+the leftmost strategy.
 """
 
 from collections import namedtuple
@@ -149,6 +151,10 @@ class Grammar:
         return self._by_lhs.get(sym, ())
 
 
+# The chunk size of derive_full and derive_streaming.
+_CHUNK = 4096
+
+
 class Derivation(namedtuple("Derivation", "word steps")):
     """A finished leftmost derivation: the terminal word (as payloads,
     leftmost first) and the number of direct derivations it took."""
@@ -172,33 +178,77 @@ def derive_step(grammar: Grammar, form) -> SententialForm | None:
     return None
 
 
-def _derive(grammar: Grammar, sink: Callable[[Any], None], step_limit: int) -> tuple[int, int]:
+def derive_chunks(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
+                  chunk: int, translate: Callable[[Any], Any] | None = None) -> tuple[int, int]:
     """The one leftmost derivation loop, on the grammar's compiled table.
 
-    The pending part of the form is a work stack, leftmost symbol on top;
-    each terminal payload goes to sink once it is leftmost. Rewrites with
-    the first production, as derive_step does. Returns (steps, emitted).
+    Rewrites with the first production, as derive_step does, and hands the
+    terminal payloads, each mapped once through translate, to sink in
+    lists of chunk to 2 * chunk - 1 items, the last one shorter; sink may
+    keep a list. The items derived so far are handed over before a
+    StepLimitExceeded or NoApplicableProduction, so sink has then seen
+    what derive_step emits up to the failing rewrite. Returns (steps,
+    emitted).
+
+    A nonterminal always derives the same word in the same number of
+    rewrites. The first finished expansion of one whose word has at most
+    chunk items is kept, and later visits replay it when the rewrites left
+    cover its step count; otherwise they expand it step by step.
     """
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
     start, rules, payloads, nonterminals = grammar._compiled
+    items = payloads if translate is None else [translate(p) for p in payloads]
+    # The pending part of the form is a work stack, leftmost symbol on top.
+    # A nonterminal whose word is still unknown is pushed under its rhs as
+    # `mark`, an id past every nonterminal; frames holds (nonterminal,
+    # items emitted before it, steps before it) for each pending mark.
+    # words[id] is the recorded (items, steps), False for a word longer
+    # than chunk, or None while unknown.
+    words: list = [None] * len(rules)
+    mark = len(rules)
+    frames = []
     pending = [start]
     pop, extend = pending.pop, pending.extend
-    steps = emitted = 0
+    buffer: list = []
+    steps = handed = 0
     while pending:
         top = pop()
         if top < 0:
-            sink(payloads[top])
-            emitted += 1
+            buffer.append(items[top])
+        elif top == mark:
+            nt, at, before = frames.pop()
+            if handed + len(buffer) - at > chunk:
+                words[nt] = False
+            elif at >= handed:  # the whole word is still in the buffer
+                words[nt] = (tuple(buffer[at - handed:]), steps - before)
             continue
-        if steps >= step_limit:
-            raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
-        rhs = rules[top]
-        if rhs is None:
-            raise NoApplicableProduction(f"no production rewrites {nonterminals[top]}")
-        extend(rhs)
-        steps += 1
-    return steps, emitted
+        else:
+            word = words[top]
+            if word and steps + word[1] <= step_limit:
+                buffer += word[0]
+                steps += word[1]
+            else:
+                rhs = rules[top]
+                if steps >= step_limit or rhs is None:
+                    if buffer:
+                        sink(buffer)
+                    if steps >= step_limit:
+                        raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
+                    raise NoApplicableProduction(f"no production rewrites {nonterminals[top]}")
+                if word is None:
+                    pending.append(mark)
+                    frames.append((top, handed + len(buffer), steps))
+                extend(rhs)
+                steps += 1
+                continue
+        if len(buffer) >= chunk:
+            sink(buffer)
+            handed += len(buffer)
+            buffer = []
+    if buffer:
+        sink(buffer)
+    return steps, handed + len(buffer)
 
 
 def derive_full(grammar: Grammar, step_limit: int) -> Derivation:
@@ -208,19 +258,24 @@ def derive_full(grammar: Grammar, step_limit: int) -> Derivation:
     most step_limit times the longest right-hand side.
     """
     word: list = []
-    steps, _ = _derive(grammar, word.append, step_limit)
+    steps, _ = derive_chunks(grammar, word.extend, step_limit, _CHUNK)
     return Derivation(tuple(word), steps)
 
 
 def derive_streaming(grammar: Grammar, sink: Callable[[Any], None], step_limit: int) -> int:
-    """Leftmost derivation that hands each terminal payload to sink as soon
-    as the terminal becomes the leftmost symbol.
+    """Leftmost derivation that hands each terminal payload to sink.
 
-    Memory stays proportional to the rewrite depth instead of the word
-    length. Emits the same sequence as derive_full. Returns the number of
-    terminals emitted.
+    Payloads arrive in chunks of a few thousand, not the moment their
+    terminal becomes leftmost, so memory stays proportional to the rewrite
+    depth plus one chunk instead of the word length. Emits the same
+    sequence as derive_full, and on a failure every payload before the
+    failing rewrite. Returns the number of terminals emitted.
     """
-    return _derive(grammar, sink, step_limit)[1]
+    def hand_over(payloads: list) -> None:
+        for payload in payloads:
+            sink(payload)
+
+    return derive_chunks(grammar, hand_over, step_limit, _CHUNK)[1]
 
 
 def enumerate_language(grammar: Grammar, max_derivation_length: int) -> set:

@@ -28,6 +28,10 @@ PDA_STATE = "q0"
 _SILENT = object()
 
 
+# The chunk size of run_to_empty_stack.
+_CHUNK = 4096
+
+
 class PdaError(ValueError):
     """Malformed automaton detected at construction time."""
 
@@ -42,7 +46,7 @@ class NondeterministicPda(RuntimeError):
 
 class StackSymbol(namedtuple("StackSymbol", "payload observable", defaults=(False,))):
     """Stack alphabet element. Observable symbols report their payload to
-    the run observer at the moment a transition consults them."""
+    the run's observer each time a transition consults them."""
 
     __slots__ = ()
 
@@ -209,13 +213,35 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
     """Follow the unique transition chain until the stack drains.
 
     Requires a deterministic automaton. Every transition that consults an
-    observable stack top reports that symbol's payload at the moment the
-    transition fires: to the observer if one is given, otherwise to the
-    returned trace's emitted. No move reads a letter, so the run ends with
-    EMPTY_STACK_HALT when the stack drains on an empty input word, STUCK
-    when it drains on a nonempty one or no transition applies first, or
-    STEP_LIMIT. Runs on the compiled table; iterating step is the
-    reference.
+    observable stack top reports that symbol's payload: to the observer if
+    one is given, in order and in chunks of a few thousand, otherwise to
+    the returned trace's emitted. No move reads a letter, so the run ends
+    with EMPTY_STACK_HALT when the stack drains on an empty input word,
+    STUCK when it drains on a nonempty one or no transition applies first,
+    or STEP_LIMIT. Runs on the compiled table (see run_chunks); iterating
+    step is the reference.
+    """
+    emitted: list = []
+    if observer is None:
+        hand_over = emitted.extend
+    else:
+        def hand_over(payloads: list) -> None:
+            for payload in payloads:
+                observer(payload)
+    steps, outcome = run_chunks(pda, hand_over, step_limit=step_limit, chunk=_CHUNK)
+    if outcome is RunOutcome.EMPTY_STACK_HALT and tuple(input_word):
+        outcome = RunOutcome.STUCK
+    return RunTrace(steps=steps, emitted=tuple(emitted), outcome=outcome)
+
+
+def run_chunks(pda: Pda, sink: Callable[[list], None], *, step_limit: int, chunk: int,
+               translate: Callable[[Any], Any] | None = None) -> tuple[int, RunOutcome]:
+    """The deterministic runner's one loop, on the empty input word.
+
+    Takes one transition per step. The payloads that observable tops
+    report, each mapped once through translate, go to sink in lists of
+    chunk items, and the rest when the run ends, however it ends; sink may
+    keep a list. Returns (transitions taken, outcome).
     """
     report = is_deterministic(pda)
     if not report:
@@ -224,19 +250,20 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
         )
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-    drained = RunOutcome.STUCK if tuple(input_word) else RunOutcome.EMPTY_STACK_HALT
     (row, bottom), moves, payloads = pda._compiled
+    if translate is not None:
+        payloads = [p if p is _SILENT else translate(p) for p in payloads]
     stack = [bottom]  # top kept at the end for cheap push/pop
     pop, extend = stack.pop, stack.extend
-    emitted = []
-    sink = emitted.append if observer is None else observer
+    buffer: list = []
+    append = buffer.append
+    outcome = RunOutcome.EMPTY_STACK_HALT
     # Pass k has taken k transitions. A for loop ends each pass with the
     # backward jump at which CPython 3.11 counts warm-up, so the loop is
     # specialized within its first call; under `while stack:` it ran about
     # twice as slowly until the eighth call.
     for steps in range(step_limit + 1):
         if not stack:
-            outcome = drained
             break
         top = pop()
         move = moves[row + top]
@@ -248,7 +275,13 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
             break
         payload = payloads[top]
         if payload is not _SILENT:
-            sink(payload)
+            append(payload)
+            if len(buffer) == chunk:
+                sink(buffer)
+                buffer = []
+                append = buffer.append
         row, push = move
         extend(push)
-    return RunTrace(steps=steps, emitted=tuple(emitted), outcome=outcome)
+    if buffer:
+        sink(buffer)
+    return steps, outcome

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hanoilang
-from hanoilang.cli import ENGINES, main
+from hanoilang.cli import ENGINES, _bfs_fits, main
 from hanoilang.constructions import HanoiInstance, recursive_solve
 from hanoilang.hanoi import MoveParseError, MoveSymbol, validate_sequence
 
@@ -99,14 +99,13 @@ class TestSolve:
         assert err.endswith(" verified=true\n")
 
     def test_stream_reports_an_illegal_move_as_unverified(self, capsys, monkeypatch):
-        def derive_illegal(grammar, sink, step_limit):
+        def derive_illegal(grammar, sink, step_limit, chunk, translate):
             # the third move finds peg 1 empty; the board ignores it, and the
             # last move still ends with both discs on peg 3
-            for code in ("p12", "p13", "p13", "p23"):
-                sink(MoveSymbol.parse(code))
-            return 4
+            sink([translate(MoveSymbol.parse(code)) for code in ("p12", "p13", "p13", "p23")])
+            return 3, 4
 
-        monkeypatch.setattr("hanoilang.cli.derive_streaming", derive_illegal)
+        monkeypatch.setattr("hanoilang.cli.derive_chunks", derive_illegal)
         code, out, err = run_cli(capsys, "solve", "--n", "2", "--stream")
         assert code == 0
         assert out == "p12\np13\np13\np23\n"
@@ -191,6 +190,14 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "--unsafe-no-cap", *argv)
         assert (code, out) == (3, "")
         assert err.startswith("hanoilang: ") and err.count("\n") == 1
+
+    def test_bfs_past_the_largest_list_exits_three(self, capsys):
+        # CPython refuses [-1] * 3**39 from its size arithmetic, without
+        # allocating: a MemoryError, which must not reach the user as one
+        code, out, err = run_cli(capsys, "solve", "--n", "39", "--engine", "bfs",
+                                 "--unsafe-no-cap")
+        assert (code, out) == (3, "")
+        assert err == "hanoilang: breadth-first search at 39 discs: out of memory\n"
 
     @pytest.mark.parametrize("engine", ["grammar", "pda", "recursive"])
     def test_reader_closing_the_pipe_early_exits_zero_quietly(self, engine):
@@ -510,6 +517,24 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--n", "3")
         assert code == 1
         assert "divergence: grammar vs recursive at index 1" in out
+
+    @pytest.mark.parametrize("n", [38, 41])
+    def test_bfs_past_the_largest_list_is_refused_before_any_engine(self, capsys, monkeypatch, n):
+        # each other engine would first fill a list of 2^n moves
+        def never(*args):
+            pytest.fail("an engine ran")
+
+        for engine in ("grammar", "pda", "recursive"):
+            monkeypatch.setitem(ENGINES, engine, never)
+        code, out, err = run_cli(capsys, "compare", "--n", str(n), "--unsafe-no-cap")
+        assert (code, out) == (3, "")
+        assert err == (f"hanoilang: breadth-first search at {n} discs: "
+                       f"3^{n} positions do not fit in a list\n")
+
+    def test_refusal_starts_where_the_interpreter_refuses_the_list(self):
+        assert _bfs_fits(37) and not _bfs_fits(38)
+        with pytest.raises(MemoryError):
+            [-1] * 3 ** 38  # refused from the size arithmetic, nothing allocated
 
 
 class TestEnumerate:

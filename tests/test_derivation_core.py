@@ -1,9 +1,13 @@
 """The compiled derivation loop and the grammar-derived automaton, checked
-on random acyclic grammars against derive_step, which stays symbolic."""
+on random grammars against derive_step, which stays symbolic."""
+
+from itertools import takewhile
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from hanoilang.constructions import build_hanoi_grammar
 
 from hanoilang.grammar import (
     Derivation,
@@ -11,6 +15,7 @@ from hanoilang.grammar import (
     NoApplicableProduction,
     Production,
     StepLimitExceeded,
+    derive_chunks,
     derive_full,
     derive_step,
     derive_streaming,
@@ -24,14 +29,16 @@ BOTTOM = StackSymbol("z0")
 
 
 @st.composite
-def acyclic_grammars(draw):
-    """Nonterminal N_i rewrites only into terminals and N_j with j > i, so
-    every derivation ends. A nonterminal may have no production (a dead
-    end), several (only the first is used), or an empty right-hand side."""
-    nonterminals = [nonterminal(f"N{i}") for i in range(draw(st.integers(1, 6)))]
+def grammars(draw, acyclic=True, max_nonterminals=6):
+    """When acyclic, nonterminal N_i rewrites only into terminals and N_j
+    with j > i, so every derivation ends; otherwise into any nonterminal,
+    so a derivation may also run forever. A nonterminal may have no
+    production (a dead end), several (only the first is used), or an empty
+    right-hand side."""
+    nonterminals = [nonterminal(f"N{i}") for i in range(draw(st.integers(1, max_nonterminals)))]
     productions = []
     for i, lhs in enumerate(nonterminals):
-        symbols = TERMINALS + nonterminals[i + 1 :]
+        symbols = TERMINALS + nonterminals[i + 1 if acyclic else 0 :]
         for _ in range(draw(st.integers(0, 2))):
             rhs = draw(st.lists(st.sampled_from(symbols), max_size=3))
             productions.append(Production(lhs, tuple(rhs)))
@@ -80,7 +87,7 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@given(acyclic_grammars(), st.integers(1, 40))
+@given(grammars(), st.integers(1, 40))
 def test_compiled_derivations_match_stepwise_oracle(grammar, step_limit):
     # the oracle's last rewrite count and its neighbours are where the
     # outcome flips between a result, StepLimitExceeded and NoApplicableProduction
@@ -96,7 +103,92 @@ def test_compiled_derivations_match_stepwise_oracle(grammar, step_limit):
             assert count == expected
 
 
-@given(acyclic_grammars())
+def leftmost_payloads(form):
+    """The payloads of the terminals left of the form's leftmost nonterminal."""
+    return [sym.payload for sym in takewhile(lambda sym: sym.is_terminal, form)]
+
+
+def stepwise_handovers(grammar, cap):
+    """What iterated derive_step emits under each step_limit from 1 to one
+    past its last rewrite, and to at most cap: (payloads, steps) when the
+    word is derived, else (the payloads before the failing rewrite, (error
+    type, message))."""
+    form, forms = (grammar.start,), []
+    ending = settles_at = None  # the outcome once step_limit reaches settles_at
+    while ending is None and len(forms) <= cap:
+        forms.append(form)
+        try:
+            form = derive_step(grammar, form)
+        except NoApplicableProduction as exc:
+            ending = leftmost_payloads(forms[-1]), (NoApplicableProduction, str(exc))
+            settles_at = len(forms)
+        else:
+            if form is None:
+                ending = [sym.payload for sym in forms[-1]], len(forms) - 1
+                settles_at = len(forms) - 1
+    outcomes = {}
+    for limit in range(1, min(len(forms), cap) + 1):
+        if settles_at is not None and limit >= settles_at:
+            outcomes[limit] = ending
+        else:
+            message = f"derivation exceeded {limit} rewrites"
+            outcomes[limit] = leftmost_payloads(forms[limit]), (StepLimitExceeded, message)
+    return outcomes
+
+
+def chunked(grammar, step_limit, chunk):
+    """derive_chunks' handover as (payloads, steps or (error type, message)),
+    checking that each list holds from chunk to 2 * chunk - 1 items, fewer
+    only in the last one, and stays as it was handed over."""
+    lists, copies = [], []
+
+    def sink(items):
+        lists.append(items)
+        copies.append(list(items))
+
+    try:
+        steps, emitted = derive_chunks(grammar, sink, step_limit, chunk)
+        result = steps
+    except (StepLimitExceeded, NoApplicableProduction) as exc:
+        result = type(exc), str(exc)
+        emitted = None
+    assert lists == copies
+    assert all(chunk <= len(items) < 2 * chunk for items in lists[:-1])
+    assert all(0 < len(items) < 2 * chunk for items in lists[-1:])
+    payloads = [payload for items in lists for payload in items]
+    assert emitted in (None, len(payloads))
+    return payloads, result
+
+
+@given(st.booleans().flatmap(lambda acyclic: grammars(acyclic, max_nonterminals=5)),
+       st.integers(1, 5))
+def test_cached_derivation_matches_stepwise_at_every_step_limit(grammar, chunk):
+    # a nonterminal's word is replayed only when the rewrites left cover it
+    # all, so the handover must match the stepwise one at every budget
+    for limit, expected in stepwise_handovers(grammar, cap=60).items():
+        assert chunked(grammar, limit, chunk) == expected
+        streamed = []
+        try:
+            result = derive_streaming(grammar, streamed.append, limit)
+        except (StepLimitExceeded, NoApplicableProduction) as exc:
+            result = type(exc), str(exc)
+        payloads, steps = expected
+        assert streamed == payloads
+        assert result == (len(payloads) if isinstance(steps, int) else steps)
+
+
+@pytest.mark.parametrize("chunk", [100, 256])
+def test_cached_derivation_of_a_word_longer_than_a_chunk(chunk):
+    # 1,023 moves in chunks; at 256 the 255-move words of h_ij(8) are
+    # replayed whole, and a limit that cuts one falls back to stepwise
+    # rewrites and must stop where they stop
+    grammar = build_hanoi_grammar(10)
+    for limit, expected in stepwise_handovers(grammar, cap=1024).items():
+        assert chunked(grammar, limit, chunk) == expected
+    assert chunked(grammar, 1023, chunk) == (list(derive_full(grammar, 1023).word), 1023)
+
+
+@given(grammars())
 def test_pda_from_grammar_runs_the_derivation(grammar):
     expected = outcome(stepwise, grammar, 10_000)
     if not isinstance(expected, Derivation):
@@ -112,7 +204,7 @@ def test_pda_from_grammar_runs_the_derivation(grammar):
     assert run.steps == transitions
 
 
-@given(acyclic_grammars(), st.data())
+@given(grammars(), st.data())
 def test_pda_from_grammar_rejects_reachable_nonterminal_without_production(grammar, data):
     reachable = {sym for form in reached_forms(grammar) for sym in form if not sym.is_terminal}
     victim = data.draw(st.sampled_from(sorted(reachable, key=str)))

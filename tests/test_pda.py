@@ -14,6 +14,7 @@ from hanoilang.pda import (
     RunTrace,
     StackSymbol,
     is_deterministic,
+    run_chunks,
     run_to_empty_stack,
     step,
 )
@@ -292,6 +293,20 @@ def test_compiled_run_matches_stepwise_run(case):
     observed = run_to_empty_stack(pda, word, observer=seen.append, step_limit=step_limit)
     assert observed == RunTrace(expected.steps, (), expected.outcome)
     assert tuple(seen) == expected.emitted
+
+
+@given(deterministic_runs(), st.integers(1, 4))
+def test_chunked_run_hands_over_the_stepwise_payloads(case, chunk):
+    # the runner keeps one transition per step; only the handover batches
+    pda, _, step_limit = case
+    expected = stepwise_run(pda, (), step_limit)
+    lists = []
+    run = run_chunks(pda, lists.append, step_limit=step_limit, chunk=chunk, translate=str.upper)
+    assert run == (expected.steps, expected.outcome)
+    assert [payload for items in lists for payload in items] == [
+        payload.upper() for payload in expected.emitted]
+    assert all(len(items) == chunk for items in lists[:-1])
+    assert all(0 < len(items) <= chunk for items in lists[-1:])
 
 
 # Hand-built runs that end each way, including paths random machines rarely

@@ -20,10 +20,11 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 UNEXPORTED = {
     "constructions": ("BFS_MAX_DISCS", "PEG_PAIRS", "BfsResult", "CapExceeded", "spare_peg"),
     "grammar": ("Derivation", "Grammar", "GrammarError", "NoApplicableProduction", "Production",
-                "StepLimitExceeded", "Symbol", "format_form", "nonterminal", "terminal"),
+                "StepLimitExceeded", "Symbol", "derive_chunks", "format_form", "nonterminal",
+                "terminal"),
     "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport"),
     "pda": ("DeterminismReport", "EmptyStack", "NondeterministicPda", "Pda", "PdaConfiguration",
-            "PdaError", "RunOutcome", "RunTrace", "step"),
+            "PdaError", "RunOutcome", "RunTrace", "run_chunks", "step"),
 }
 
 
