@@ -44,13 +44,14 @@ from .constructions import (
 from .grammar import (
     NoApplicableProduction,
     StepLimitExceeded,
-    derive_chunks,
+    _CHUNK,
+    _derive,
     derive_step,
     enumerate_language,
     format_form,
 )
 from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
-from .pda import PdaConfiguration, RunOutcome, run_chunks, step as pda_step
+from .pda import PdaConfiguration, RunOutcome, _run, step as pda_step
 
 # Disc-count caps. Materializing a word above 24 discs needs gigabytes;
 # enumeration and traces blow up far sooner. --unsafe-no-cap lifts all of
@@ -59,10 +60,11 @@ SOLVE_MATERIALIZED_MAX = 24
 ENUMERATE_MAX = 4
 TRACE_MAX = 6
 
-# Engines hand over moves in chunks of about this many codes, and streamed
-# moves are written this many lines per write, so the buffer between the
-# engine and stdout stays a fixed size.
-STREAM_CHUNK_MOVES = 4096
+# Engines hand over moves in chunks of about this many codes, the size in
+# which the derivation hands over its payloads, and streamed moves are
+# written this many lines per write, so the buffer between the engine and
+# stdout stays a fixed size.
+STREAM_CHUNK_MOVES = _CHUNK
 # verify reads its input this many characters at a time, so its memory
 # stays a fixed size whatever the length of the word.
 VERIFY_CHUNK_CHARS = 1 << 13
@@ -101,15 +103,13 @@ def _hand_over(moves, sink) -> None:
 
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
     try:
-        derive_chunks(build_hanoi_grammar(n), sink, grammar_step_limit(n), STREAM_CHUNK_MOVES,
-                      _code)
+        _derive(build_hanoi_grammar(n), sink, grammar_step_limit(n), _code)
     except (StepLimitExceeded, NoApplicableProduction) as exc:
         raise EngineFailure(str(exc)) from exc
 
 
 def _pda_engine(n: int, unsafe: bool, sink) -> None:
-    _, outcome = run_chunks(build_hanoi_pda(n), sink, step_limit=pda_step_limit(n),
-                            chunk=STREAM_CHUNK_MOVES, translate=_code)
+    _, outcome = _run(build_hanoi_pda(n), sink, pda_step_limit(n), _code)
     if outcome is not RunOutcome.EMPTY_STACK_HALT:
         raise EngineFailure(f"automaton run ended {outcome.value}")
 

@@ -4,9 +4,9 @@ Symbols are terminal/nonterminal tags around opaque, hashable payloads;
 the engines never look inside a payload. Derivation is leftmost: when a
 form has several nonterminals, the leftmost one is rewritten, and when a
 nonterminal has several productions, the first registered one is applied.
-derive_chunks, derive_full and derive_streaming share one loop over an
-integer table that each Grammar compiles once; it hands terminals over in
-chunks and replays the words of small nonterminals from a cache.
+derive_full and derive_streaming share one loop over an integer table
+that each Grammar compiles once; it hands terminals over in chunks and
+replays the words of small nonterminals from a bounded cache.
 derive_step stays symbolic and is their reference. Language enumeration
 explores every rewrite position and production, so it is not limited to
 the leftmost strategy.
@@ -151,8 +151,12 @@ class Grammar:
         return self._by_lhs.get(sym, ())
 
 
-# The chunk size of derive_full and derive_streaming.
+# Derived payloads reach a sink in lists of about this many items; the
+# automaton's runner and the command line hand over and write in the same
+# size. The derivation's cache of small words holds at most
+# _CACHE_CHUNKS * _CHUNK items, so no grammar makes it grow past that.
 _CHUNK = 4096
+_CACHE_CHUNKS = 16
 
 
 class Derivation(namedtuple("Derivation", "word steps")):
@@ -178,33 +182,37 @@ def derive_step(grammar: Grammar, form) -> SententialForm | None:
     return None
 
 
-def derive_chunks(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
-                  chunk: int, translate: Callable[[Any], Any] | None = None) -> tuple[int, int]:
+def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
+            translate: Callable[[Any], Any] | None = None) -> tuple[int, int]:
     """The one leftmost derivation loop, on the grammar's compiled table.
 
     Rewrites with the first production, as derive_step does, and hands the
     terminal payloads, each mapped once through translate, to sink in
-    lists of chunk to 2 * chunk - 1 items, the last one shorter; sink may
-    keep a list. The items derived so far are handed over before a
+    lists of _CHUNK to 2 * _CHUNK - 1 items, the last one shorter; sink
+    may keep a list. The items derived so far are handed over before a
     StepLimitExceeded or NoApplicableProduction, so sink has then seen
     what derive_step emits up to the failing rewrite. Returns (steps,
     emitted).
 
     A nonterminal always derives the same word in the same number of
     rewrites. The first finished expansion of one whose word has at most
-    chunk items is kept, and later visits replay it when the rewrites left
-    cover its step count; otherwise they expand it step by step.
+    _CHUNK items is kept while the cache has room, and later visits replay
+    it when the rewrites left cover its step count; otherwise they expand
+    it step by step.
     """
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
     start, rules, payloads, nonterminals = grammar._compiled
+    chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
     items = payloads if translate is None else [translate(p) for p in payloads]
     # The pending part of the form is a work stack, leftmost symbol on top.
-    # A nonterminal whose word is still unknown is pushed under its rhs as
-    # `mark`, an id past every nonterminal; frames holds (nonterminal,
-    # items emitted before it, steps before it) for each pending mark.
-    # words[id] is the recorded (items, steps), False for a word longer
-    # than chunk, or None while unknown.
+    # words[id] is None while a nonterminal's word is unknown, the recorded
+    # (items, steps), or False while its first expansion is open and once
+    # it will not be recorded. At a visit while None, the nonterminal goes
+    # under its rhs as `mark`, an id past every nonterminal, and frames
+    # gets (nonterminal, items emitted before it, steps before it). A
+    # nonterminal met again while open derives itself and never ends, so
+    # it gets no second mark: at most one per nonterminal is pending.
     words: list = [None] * len(rules)
     mark = len(rules)
     frames = []
@@ -218,10 +226,14 @@ def derive_chunks(grammar: Grammar, sink: Callable[[list], None], step_limit: in
             buffer.append(items[top])
         elif top == mark:
             nt, at, before = frames.pop()
-            if handed + len(buffer) - at > chunk:
+            size = handed + len(buffer) - at
+            if size > chunk or size > room:
                 words[nt] = False
             elif at >= handed:  # the whole word is still in the buffer
                 words[nt] = (tuple(buffer[at - handed:]), steps - before)
+                room -= size
+            else:  # a handover cut it; the next visit records it
+                words[nt] = None
             continue
         else:
             word = words[top]
@@ -237,6 +249,7 @@ def derive_chunks(grammar: Grammar, sink: Callable[[list], None], step_limit: in
                         raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
                     raise NoApplicableProduction(f"no production rewrites {nonterminals[top]}")
                 if word is None:
+                    words[top] = False
                     pending.append(mark)
                     frames.append((top, handed + len(buffer), steps))
                 extend(rhs)
@@ -258,7 +271,7 @@ def derive_full(grammar: Grammar, step_limit: int) -> Derivation:
     most step_limit times the longest right-hand side.
     """
     word: list = []
-    steps, _ = derive_chunks(grammar, word.extend, step_limit, _CHUNK)
+    steps, _ = _derive(grammar, word.extend, step_limit)
     return Derivation(tuple(word), steps)
 
 
@@ -266,16 +279,17 @@ def derive_streaming(grammar: Grammar, sink: Callable[[Any], None], step_limit: 
     """Leftmost derivation that hands each terminal payload to sink.
 
     Payloads arrive in chunks of a few thousand, not the moment their
-    terminal becomes leftmost, so memory stays proportional to the rewrite
-    depth plus one chunk instead of the word length. Emits the same
-    sequence as derive_full, and on a failure every payload before the
-    failing rewrite. Returns the number of terminals emitted.
+    terminal becomes leftmost. Memory holds the part of the sentential
+    form not yet rewritten, one chunk, and a cache of small words bounded
+    by a fixed number of chunks, not the word. Emits the same sequence as
+    derive_full, and on a failure every payload before the failing
+    rewrite. Returns the number of terminals emitted.
     """
     def hand_over(payloads: list) -> None:
         for payload in payloads:
             sink(payload)
 
-    return derive_chunks(grammar, hand_over, step_limit, _CHUNK)[1]
+    return _derive(grammar, hand_over, step_limit)[1]
 
 
 def enumerate_language(grammar: Grammar, max_derivation_length: int) -> set:

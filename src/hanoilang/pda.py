@@ -20,16 +20,12 @@ from collections import namedtuple
 from enum import Enum
 from typing import Any, Callable
 
-from .grammar import Grammar
+from .grammar import _CHUNK, Grammar
 
 PDA_STATE = "q0"
 
 # The compiled payload of a stack symbol that reports nothing.
 _SILENT = object()
-
-
-# The chunk size of run_to_empty_stack.
-_CHUNK = 4096
 
 
 class PdaError(ValueError):
@@ -218,8 +214,8 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
     the returned trace's emitted. No move reads a letter, so the run ends
     with EMPTY_STACK_HALT when the stack drains on an empty input word,
     STUCK when it drains on a nonempty one or no transition applies first,
-    or STEP_LIMIT. Runs on the compiled table (see run_chunks); iterating
-    step is the reference.
+    or STEP_LIMIT. Runs on the compiled table (see _run); iterating step
+    is the reference.
     """
     emitted: list = []
     if observer is None:
@@ -228,20 +224,20 @@ def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | N
         def hand_over(payloads: list) -> None:
             for payload in payloads:
                 observer(payload)
-    steps, outcome = run_chunks(pda, hand_over, step_limit=step_limit, chunk=_CHUNK)
+    steps, outcome = _run(pda, hand_over, step_limit)
     if outcome is RunOutcome.EMPTY_STACK_HALT and tuple(input_word):
         outcome = RunOutcome.STUCK
     return RunTrace(steps=steps, emitted=tuple(emitted), outcome=outcome)
 
 
-def run_chunks(pda: Pda, sink: Callable[[list], None], *, step_limit: int, chunk: int,
-               translate: Callable[[Any], Any] | None = None) -> tuple[int, RunOutcome]:
+def _run(pda: Pda, sink: Callable[[list], None], step_limit: int,
+         translate: Callable[[Any], Any] | None = None) -> tuple[int, RunOutcome]:
     """The deterministic runner's one loop, on the empty input word.
 
     Takes one transition per step. The payloads that observable tops
     report, each mapped once through translate, go to sink in lists of
-    chunk items, and the rest when the run ends, however it ends; sink may
-    keep a list. Returns (transitions taken, outcome).
+    _CHUNK items, and the rest when the run ends, however it ends; sink
+    may keep a list. Returns (transitions taken, outcome).
     """
     report = is_deterministic(pda)
     if not report:
@@ -253,6 +249,7 @@ def run_chunks(pda: Pda, sink: Callable[[list], None], *, step_limit: int, chunk
     (row, bottom), moves, payloads = pda._compiled
     if translate is not None:
         payloads = [p if p is _SILENT else translate(p) for p in payloads]
+    chunk = _CHUNK
     stack = [bottom]  # top kept at the end for cheap push/pop
     pop, extend = stack.pop, stack.extend
     buffer: list = []

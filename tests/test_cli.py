@@ -99,13 +99,13 @@ class TestSolve:
         assert err.endswith(" verified=true\n")
 
     def test_stream_reports_an_illegal_move_as_unverified(self, capsys, monkeypatch):
-        def derive_illegal(grammar, sink, step_limit, chunk, translate):
+        def derive_illegal(grammar, sink, step_limit, translate):
             # the third move finds peg 1 empty; the board ignores it, and the
             # last move still ends with both discs on peg 3
             sink([translate(MoveSymbol.parse(code)) for code in ("p12", "p13", "p13", "p23")])
             return 3, 4
 
-        monkeypatch.setattr("hanoilang.cli.derive_chunks", derive_illegal)
+        monkeypatch.setattr("hanoilang.cli._derive", derive_illegal)
         code, out, err = run_cli(capsys, "solve", "--n", "2", "--stream")
         assert code == 0
         assert out == "p12\np13\np13\np23\n"

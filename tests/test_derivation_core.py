@@ -1,21 +1,24 @@
 """The compiled derivation loop and the grammar-derived automaton, checked
 on random grammars against derive_step, which stays symbolic."""
 
+import tracemalloc
 from itertools import takewhile
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hanoilang.constructions import build_hanoi_grammar
-
 from hanoilang.grammar import (
+    _CACHE_CHUNKS,
+    _CHUNK,
     Derivation,
     Grammar,
     NoApplicableProduction,
     Production,
     StepLimitExceeded,
-    derive_chunks,
+    _derive,
     derive_full,
     derive_step,
     derive_streaming,
@@ -137,9 +140,10 @@ def stepwise_handovers(grammar, cap):
 
 
 def chunked(grammar, step_limit, chunk):
-    """derive_chunks' handover as (payloads, steps or (error type, message)),
-    checking that each list holds from chunk to 2 * chunk - 1 items, fewer
-    only in the last one, and stays as it was handed over."""
+    """The derivation loop's handover at a chunk size of chunk, as (payloads,
+    steps or (error type, message)), checking that each list holds from
+    chunk to 2 * chunk - 1 items, fewer only in the last one, and stays as
+    it was handed over."""
     lists, copies = [], []
 
     def sink(items):
@@ -147,7 +151,8 @@ def chunked(grammar, step_limit, chunk):
         copies.append(list(items))
 
     try:
-        steps, emitted = derive_chunks(grammar, sink, step_limit, chunk)
+        with mock.patch("hanoilang.grammar._CHUNK", chunk):
+            steps, emitted = _derive(grammar, sink, step_limit)
         result = steps
     except (StepLimitExceeded, NoApplicableProduction) as exc:
         result = type(exc), str(exc)
@@ -164,7 +169,8 @@ def chunked(grammar, step_limit, chunk):
        st.integers(1, 5))
 def test_cached_derivation_matches_stepwise_at_every_step_limit(grammar, chunk):
     # a nonterminal's word is replayed only when the rewrites left cover it
-    # all, so the handover must match the stepwise one at every budget
+    # all, so the handover must match the stepwise one at every budget; at
+    # these chunk sizes the cache of 16 chunks also fills up
     for limit, expected in stepwise_handovers(grammar, cap=60).items():
         assert chunked(grammar, limit, chunk) == expected
         streamed = []
@@ -181,11 +187,48 @@ def test_cached_derivation_matches_stepwise_at_every_step_limit(grammar, chunk):
 def test_cached_derivation_of_a_word_longer_than_a_chunk(chunk):
     # 1,023 moves in chunks; at 256 the 255-move words of h_ij(8) are
     # replayed whole, and a limit that cuts one falls back to stepwise
-    # rewrites and must stop where they stop
+    # rewrites and must stop where they stop. Both fill the cache.
     grammar = build_hanoi_grammar(10)
     for limit, expected in stepwise_handovers(grammar, cap=1024).items():
         assert chunked(grammar, limit, chunk) == expected
     assert chunked(grammar, 1023, chunk) == (list(derive_full(grammar, 1023).word), 1023)
+
+
+def derivation_peak(grammar, step_limit):
+    """The traced memory peak of a derivation that keeps none of its word,
+    in bytes, and how it ended."""
+    tracemalloc.start()
+    try:
+        result = outcome(_derive, grammar, lambda items: None, step_limit)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_derivation_that_never_ends_runs_in_fixed_memory():
+    # N0 -> a N0 rewrites forever with a form of two symbols; the N0 met
+    # while its first expansion is open must not leave one more pending
+    # mark per rewrite
+    n0, a = nonterminal("N0"), terminal("a")
+    grammar = Grammar({a}, {n0}, n0, [Production(n0, (a, n0))])
+    peak, result = derivation_peak(grammar, 200_000)
+    assert result == (StepLimitExceeded, "derivation exceeded 200000 rewrites")
+    assert peak < 1 << 20  # a mark and frame per rewrite held over 20 MB
+
+
+def test_the_cache_of_small_words_stays_bounded():
+    # N_i -> a N_i+1 down a chain a little shorter than a chunk: every word
+    # fits in a chunk and is still whole in the buffer when it ends, and
+    # recording all of them would keep about _CHUNK^2 / 2 items
+    size = _CHUNK - 1
+    chain = [nonterminal(f"N{i}") for i in range(size)]
+    a = terminal("a")
+    productions = [Production(lhs, (a, rhs)) for lhs, rhs in zip(chain, chain[1:])]
+    grammar = Grammar({a}, set(chain), chain[0], productions + [Production(chain[-1], (a,))])
+    peak, steps = derivation_peak(grammar, size)
+    assert steps == (size, size)
+    assert peak < 3 * _CACHE_CHUNKS * _CHUNK * 8  # the unbounded cache held over 60 MB
+    assert derive_full(grammar, size) == Derivation(("a",) * size, size)
 
 
 @given(grammars())

@@ -1,5 +1,7 @@
 """Generic pushdown automaton machinery, independent of the Hanoi builders."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,8 @@ from hanoilang.pda import (
     RunOutcome,
     RunTrace,
     StackSymbol,
+    _run,
     is_deterministic,
-    run_chunks,
     run_to_empty_stack,
     step,
 )
@@ -301,7 +303,8 @@ def test_chunked_run_hands_over_the_stepwise_payloads(case, chunk):
     pda, _, step_limit = case
     expected = stepwise_run(pda, (), step_limit)
     lists = []
-    run = run_chunks(pda, lists.append, step_limit=step_limit, chunk=chunk, translate=str.upper)
+    with mock.patch("hanoilang.pda._CHUNK", chunk):
+        run = _run(pda, lists.append, step_limit, str.upper)
     assert run == (expected.steps, expected.outcome)
     assert [payload for items in lists for payload in items] == [
         payload.upper() for payload in expected.emitted]

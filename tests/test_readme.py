@@ -20,11 +20,10 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 UNEXPORTED = {
     "constructions": ("BFS_MAX_DISCS", "PEG_PAIRS", "BfsResult", "CapExceeded", "spare_peg"),
     "grammar": ("Derivation", "Grammar", "GrammarError", "NoApplicableProduction", "Production",
-                "StepLimitExceeded", "Symbol", "derive_chunks", "format_form", "nonterminal",
-                "terminal"),
+                "StepLimitExceeded", "Symbol", "format_form", "nonterminal", "terminal"),
     "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport"),
     "pda": ("DeterminismReport", "EmptyStack", "NondeterministicPda", "Pda", "PdaConfiguration",
-            "PdaError", "RunOutcome", "RunTrace", "run_chunks", "step"),
+            "PdaError", "RunOutcome", "RunTrace", "step"),
 }
 
 
