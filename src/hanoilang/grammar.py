@@ -6,7 +6,8 @@ form has several nonterminals, the leftmost one is rewritten, and when a
 nonterminal has several productions, the first registered one is applied.
 derive_full and derive_streaming share one loop over an integer table
 that each Grammar compiles once; it hands terminals over in chunks and
-replays the words of small nonterminals from a bounded cache.
+replays the words of small nonterminals from a bounded cache, where each
+word is built from the recorded words of its right-hand side.
 derive_step stays symbolic and is their reference. Language enumeration
 explores every rewrite position and production, so it is not limited to
 the leftmost strategy.
@@ -195,10 +196,11 @@ def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
     emitted).
 
     A nonterminal always derives the same word in the same number of
-    rewrites. The first finished expansion of one whose word has at most
-    _CHUNK items is kept while the cache has room, and later visits replay
-    it when the rewrites left cover its step count; otherwise they expand
-    it step by step.
+    rewrites: the concatenation of its rhs symbols' words, in one rewrite
+    more than theirs. At a visit where every rhs symbol is a terminal or
+    has a recorded word, a word of at most _CHUNK items is recorded while
+    the cache has room, and it is replayed when the rewrites left cover
+    its step count; otherwise the nonterminal is expanded step by step.
     """
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
@@ -207,15 +209,8 @@ def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
     items = payloads if translate is None else [translate(p) for p in payloads]
     # The pending part of the form is a work stack, leftmost symbol on top.
     # words[id] is None while a nonterminal's word is unknown, the recorded
-    # (items, steps), or False while its first expansion is open and once
-    # it will not be recorded. At a visit while None, the nonterminal goes
-    # under its rhs as `mark`, an id past every nonterminal, and frames
-    # gets (nonterminal, items emitted before it, steps before it). A
-    # nonterminal met again while open derives itself and never ends, so
-    # it gets no second mark: at most one per nonterminal is pending.
+    # (items, steps), or False once it will not be recorded.
     words: list = [None] * len(rules)
-    mark = len(rules)
-    frames = []
     pending = [start]
     pop, extend = pending.pop, pending.extend
     buffer: list = []
@@ -224,34 +219,35 @@ def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
         top = pop()
         if top < 0:
             buffer.append(items[top])
-        elif top == mark:
-            nt, at, before = frames.pop()
-            size = handed + len(buffer) - at
-            if size > chunk or size > room:
-                words[nt] = False
-            elif at >= handed:  # the whole word is still in the buffer
-                words[nt] = (tuple(buffer[at - handed:]), steps - before)
-                room -= size
-            else:  # a handover cut it; the next visit records it
-                words[nt] = None
-            continue
         else:
             word = words[top]
+            rhs = rules[top]
+            if word is None and rhs is not None:
+                parts = [((items[s],), 0) if s < 0 else words[s] for s in reversed(rhs)]
+                if all(parts):
+                    size = sum(len(part) for part, _ in parts)
+                    if size > chunk or size > room:
+                        word = False
+                    else:
+                        built, count = (), 1
+                        for part, part_steps in parts:
+                            built += part
+                            count += part_steps
+                        word = built, count
+                        room -= size
+                    words[top] = word
+                elif False in parts:  # a part too long to record makes it too long
+                    words[top] = False
             if word and steps + word[1] <= step_limit:
                 buffer += word[0]
                 steps += word[1]
             else:
-                rhs = rules[top]
                 if steps >= step_limit or rhs is None:
                     if buffer:
                         sink(buffer)
                     if steps >= step_limit:
                         raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
                     raise NoApplicableProduction(f"no production rewrites {nonterminals[top]}")
-                if word is None:
-                    words[top] = False
-                    pending.append(mark)
-                    frames.append((top, handed + len(buffer), steps))
                 extend(rhs)
                 steps += 1
                 continue

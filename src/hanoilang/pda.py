@@ -42,7 +42,7 @@ class NondeterministicPda(RuntimeError):
 
 class StackSymbol(namedtuple("StackSymbol", "payload observable", defaults=(False,))):
     """Stack alphabet element. Observable symbols report their payload to
-    the run's observer each time a transition consults them."""
+    the run each time a transition consults them."""
 
     __slots__ = ()
 
@@ -204,27 +204,19 @@ def is_deterministic(pda: Pda) -> DeterminismReport:
     return DeterminismReport(True)
 
 
-def run_to_empty_stack(pda: Pda, input_word, observer: Callable[[Any], None] | None = None,
-                       *, step_limit: int) -> RunTrace:
+def run_to_empty_stack(pda: Pda, input_word, *, step_limit: int) -> RunTrace:
     """Follow the unique transition chain until the stack drains.
 
     Requires a deterministic automaton. Every transition that consults an
-    observable stack top reports that symbol's payload: to the observer if
-    one is given, in order and in chunks of a few thousand, otherwise to
-    the returned trace's emitted. No move reads a letter, so the run ends
+    observable stack top reports that symbol's payload, in order, to the
+    returned trace's emitted. No move reads a letter, so the run ends
     with EMPTY_STACK_HALT when the stack drains on an empty input word,
     STUCK when it drains on a nonempty one or no transition applies first,
     or STEP_LIMIT. Runs on the compiled table (see _run); iterating step
     is the reference.
     """
     emitted: list = []
-    if observer is None:
-        hand_over = emitted.extend
-    else:
-        def hand_over(payloads: list) -> None:
-            for payload in payloads:
-                observer(payload)
-    steps, outcome = _run(pda, hand_over, step_limit)
+    steps, outcome = _run(pda, emitted.extend, step_limit)
     if outcome is RunOutcome.EMPTY_STACK_HALT and tuple(input_word):
         outcome = RunOutcome.STUCK
     return RunTrace(steps=steps, emitted=tuple(emitted), outcome=outcome)

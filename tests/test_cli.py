@@ -112,7 +112,7 @@ class TestSolve:
         assert "move_count=4" in err
         assert "verified=false" in err
 
-    def test_stream_pda_goes_through_observer(self, capsys):
+    def test_stream_pda_writes_the_moves(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--n", "3", "--engine", "pda", "--stream")
         assert code == 0
         assert out.split() == ["p13", "p12", "p32", "p13", "p21", "p23", "p13"]

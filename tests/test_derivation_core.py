@@ -187,7 +187,8 @@ def test_cached_derivation_matches_stepwise_at_every_step_limit(grammar, chunk):
 def test_cached_derivation_of_a_word_longer_than_a_chunk(chunk):
     # 1,023 moves in chunks; at 256 the 255-move words of h_ij(8) are
     # replayed whole, and a limit that cuts one falls back to stepwise
-    # rewrites and must stop where they stop. Both fill the cache.
+    # rewrites and must stop where they stop. At 100 the 127-move words of
+    # h_ij(7) are too long to record, and so is every word above them.
     grammar = build_hanoi_grammar(10)
     for limit, expected in stepwise_handovers(grammar, cap=1024).items():
         assert chunked(grammar, limit, chunk) == expected
@@ -206,29 +207,38 @@ def derivation_peak(grammar, step_limit):
 
 
 def test_a_derivation_that_never_ends_runs_in_fixed_memory():
-    # N0 -> a N0 rewrites forever with a form of two symbols; the N0 met
-    # while its first expansion is open must not leave one more pending
-    # mark per rewrite
+    # N0 -> a N0 rewrites forever with a form of two symbols; N0 never
+    # gets a word, and the visit that looks for one must keep nothing
     n0, a = nonterminal("N0"), terminal("a")
     grammar = Grammar({a}, {n0}, n0, [Production(n0, (a, n0))])
     peak, result = derivation_peak(grammar, 200_000)
     assert result == (StepLimitExceeded, "derivation exceeded 200000 rewrites")
-    assert peak < 1 << 20  # a mark and frame per rewrite held over 20 MB
+    assert peak < 1 << 20  # one object kept per rewrite would hold over 20 MB
 
 
 def test_the_cache_of_small_words_stays_bounded():
-    # N_i -> a N_i+1 down a chain a little shorter than a chunk: every word
-    # fits in a chunk and is still whole in the buffer when it ends, and
-    # recording all of them would keep about _CHUNK^2 / 2 items
+    # N_i -> a N_i+1 down a chain of m = _CHUNK - 1, so every word fits in
+    # a chunk. From N_0, each N_i is met before N_i+1 has a word and none
+    # is recorded. From S -> N_m-1 ... N_m-1024, each N_i is met after
+    # N_i+1 has one, and recording all 1,024 words would keep 524,800
+    # items. The whole chain reversed would keep _CHUNK^2 / 2, but takes
+    # 8.4 million rewrites, nearly all stepwise once the cache is full.
     size = _CHUNK - 1
     chain = [nonterminal(f"N{i}") for i in range(size)]
-    a = terminal("a")
+    a, s = terminal("a"), nonterminal("S")
     productions = [Production(lhs, (a, rhs)) for lhs, rhs in zip(chain, chain[1:])]
-    grammar = Grammar({a}, set(chain), chain[0], productions + [Production(chain[-1], (a,))])
+    productions.append(Production(chain[-1], (a,)))
+    grammar = Grammar({a}, set(chain), chain[0], productions)
     peak, steps = derivation_peak(grammar, size)
     assert steps == (size, size)
-    assert peak < 3 * _CACHE_CHUNKS * _CHUNK * 8  # the unbounded cache held over 60 MB
+    assert peak < 3 * _CACHE_CHUNKS * _CHUNK * 8  # every word recorded would hold over 60 MB
     assert derive_full(grammar, size) == Derivation(("a",) * size, size)
+    productions.append(Production(s, chain[:-1025:-1]))
+    grammar = Grammar({a}, set(chain) | {s}, s, productions)
+    word = 1024 * 1025 // 2
+    peak, steps = derivation_peak(grammar, word + 1)
+    assert steps == (word + 1, word)
+    assert peak < 3 * _CACHE_CHUNKS * _CHUNK * 8  # the unbounded cache held over 4 MB
 
 
 @given(grammars())

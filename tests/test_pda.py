@@ -135,13 +135,8 @@ class TestRunToEmptyStack:
         assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
         assert trace.steps == 3
         assert trace.emitted == ("m1", "m2")
-        # an observer receives the payloads instead of the trace
-        seen = []
-        observed = run_to_empty_stack(pda, (), observer=seen.append, step_limit=10)
-        assert observed == RunTrace(steps=3, emitted=(), outcome=RunOutcome.EMPTY_STACK_HALT)
-        assert seen == ["m1", "m2"]
 
-    def test_observer_is_optional(self):
+    def test_run_without_observables_emits_nothing(self):
         pda = make_pda({("q", Z): (("q", ()),)})
         trace = run_to_empty_stack(pda, (), step_limit=5)
         assert trace.outcome is RunOutcome.EMPTY_STACK_HALT
@@ -291,10 +286,6 @@ def test_compiled_run_matches_stepwise_run(case):
     assert is_deterministic(pda)
     expected = stepwise_run(pda, word, step_limit)
     assert run_to_empty_stack(pda, word, step_limit=step_limit) == expected
-    seen = []
-    observed = run_to_empty_stack(pda, word, observer=seen.append, step_limit=step_limit)
-    assert observed == RunTrace(expected.steps, (), expected.outcome)
-    assert tuple(seen) == expected.emitted
 
 
 @given(deterministic_runs(), st.integers(1, 4))
