@@ -60,11 +60,6 @@ SOLVE_MATERIALIZED_MAX = 24
 ENUMERATE_MAX = 4
 TRACE_MAX = 6
 
-# Engines hand over moves in chunks of about this many codes, the size in
-# which the derivation hands over its payloads, and streamed moves are
-# written this many lines per write, so the buffer between the engine and
-# stdout stays a fixed size.
-STREAM_CHUNK_MOVES = _CHUNK
 # verify reads its input this many characters at a time, so its memory
 # stays a fixed size whatever the length of the word.
 VERIFY_CHUNK_CHARS = 1 << 13
@@ -97,8 +92,8 @@ _code = attrgetter("code")
 
 def _hand_over(moves, sink) -> None:
     """Pass a materialized word to sink as codes, one chunk at a time."""
-    for start in range(0, len(moves), STREAM_CHUNK_MOVES):
-        sink(list(map(_code, moves[start:start + STREAM_CHUNK_MOVES])))
+    for start in range(0, len(moves), _CHUNK):
+        sink(list(map(_code, moves[start:start + _CHUNK])))
 
 
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
@@ -133,9 +128,10 @@ def _bfs_engine(n: int, unsafe: bool, sink) -> None:
     _hand_over(result.sequence, sink)
 
 
-# Each engine hands the N-disc word to sink as lists of move codes, in
-# order and at most a few chunks long each, or raises EngineFailure; sink
-# may keep a list. --unsafe-no-cap reaches the engine as `unsafe`.
+# Each engine hands the N-disc word to sink as non-empty lists of move
+# codes, in order and at most 2 * _CHUNK - 1 long each, or raises
+# EngineFailure; sink may keep a list. --unsafe-no-cap reaches the engine
+# as `unsafe`.
 ENGINES = {
     "grammar": _grammar_engine,
     "pda": _pda_engine,
@@ -144,32 +140,23 @@ ENGINES = {
 }
 
 
-def _bfs_fits(n: int) -> bool:
-    """Whether CPython can size a list of the search's 3^n positions. Past
-    sys.maxsize it cannot index one, and past sys.maxsize bytes of slots it
-    refuses one from its size arithmetic; neither case allocates."""
-    slot = (sys.maxsize.bit_length() + 1) // 8  # bytes in a list slot
-    return 3 ** n * slot <= sys.maxsize
-
-
 def _write_lines(out, codes) -> None:
-    """Write move codes one per line to the text stream out, with one
-    write per chunk of lines.
+    """Write a chunk of move codes one per line to the text stream out, in
+    one write; an engine's chunks are at most 2 * _CHUNK - 1 codes long.
 
-    When out has a binary buffer, as sys.stdout does, the chunks go there.
+    When out has a binary buffer, as sys.stdout does, the chunk goes there.
     A write larger than the buffer's own goes straight to the file and
     ends short, without an error, when the reader closes the pipe. A short
     count is therefore raised as the BrokenPipeError it stands for, so the
     output ends there even when it was the last chunk. A stream without a
     binary buffer, such as an io.StringIO, takes the text.
     """
+    text = "\n".join(codes) + "\n"
     binary = getattr(out, "buffer", None)
-    for start in range(0, len(codes), STREAM_CHUNK_MOVES):
-        text = "\n".join(codes[start:start + STREAM_CHUNK_MOVES]) + "\n"
-        if binary is None:
-            out.write(text)
-        elif binary.write(data := text.encode()) < len(data):
-            raise BrokenPipeError("stdout took only part of a write")
+    if binary is None:
+        out.write(text)
+    elif binary.write(data := text.encode()) < len(data):
+        raise BrokenPipeError("stdout took only part of a write")
 
 
 def cmd_solve(args) -> int:
@@ -267,30 +254,14 @@ def cmd_verify(args) -> int:
         _complain(f"cannot read moves from {args.moves!r}: {exc}")
         return EXIT_USAGE
     report = board.report(played, reason)
-    solved = report.legal and report.final_solved
     if args.format == "json":
         import json
-        print(
-            json.dumps(
-                {
-                    "n_discs": args.n,
-                    "legal": report.legal,
-                    "failing_index": report.failing_index,
-                    "failure_reason": report.failure_reason,
-                    "final_solved": report.final_solved,
-                    "moves_checked": report.moves_checked,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({"n_discs": args.n, **report._asdict()}, indent=2))
     else:
-        print(f"legal: {'true' if report.legal else 'false'}")
-        if not report.legal:
-            print(f"failing_index: {report.failing_index}")
-            print(f"failure_reason: {report.failure_reason}")
-        print(f"final_solved: {'true' if report.final_solved else 'false'}")
-        print(f"moves_checked: {report.moves_checked}")
-    return EXIT_OK if solved else EXIT_FAILURE
+        for field, value in report._asdict().items():
+            if value is not None:
+                print(f"{field}: {str(value).lower() if isinstance(value, bool) else value}")
+    return EXIT_OK if report.legal and report.final_solved else EXIT_FAILURE
 
 
 def cmd_compare(args) -> int:
@@ -300,17 +271,14 @@ def cmd_compare(args) -> int:
             "discs (see --unsafe-no-cap)"
         )
         return EXIT_ENGINE
-    if args.unsafe_no_cap and not _bfs_fits(args.n):
-        # refused before the other engines spend hours on 2^n moves
-        _complain(f"breadth-first search at {args.n} discs: "
-                  f"3^{args.n} positions do not fit in a list")
-        return EXIT_ENGINE
     engines = list(ENGINES)
     if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
         engines.remove("bfs")
         print(f"bfs: skipped (capped at {BFS_MAX_DISCS} discs)")
-    sequences = {}
-    for engine in engines:
+    sequences, lines = {}, {}
+    # bfs runs first: where its 3^n positions cannot be held it fails at
+    # once, before any other engine fills a list of 2^n moves.
+    for engine in sorted(engines, key=lambda engine: engine != "bfs"):
         sequences[engine] = []
         started = time.perf_counter()
         try:
@@ -319,7 +287,9 @@ def cmd_compare(args) -> int:
             _complain(f"engine {engine} failed: {exc}")
             return EXIT_ENGINE
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        print(f"{engine}: {len(sequences[engine])} moves in {elapsed_ms:.3f} ms")
+        lines[engine] = f"{engine}: {len(sequences[engine])} moves in {elapsed_ms:.3f} ms"
+    for engine in engines:
+        print(lines[engine])
     reference = engines[0]
     for engine in engines[1:]:
         expected, got = sequences[reference], sequences[engine]

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hanoilang
-from hanoilang.cli import ENGINES, _bfs_fits, main
+from hanoilang.cli import ENGINES, main
 from hanoilang.constructions import HanoiInstance, recursive_solve
+from hanoilang.grammar import _CHUNK
 from hanoilang.hanoi import MoveParseError, MoveSymbol, validate_sequence
 
 TWO_DISC_WORD = "p12 p13 p23"
@@ -252,6 +253,19 @@ class TestSolve:
         assert err.endswith(" verified=true\n")
 
 
+@pytest.mark.parametrize("engine, n", [
+    *((engine, n) for engine in ENGINES if engine != "bfs" for n in (13, 15)),
+    ("bfs", 10),
+])
+def test_engines_hand_over_lists_the_writer_takes_in_one_write(engine, n):
+    # solve --stream writes each handed list in one write, so its size
+    # rests on this bound
+    chunks = []
+    ENGINES[engine](n, False, chunks.append)
+    assert all(0 < len(chunk) <= 2 * _CHUNK - 1 for chunk in chunks)
+    assert sum(map(len, chunks)) == 2 ** n - 1
+
+
 VALID_CODES = ["p12", "p13", "p21", "p23", "p31", "p32"]
 BAD_TOKENS = ["p14", "x", "p1", "P13", "p131", "p13p12p23", "pp1313",
               # around the 64-character quote limit, and far past it
@@ -272,10 +286,11 @@ def parse_error(index, token):
             "expected 'pij' with two distinct pegs in 1..3\n")
 
 
-def whole_text_verdict(n, text):
-    """What `verify --format json` must print for text: the exit code,
+def whole_text_verdict(n, text, fmt):
+    """What `verify --format fmt` must print for text: the exit code,
     stdout and stderr of parsing every token first and then replaying the
-    parsed list with validate_sequence."""
+    parsed list with validate_sequence. The text form lists the report's
+    set fields in order, one `field: value` line each."""
     moves = []
     for index, token in enumerate(text.split()):
         try:
@@ -283,9 +298,16 @@ def whole_text_verdict(n, text):
         except MoveParseError:
             return 2, "", parse_error(index, token)
     report = validate_sequence(n, moves)
-    record = {"n_discs": n, **report._asdict()}
     exit_code = 0 if report.legal and report.final_solved else 1
-    return exit_code, json.dumps(record, indent=2) + "\n", ""
+    if fmt == "json":
+        return exit_code, json.dumps({"n_discs": n, **report._asdict()}, indent=2) + "\n", ""
+    lines = [f"legal: {json.dumps(report.legal)}"]
+    if not report.legal:
+        lines += [f"failing_index: {report.failing_index}",
+                  f"failure_reason: {report.failure_reason}"]
+    lines += [f"final_solved: {json.dumps(report.final_solved)}",
+              f"moves_checked: {report.moves_checked}"]
+    return exit_code, "".join(line + "\n" for line in lines), ""
 
 
 # Runs cli.main in a fresh interpreter and reports, as its last stderr
@@ -458,13 +480,14 @@ class TestVerify:
             text += code + data.draw(separators, label="separator")
         if codes and data.draw(st.booleans(), label="no trailing whitespace"):
             text = text.rstrip()
+        fmt = data.draw(st.sampled_from(["text", "json"]), label="format")
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("hanoilang.cli.VERIFY_CHUNK_CHARS", 5)
             patch.setattr("sys.stdin", io.StringIO(text))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["verify", "--n", str(n), "-", "--format", "json"])
-        assert (code, out.getvalue(), err.getvalue()) == whole_text_verdict(n, text)
+                code = main(["verify", "--n", str(n), "-", "--format", fmt])
+        assert (code, out.getvalue(), err.getvalue()) == whole_text_verdict(n, text, fmt)
 
     def test_a_long_token_is_quoted_short_in_bounded_memory(self, capsys, monkeypatch):
         token = "p" * 1_000_000
@@ -518,7 +541,11 @@ class TestCompare:
         assert code == 1
         assert "divergence: grammar vs recursive at index 1" in out
 
-    @pytest.mark.parametrize("n", [38, 41])
+    # At 30 discs malloc refuses the 3^30 slots, more bytes than the address
+    # space holds; at 38 CPython refuses them from its size arithmetic; at
+    # 41 it cannot index them. Never lift the cap between 12 and 27 discs:
+    # there the allocation can succeed and fill gigabytes.
+    @pytest.mark.parametrize("n", [30, 38, 41])
     def test_bfs_past_the_largest_list_is_refused_before_any_engine(self, capsys, monkeypatch, n):
         # each other engine would first fill a list of 2^n moves
         def never(*args):
@@ -528,13 +555,25 @@ class TestCompare:
             monkeypatch.setitem(ENGINES, engine, never)
         code, out, err = run_cli(capsys, "compare", "--n", str(n), "--unsafe-no-cap")
         assert (code, out) == (3, "")
-        assert err == (f"hanoilang: breadth-first search at {n} discs: "
-                       f"3^{n} positions do not fit in a list\n")
+        assert err.startswith(f"hanoilang: engine bfs failed: breadth-first search at {n} discs: ")
+        assert err.count("\n") == 1
 
-    def test_refusal_starts_where_the_interpreter_refuses_the_list(self):
-        assert _bfs_fits(37) and not _bfs_fits(38)
-        with pytest.raises(MemoryError):
-            [-1] * 3 ** 38  # refused from the size arithmetic, nothing allocated
+    def test_bfs_runs_first_and_lines_keep_the_engine_order(self, capsys, monkeypatch):
+        word = [mv.code for mv in recursive_solve(HanoiInstance(3))]
+        calls = []
+
+        def recording(name):
+            def engine(n, unsafe, sink):
+                calls.append(name)
+                sink(list(word))
+            return engine
+
+        for engine in ENGINES:
+            monkeypatch.setitem(ENGINES, engine, recording(engine))
+        code, out, _ = run_cli(capsys, "compare", "--n", "3")
+        assert code == 0
+        assert calls[0] == "bfs" and sorted(calls) == sorted(ENGINES)
+        assert [line.split(":")[0] for line in out.splitlines()] == [*ENGINES, "agreement"]
 
 
 class TestEnumerate:
