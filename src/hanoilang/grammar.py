@@ -4,11 +4,12 @@ Symbols are terminal/nonterminal tags around opaque, hashable payloads;
 the engines never look inside a payload. Derivation is leftmost: when a
 form has several nonterminals, the leftmost one is rewritten, and when a
 nonterminal has several productions, the first registered one is applied.
-derive_full and derive_streaming share one loop over an integer table
-that each Grammar compiles once; it hands terminals over in chunks and
-replays the words of small nonterminals from a bounded cache, where each
-word is built from the recorded words of its right-hand side.
-derive_step stays symbolic and is their reference. Language enumeration
+derive_full and derive_streaming run _unwind, the one loop that the
+automaton's runner in pda.py shares, on an integer table that each
+Grammar compiles once. It hands terminals over in chunks and replays the
+recorded runs of small symbols from a bounded cache, where each run is
+built from the recorded runs of what the symbol pushes. derive_step
+stays symbolic and is their reference. Language enumeration
 explores every rewrite position and production, so it is not limited to
 the leftmost strategy.
 """
@@ -119,19 +120,16 @@ class Grammar:
         object.__setattr__(
             self, "_by_lhs", {lhs: tuple(prods) for lhs, prods in index.items()}
         )
-        # The derivation loop's table. Nonterminals are ids 0..; rules[id] is
-        # the first production's rhs as ids, reversed for a work stack (None
-        # without one). Terminals are negative ids: payloads[id].
-        nonterminals = list(self.nonterminals)
-        terminals = list(self.terminals)
-        ids = {sym: i for i, sym in enumerate(nonterminals)}
-        ids.update((sym, i - len(terminals)) for i, sym in enumerate(terminals))
-        rules = [
-            tuple(ids[sym] for sym in reversed(index[nt][0].rhs)) if nt in index else None
-            for nt in nonterminals
-        ]
-        payloads = [sym.payload for sym in terminals]
-        object.__setattr__(self, "_compiled", (ids[self.start], rules, payloads, nonterminals))
+        # The derivation's table for _unwind, with one row: each symbol is
+        # an id 0..; a terminal pops and reports its payload in 0 steps, a
+        # nonterminal pushes its first production's rhs in 1 step (no move
+        # without a production). symbols[id] names a stuck nonterminal.
+        symbols = list(self.nonterminals | self.terminals)
+        ids = {sym: i for i, sym in enumerate(symbols)}
+        moves = [(0, tuple(ids[s] for s in reversed(index[sym][0].rhs))) if sym in index
+                 else (0, ()) if sym.is_terminal else None for sym in symbols]
+        effects = [((sym.payload,), 0) if sym.is_terminal else ((), 1) for sym in symbols]
+        object.__setattr__(self, "_compiled", ((0, ids[self.start], moves, effects), symbols))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -152,12 +150,97 @@ class Grammar:
         return self._by_lhs.get(sym, ())
 
 
-# Derived payloads reach a sink in lists of about this many items; the
-# automaton's runner and the command line hand over and write in the same
-# size. The derivation's cache of small words holds at most
-# _CACHE_CHUNKS * _CHUNK items, so no grammar makes it grow past that.
+# The engines hand payloads to a sink in lists of about this many items,
+# and the command line writes in the same size. The cache of recorded runs
+# holds at most _CACHE_CHUNKS * _CHUNK items, so no table makes it grow
+# past that.
 _CHUNK = 4096
 _CACHE_CHUNKS = 16
+
+
+def _unwind(table, sink: Callable[[list], None], step_limit: int,
+            translate: Callable[[Any], Any] | None = None) -> tuple[int, int, int | None]:
+    """The one loop of the derivation and of the automaton's runner.
+
+    table is (row, start symbol, moves, effects). A stack of symbol ids,
+    the start symbol alone at first, is unwound from its top: the move
+    moves[row + top] is (target row, pushed ids reversed for a list stack)
+    or None, and taking it pops top, costs and reports what effects[top]
+    gives, as (() or (payload,), steps). The reported payloads, each
+    mapped once through translate, go to sink in lists of _CHUNK to
+    2 * _CHUNK - 1 items, the last one shorter, also when the run stops;
+    sink may keep a list. Returns (steps, payloads handed over, stop):
+    stop is None when the stack emptied, else the index into moves of
+    the move that is None or costs more steps than are left.
+
+    The machine reads no input, so a symbol on top in a given row always
+    unwinds to the same payloads, in the same steps, to the same row. At
+    a visit where the recorded runs of its pushed symbols, read top first
+    from the target row, cover that run, a run of at most _CHUNK payloads
+    is recorded while the cache has room; it is replayed whenever the
+    steps left cover it, and otherwise the symbol takes one move.
+    """
+    if step_limit < 1:
+        raise ValueError(f"step_limit must be >= 1, got {step_limit}")
+    row, start, moves, effects = table
+    if translate is not None:
+        effects = [(tuple(map(translate, items)), cost) for items, cost in effects]
+    chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
+    # runs[row + id] is None while unknown, the recorded (payloads, steps,
+    # end row), or False once it will not be recorded.
+    runs: list = [None] * len(moves)
+    stack = [start]
+    pop, extend = stack.pop, stack.extend
+    buffer: list = []
+    left, handed = step_limit, 0
+    # Each pass ends with the unconditional backward jump at which CPython
+    # 3.11 counts warm-up, so the loop is specialized within its first
+    # call; under `while stack:` it ran about twice as slowly until the
+    # eighth call.
+    while True:
+        if not stack:
+            at = None
+            break
+        top = pop()
+        at = row + top
+        run = runs[at]
+        if run is None and moves[at] is not None:
+            end, push = moves[at]
+            parts = [effects[top]]
+            for symbol in reversed(push):
+                run = runs[end + symbol]
+                if not run:  # None: not yet known; False: so this one is not recorded
+                    break
+                parts.append(run)
+                end = run[2]
+            else:
+                size = sum(len(part[0]) for part in parts)
+                if size > chunk or size > room:
+                    run = False
+                else:
+                    room -= size
+                    run = (sum((part[0] for part in parts), ()),
+                           sum(part[1] for part in parts), end)
+            runs[at] = run
+        if run and run[1] <= left:
+            buffer += run[0]
+            left -= run[1]
+            row = run[2]
+        else:
+            items, cost = effects[top]
+            if moves[at] is None or cost > left:
+                break
+            buffer += items
+            left -= cost
+            row, push = moves[at]
+            extend(push)
+        if len(buffer) >= chunk:
+            sink(buffer)
+            handed += len(buffer)
+            buffer = []
+    if buffer:
+        sink(buffer)
+    return step_limit - left, handed + len(buffer), at
 
 
 class Derivation(namedtuple("Derivation", "word steps")):
@@ -185,79 +268,25 @@ def derive_step(grammar: Grammar, form) -> SententialForm | None:
 
 def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
             translate: Callable[[Any], Any] | None = None) -> tuple[int, int]:
-    """The one leftmost derivation loop, on the grammar's compiled table.
+    """The leftmost derivation, run by _unwind on the grammar's table.
 
     Rewrites with the first production, as derive_step does, and hands the
-    terminal payloads, each mapped once through translate, to sink in
-    lists of _CHUNK to 2 * _CHUNK - 1 items, the last one shorter; sink
-    may keep a list. The items derived so far are handed over before a
-    StepLimitExceeded or NoApplicableProduction, so sink has then seen
-    what derive_step emits up to the failing rewrite. Returns (steps,
-    emitted).
+    terminal payloads to sink as _unwind does. The items derived so far
+    are handed over before a StepLimitExceeded, which takes precedence, or
+    a NoApplicableProduction, so sink has then seen what derive_step
+    emits up to the failing rewrite. Returns (steps, emitted).
 
     A nonterminal always derives the same word in the same number of
-    rewrites: the concatenation of its rhs symbols' words, in one rewrite
-    more than theirs. At a visit where every rhs symbol is a terminal or
-    has a recorded word, a word of at most _CHUNK items is recorded while
-    the cache has room, and it is replayed when the rewrites left cover
-    its step count; otherwise the nonterminal is expanded step by step.
+    rewrites, so the words of small nonterminals are recorded bottom-up
+    from those of their right-hand sides and replayed (see _unwind).
     """
-    if step_limit < 1:
-        raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-    start, rules, payloads, nonterminals = grammar._compiled
-    chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
-    items = payloads if translate is None else [translate(p) for p in payloads]
-    # The pending part of the form is a work stack, leftmost symbol on top.
-    # words[id] is None while a nonterminal's word is unknown, the recorded
-    # (items, steps), or False once it will not be recorded.
-    words: list = [None] * len(rules)
-    pending = [start]
-    pop, extend = pending.pop, pending.extend
-    buffer: list = []
-    steps = handed = 0
-    while pending:
-        top = pop()
-        if top < 0:
-            buffer.append(items[top])
-        else:
-            word = words[top]
-            rhs = rules[top]
-            if word is None and rhs is not None:
-                parts = [((items[s],), 0) if s < 0 else words[s] for s in reversed(rhs)]
-                if all(parts):
-                    size = sum(len(part) for part, _ in parts)
-                    if size > chunk or size > room:
-                        word = False
-                    else:
-                        built, count = (), 1
-                        for part, part_steps in parts:
-                            built += part
-                            count += part_steps
-                        word = built, count
-                        room -= size
-                    words[top] = word
-                elif False in parts:  # a part too long to record makes it too long
-                    words[top] = False
-            if word and steps + word[1] <= step_limit:
-                buffer += word[0]
-                steps += word[1]
-            else:
-                if steps >= step_limit or rhs is None:
-                    if buffer:
-                        sink(buffer)
-                    if steps >= step_limit:
-                        raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
-                    raise NoApplicableProduction(f"no production rewrites {nonterminals[top]}")
-                extend(rhs)
-                steps += 1
-                continue
-        if len(buffer) >= chunk:
-            sink(buffer)
-            handed += len(buffer)
-            buffer = []
-    if buffer:
-        sink(buffer)
-    return steps, handed + len(buffer)
+    table, symbols = grammar._compiled
+    steps, emitted, stop = _unwind(table, sink, step_limit, translate)
+    if stop is None:
+        return steps, emitted
+    if steps >= step_limit:
+        raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
+    raise NoApplicableProduction(f"no production rewrites {symbols[stop]}")
 
 
 def derive_full(grammar: Grammar, step_limit: int) -> Derivation:

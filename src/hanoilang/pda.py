@@ -11,8 +11,10 @@ that runs a grammar's leftmost derivation.
 
 Each Pda compiles its transitions once into an integer table: states and
 stack symbols become ids, and moves sit in a flat list indexed by state
-and stack top. The deterministic runner loops over that table on an
-integer stack. step stays symbolic; iterating it is the runner's checked
+and stack top. The deterministic runner is grammar._unwind, the loop the
+derivation runs, on that table: a stack symbol in a given state always
+unwinds the same way, so the run of a small one is recorded once and
+replayed. step stays symbolic; iterating it is the runner's checked
 reference, as derive_step is for the grammar's compiled derivation.
 """
 
@@ -20,12 +22,9 @@ from collections import namedtuple
 from enum import Enum
 from typing import Any, Callable
 
-from .grammar import _CHUNK, Grammar
+from .grammar import Grammar, _unwind
 
 PDA_STATE = "q0"
-
-# The compiled payload of a stack symbol that reports nothing.
-_SILENT = object()
 
 
 class PdaError(ValueError):
@@ -123,12 +122,12 @@ class Pda:
                 entry.append((target, push))
             normalized[state, top] = tuple(entry)
         object.__setattr__(self, "transitions", normalized)
-        # The runner's table. States and stack symbols are ids 0..; a state
-        # is kept as its row, id * K for K stack symbols. moves[row + top]
-        # is (target row, pushed ids reversed for a list stack) or None.
-        # Only the first target is kept: the runner refuses nondeterministic
-        # machines. payloads[top] is what an observable top reports, else
-        # _SILENT.
+        # The runner's table for grammar._unwind. States and stack symbols
+        # are ids 0..; a state is kept as its row, id * K for K stack
+        # symbols. moves[row + top] is (target row, pushed ids reversed for
+        # a list stack) or None. Only the first target is kept: the runner
+        # refuses nondeterministic machines. Every move costs one step, and
+        # an observable top reports its payload.
         symbols = {sym: i for i, sym in enumerate(self.stack_alphabet)}
         width = len(symbols)
         rows = {state: i * width for i, state in enumerate(self.states)}
@@ -138,9 +137,9 @@ class Pda:
                 target, push = targets[0]
                 moves[rows[state] + symbols[top]] = (
                     rows[target], tuple(symbols[sym] for sym in reversed(push)))
-        payloads = [sym.payload if sym.observable else _SILENT for sym in symbols]
-        start = (rows[self.start_state], symbols[self.start_stack])
-        object.__setattr__(self, "_compiled", (start, moves, payloads))
+        effects = [((sym.payload,) if sym.observable else (), 1) for sym in symbols]
+        object.__setattr__(self, "_compiled", (
+            rows[self.start_state], symbols[self.start_stack], moves, effects))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -224,53 +223,20 @@ def run_to_empty_stack(pda: Pda, input_word, *, step_limit: int) -> RunTrace:
 
 def _run(pda: Pda, sink: Callable[[list], None], step_limit: int,
          translate: Callable[[Any], Any] | None = None) -> tuple[int, RunOutcome]:
-    """The deterministic runner's one loop, on the empty input word.
-
-    Takes one transition per step. The payloads that observable tops
-    report, each mapped once through translate, go to sink in lists of
-    _CHUNK items, and the rest when the run ends, however it ends; sink
-    may keep a list. Returns (transitions taken, outcome).
+    """The deterministic run on the empty input word, by grammar._unwind
+    on the compiled table, which hands the payloads that observable tops
+    report to sink as it does, however the run ends. A stack symbol's
+    recorded run is replayed when the steps left cover it. A top without
+    a move is STUCK, which takes precedence over STEP_LIMIT. Returns
+    (transitions taken, outcome).
     """
     report = is_deterministic(pda)
     if not report:
         raise NondeterministicPda(
             f"runner needs a deterministic automaton; witness {report.witness}: {report.reason}"
         )
-    if step_limit < 1:
-        raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-    (row, bottom), moves, payloads = pda._compiled
-    if translate is not None:
-        payloads = [p if p is _SILENT else translate(p) for p in payloads]
-    chunk = _CHUNK
-    stack = [bottom]  # top kept at the end for cheap push/pop
-    pop, extend = stack.pop, stack.extend
-    buffer: list = []
-    append = buffer.append
-    outcome = RunOutcome.EMPTY_STACK_HALT
-    # Pass k has taken k transitions. A for loop ends each pass with the
-    # backward jump at which CPython 3.11 counts warm-up, so the loop is
-    # specialized within its first call; under `while stack:` it ran about
-    # twice as slowly until the eighth call.
-    for steps in range(step_limit + 1):
-        if not stack:
-            break
-        top = pop()
-        move = moves[row + top]
-        if move is None:
-            outcome = RunOutcome.STUCK
-            break
-        if steps == step_limit:
-            outcome = RunOutcome.STEP_LIMIT
-            break
-        payload = payloads[top]
-        if payload is not _SILENT:
-            append(payload)
-            if len(buffer) == chunk:
-                sink(buffer)
-                buffer = []
-                append = buffer.append
-        row, push = move
-        extend(push)
-    if buffer:
-        sink(buffer)
-    return steps, outcome
+    steps, _, stop = _unwind(pda._compiled, sink, step_limit, translate)
+    if stop is None:
+        return steps, RunOutcome.EMPTY_STACK_HALT
+    moves = pda._compiled[2]
+    return steps, RunOutcome.STUCK if moves[stop] is None else RunOutcome.STEP_LIMIT

@@ -79,6 +79,16 @@ class TestSolve:
         assert isinstance(record["elapsed_ms"], float)
         assert err == ""
 
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_json_record_is_the_indented_json_dumps(self, capsys, engine, n):
+        # the moves array is joined by hand; every byte must be json's
+        code, out, _ = run_cli(capsys, "solve", "--n", str(n), "--engine", engine,
+                               "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(json.loads(out)["moves"]) == 2 ** n - 1
+
     def test_stream_one_move_per_line(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--n", "2", "--stream")
         assert code == 0

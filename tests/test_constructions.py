@@ -240,6 +240,23 @@ class TestRunLaws:
         assert trace.outcome is RunOutcome.STEP_LIMIT
         assert trace.steps == 3
 
+    def test_every_step_limit_stops_where_single_steps_stop(self):
+        # at 6 discs every task's run is recorded and replayed, and most
+        # limits land inside one, which must then be taken step by step
+        m = build_hanoi_pda(6)
+        config = PdaConfiguration(m.start_state, (), (m.start_stack,))
+        emitted, prefixes = [], [()]
+        while config.stack:
+            if config.stack[0].observable:
+                emitted.append(config.stack[0].payload)
+            (config,) = step(m, config)
+            prefixes.append(tuple(emitted))
+        assert len(prefixes) == 127
+        for limit in range(1, 127):
+            outcome = RunOutcome.EMPTY_STACK_HALT if limit == 126 else RunOutcome.STEP_LIMIT
+            trace = run_to_empty_stack(m, (), step_limit=limit)
+            assert trace == (limit, prefixes[limit], outcome)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_machine_is_deterministic(self, n):
         assert is_deterministic(build_hanoi_pda(n))

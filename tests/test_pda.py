@@ -1,5 +1,6 @@
 """Generic pushdown automaton machinery, independent of the Hanoi builders."""
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -234,7 +235,8 @@ def deterministic_runs(draw):
     Each (state, stack top) gets nothing (a dead end), one move, or an
     entry with no targets. Pushed words reuse the stack alphabet, so runs
     may loop until the step limit. Input words may be nonempty, and no
-    move reads them.
+    move reads them. Limits up to 40 often land inside a run that was
+    recorded on an earlier visit, which must then be cut stepwise.
     """
     states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
     symbols = [StackSymbol(f"s{i}", observable=draw(st.booleans()))
@@ -256,7 +258,7 @@ def deterministic_runs(draw):
         start_stack=draw(st.sampled_from(symbols)),
     )
     word = tuple(draw(st.lists(st.sampled_from("ab"), max_size=4)))
-    return pda, word, draw(st.integers(1, 12))
+    return pda, word, draw(st.integers(1, 40))
 
 
 def stepwise_run(pda, word, step_limit):
@@ -288,19 +290,47 @@ def test_compiled_run_matches_stepwise_run(case):
     assert run_to_empty_stack(pda, word, step_limit=step_limit) == expected
 
 
-@given(deterministic_runs(), st.integers(1, 4))
-def test_chunked_run_hands_over_the_stepwise_payloads(case, chunk):
-    # the runner keeps one transition per step; only the handover batches
+@given(deterministic_runs(), st.integers(1, 4), st.integers(1, 3))
+def test_chunked_run_hands_over_the_stepwise_payloads(case, chunk, cache_chunks):
+    # replayed runs make the lists grow past chunk, to 2 * chunk - 1 at most,
+    # and a cache of a few chunks fills up, leaving the rest stepwise
     pda, _, step_limit = case
     expected = stepwise_run(pda, (), step_limit)
     lists = []
-    with mock.patch("hanoilang.pda._CHUNK", chunk):
+    with mock.patch("hanoilang.grammar._CHUNK", chunk), \
+            mock.patch("hanoilang.grammar._CACHE_CHUNKS", cache_chunks):
         run = _run(pda, lists.append, step_limit, str.upper)
     assert run == (expected.steps, expected.outcome)
     assert [payload for items in lists for payload in items] == [
         payload.upper() for payload in expected.emitted]
-    assert all(len(items) == chunk for items in lists[:-1])
-    assert all(0 < len(items) <= chunk for items in lists[-1:])
+    assert all(chunk <= len(items) < 2 * chunk for items in lists[:-1])
+    assert all(0 < len(items) < 2 * chunk for items in lists[-1:])
+
+
+def test_a_recorded_run_reads_each_part_from_the_row_the_last_one_ended_in():
+    # A pushes B over C; B moves from p to q, and C runs three steps from q
+    # but one from p, so A's run, recorded at its second visit, is b c c c
+    B, C = StackSymbol("b", observable=True), StackSymbol("c", observable=True)
+    pda = Pda(frozenset({"p", "q"}), frozenset({Z, A, B, C}), {
+        ("p", Z): (("p", (C, A, A)),), ("p", A): (("p", (B, C)),), ("p", B): (("q", ()),),
+        ("p", C): (("p", ()),), ("q", C): (("p", (C, C)),)}, "p", Z)
+    assert stepwise_run(pda, (), 12) == (12, tuple("cbcccbccc"), RunOutcome.EMPTY_STACK_HALT)
+    for limit in range(1, 13):
+        assert run_to_empty_stack(pda, (), step_limit=limit) == stepwise_run(pda, (), limit)
+
+
+def test_a_run_that_never_ends_runs_in_fixed_memory():
+    # Z pushes m1 over itself forever: m1's run is recorded and replayed, Z
+    # never gets one, and the visit that looks for it must keep nothing
+    pda = make_pda({("q", Z): (("q", (M1, Z)),), ("q", M1): (("q", ()),)})
+    tracemalloc.start()
+    try:
+        run = _run(pda, lambda items: None, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run == (10 ** 6, RunOutcome.STEP_LIMIT)
+    assert peak < 1 << 20  # one object kept per step would hold over 8 MB
 
 
 # Hand-built runs that end each way, including paths random machines rarely
