@@ -241,18 +241,22 @@ def cmd_verify(args) -> int:
     reason = None
     try:
         for tokens in _token_chunks(args.moves):
-            if not all(map(table.__contains__, tokens)):
+            # After an illegal move only a later unparseable token can
+            # change the outcome, so the rest is read but not replayed.
+            if reason is None:
+                try:
+                    count, reason = board.run(tokens)
+                    played += count
+                except KeyError:  # not a move code: reported below
+                    pass
+            # Tokens that the board matched with the optimal word are codes.
+            if board.optimal_prefix is None and not all(map(table.__contains__, tokens)):
                 try:
                     for index, token in enumerate(tokens, seen):
                         MoveSymbol.parse(token)
                 except MoveParseError as exc:
                     _complain(f"token {index} ({quote_token(token)}): {exc}")
                     return EXIT_USAGE
-            # After an illegal move only a later unparseable token can
-            # change the outcome, so the rest is read but not replayed.
-            if reason is None:
-                count, reason = board.run(tokens)
-                played += count
             seen += len(tokens)
     except (OSError, UnicodeDecodeError) as exc:
         _complain(f"cannot read moves from {args.moves!r}: {exc}")

@@ -187,8 +187,12 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int,
         effects = [(tuple(map(translate, items)), cost) for items, cost in effects]
     chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
     # runs[row + id] is None while unknown, the recorded (payloads, steps,
-    # end row), or False once it will not be recorded.
+    # end row), or False once it will not be recorded. An attempt that
+    # meets an unknown part fails again until another run is decided, so
+    # failed[row + id] keeps the count of decided runs at its last failure.
     runs: list = [None] * len(moves)
+    failed: dict = {}
+    decided = 0
     stack = [start]
     pop, extend = stack.pop, stack.extend
     buffer: list = []
@@ -204,7 +208,7 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int,
         top = pop()
         at = row + top
         run = runs[at]
-        if run is None and moves[at] is not None:
+        if run is None and moves[at] is not None and failed.get(at) != decided:
             end, push = moves[at]
             parts = [effects[top]]
             for symbol in reversed(push):
@@ -221,7 +225,11 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int,
                     room -= size
                     run = (sum((part[0] for part in parts), ()),
                            sum(part[1] for part in parts), end)
-            runs[at] = run
+            if run is None:
+                failed[at] = decided
+            else:
+                runs[at] = run
+                decided += 1
         if run and run[1] <= left:
             buffer += run[0]
             left -= run[1]

@@ -128,6 +128,64 @@ class ValidationReport(namedtuple(
         return self.legal
 
 
+# Disc d moves along a fixed 3-cycle of the pegs, 0-based: 0 -> 2 -> 1 -> 0
+# when n - d is even, 0 -> 1 -> 2 -> 0 when it is odd. A Board checks the
+# word in blocks of the top _BLOCK_DISCS discs' transfers (4,095 moves).
+_CYCLES = ((0, 2, 1), (0, 1, 2))
+_BLOCK_DISCS = 12
+
+
+def move_at(n: int, k: int) -> MoveSymbol:
+    """Move k (1-based) of the optimal n-disc word, by the closed form: it
+    moves disc d = ν₂(k) + 1, and it is that disc's (k >> d)-th move,
+    counted from 0, along its cycle (Hinz et al., The Tower of Hanoi --
+    Myths and Maths, 2013, ch. 2)."""
+    if n < 1 or k < 1 or k.bit_length() > n:  # k < 2^n without building 2^n
+        raise ValueError(f"move {k} is outside 1..2^{n} - 1")
+    disc = (k & -k).bit_length()
+    cycle, turn = _CYCLES[(n - disc) & 1], k >> disc
+    return _CANONICAL_MOVES[cycle[turn % 3] + 1, cycle[(turn + 1) % 3] + 1]
+
+
+def _lay_out(pegs, n: int, k: int, top: int) -> None:
+    """Set the three lists pegs, bottom to top, to discs top..1 after the
+    first k moves of the optimal n-disc word. Disc d has then moved
+    ⌊(k + 2^(d-1)) / 2^d⌋ times, so not at all while k < 2^(d-1)."""
+    moved = min(top, k.bit_length())
+    pegs[0][:] = range(top, moved, -1)
+    pegs[1].clear()
+    pegs[2].clear()
+    for disc in range(moved, 0, -1):
+        pegs[_CYCLES[(n - disc) & 1][((k >> (disc - 1)) + 1 >> 1) % 3]].append(disc)
+
+
+def state_at(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The three pegs, bottom to top, after the first k moves of the
+    optimal n-disc word, 0 <= k <= 2^n - 1, by the closed form."""
+    if n < 1 or k < 0 or k.bit_length() > n:
+        raise ValueError(f"position {k} is outside 0..2^{n} - 1")
+    pegs = ([], [], [])
+    _lay_out(pegs, n, k, n)
+    return tuple(map(tuple, pegs))
+
+
+def _relabel(codes, pegs) -> list:
+    """codes with pegs 1, 2 and 3 renamed pegs[0], pegs[1] and pegs[2]."""
+    names = {mv.code: _CANONICAL_MOVES[pegs[mv.src - 1], pegs[mv.dst - 1]].code
+             for mv in _CANONICAL_MOVES.values()}
+    return list(map(names.__getitem__, codes))
+
+
+def _transfer(m: int, src: int, dst: int) -> list:
+    """The optimal m-disc word from peg src to peg dst, as codes: the
+    (d-1)-disc word to the spare peg, disc d's move, and the (d-1)-disc
+    word back on top, doubled from d = 1 by relabelling."""
+    word = []
+    for _ in range(m):
+        word = _relabel(word, (1, 3, 2)) + [_CANONICAL_MOVES[1, 3].code] + _relabel(word, (2, 1, 3))
+    return _relabel(word, (src, 6 - src - dst, dst))
+
+
 class Board:
     """A mutable board for fast replay, checked by the two puzzle rules in
     place; tests compare it with a replay that validates every position.
@@ -137,10 +195,12 @@ class Board:
     earlier moves, so no input anyone can read reaches a disc below the
     64th: the verdicts are those of the full tower, in memory bounded by
     64 discs, not by n. table maps each of the six move codes to its
-    (source list, target list).
+    (source list, target list). optimal_prefix counts the moves played
+    while every one has followed the optimal word, and is None from the
+    first that did not.
     """
 
-    __slots__ = ("n_discs", "pegs", "table")
+    __slots__ = ("n_discs", "pegs", "table", "optimal_prefix", "_blocks")
 
     def __init__(self, n_discs: int):
         if n_discs < 1:
@@ -151,6 +211,33 @@ class Board:
             mv.code: (self.pegs[mv.src - 1], self.pegs[mv.dst - 1])
             for mv in _CANONICAL_MOVES.values()
         }
+        self.optimal_prefix = 0
+        self._blocks = {}  # (source, target) peg -> that transfer of the top discs
+
+    def _expected(self, start: int, count: int) -> list:
+        """Codes start..start + count - 1 (0-based) of the optimal word, cut
+        at its end, or at move 2^64 - 1, which no input reaches. With m =
+        min(n, 12), the word is a run of m-disc transfers along disc m's
+        cycle, each followed by one move of a larger disc."""
+        n = self.n_discs
+        m = min(n, _BLOCK_DISCS)
+        last = (1 << m) - 1  # the offset of the larger disc's move
+        cycle = _CYCLES[(n - m) & 1]
+        stop = min(start + count, (1 << min(n, 64)) - 1)
+        window = []
+        while start < stop:
+            turn, offset = start >> m, start & last
+            if offset == last:
+                window.append(move_at(n, start + 1).code)
+                start += 1
+                continue
+            pair = cycle[turn % 3] + 1, cycle[(turn + 1) % 3] + 1
+            if (block := self._blocks.get(pair)) is None:
+                block = self._blocks[pair] = _transfer(m, *pair)
+            piece = block[offset:offset + stop - start]
+            window += piece
+            start += len(piece)
+        return window
 
     def run(self, codes) -> tuple[int, str | None]:
         """Replay move codes up to the first illegal one.
@@ -158,10 +245,29 @@ class Board:
         Returns (moves played, None), or (index, label) for the first
         illegal move, labelled "empty-source" or "larger-on-smaller", and
         leaves the board as it was before that move.
+
+        While the board follows the optimal word, the codes are compared
+        with its next moves at once, and a match lays the pegs out by the
+        closed form. From the first difference on, for good, each move is
+        checked on the pegs.
         """
+        start = 0
+        if (played := self.optimal_prefix) is not None:
+            codes = codes if isinstance(codes, list) else list(codes)
+            expected = self._expected(played, len(codes))
+            top = min(self.n_discs, 64)
+            if codes == expected:
+                self.optimal_prefix = played = played + len(codes)
+                _lay_out(self.pegs, self.n_discs, played, top)
+                return len(codes), None
+            start = next((i for i, (code, move) in enumerate(zip(codes, expected))
+                          if code != move), len(expected))
+            self.optimal_prefix = None
+            _lay_out(self.pegs, self.n_discs, played + start, top)
+            codes = codes[start:]
         table = self.table
-        index = -1
-        for index, code in enumerate(codes):
+        index = start - 1
+        for index, code in enumerate(codes, start):
             src, dst = table[code]
             if not src:
                 return index, "empty-source"

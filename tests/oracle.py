@@ -1,7 +1,9 @@
 """The slow, fully checked Hanoi model that the fast paths are tested against.
 
 HanoiState validates its invariants on every construction, and apply_move
-raises on an illegal move instead of returning a label. reference_bfs is
+raises on an illegal move instead of returning a label; checked_replay
+replays a word on them, and optimal_position places the discs of the
+optimal word by the recursion, not by the closed form. reference_bfs is
 the breadth-first oracle on these states; hanoilang.constructions.bfs_optimal
 runs the same search on integer-coded positions and must agree with it.
 """
@@ -93,6 +95,38 @@ def is_solved(state: HanoiState, n_discs: int) -> bool:
             f"state holds {state.n_discs} discs, expected {n_discs}"
         )
     return len(state.peg(3)) == n_discs
+
+
+def optimal_position(n_discs: int, k: int) -> HanoiState:
+    """The position after the first k moves of the optimal n-disc word, by
+    the textbook recursion: the top n - 1 discs go to the spare peg in
+    2^(n-1) - 1 moves, disc n moves, and they follow it in as many."""
+    pegs = ([], [], [])
+    src, dst = 0, 2
+    for disc in range(n_discs, 0, -1):
+        spare, half = 3 - src - dst, 1 << (disc - 1)
+        if k < half:
+            pegs[src].append(disc)
+            dst = spare
+        else:
+            pegs[dst].append(disc)
+            k -= half
+            src = spare
+    return HanoiState(tuple(pegs))
+
+
+def checked_replay(n_discs: int, moves, start: int = 0) -> tuple:
+    """The fields of the ValidationReport on the first `start` moves of the
+    optimal word followed by moves: replayed through the checked
+    apply_move / is_solved from optimal_position(n_discs, start)."""
+    labels = {EmptySource: "empty-source", LargerOnSmaller: "larger-on-smaller"}
+    state = optimal_position(n_discs, start)
+    for i, mv in enumerate(moves, start):
+        try:
+            state = apply_move(state, mv)
+        except (EmptySource, LargerOnSmaller) as err:
+            return (False, i, labels[type(err)], False, i + 1)
+    return (True, None, None, is_solved(state, n_discs), start + len(moves))
 
 
 ALL_MOVES = [MoveSymbol.of(i, j) for i, j in PEG_PAIRS]

@@ -19,6 +19,7 @@ from hanoilang.cli import ENGINES, main
 from hanoilang.constructions import HanoiInstance, recursive_solve
 from hanoilang.grammar import _CHUNK
 from hanoilang.hanoi import MoveParseError, MoveSymbol, validate_sequence
+from oracle import checked_replay
 
 TWO_DISC_WORD = "p12 p13 p23"
 FIVE_DISC_WORD = (Path(__file__).parent / "data" / "hanoi5_word.txt").read_text()
@@ -498,6 +499,32 @@ class TestVerify:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["verify", "--n", str(n), "-", "--format", fmt])
         assert (code, out.getvalue(), err.getvalue()) == whole_text_verdict(n, text, fmt)
+
+    @pytest.mark.parametrize("at,fault", [(0, "p13"), (0, "p32"), (4095, "p13"),
+                                          (4096, "p21"), (8191, "p12"), (10_000, "p21")])
+    def test_a_faulted_prefix_past_64_discs_gets_the_oracle_report(
+            self, capsys, monkeypatch, at, fault):
+        """The board lays out 64 of the 100 discs and checks the word by the
+        closed form; the oracle holds all 100 and replays from the
+        recursion's position 50 moves before the fault."""
+        codes = []
+
+        def sink(chunk):
+            codes.extend(chunk)
+            if len(codes) > 12_000:
+                raise EOFError
+
+        with pytest.raises(EOFError):
+            ENGINES["grammar"](100, False, sink)
+        assert codes[at] != fault
+        codes[at] = fault
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(codes)))
+        code, out, _ = run_cli(capsys, "verify", "--n", "100", "-", "--format", "json")
+        start = max(0, at - 50)
+        expected = checked_replay(100, list(map(MoveSymbol.parse, codes[start:])), start)
+        report = json.loads(out)
+        assert code == 1
+        assert tuple(report.values())[1:] == expected
 
     def test_a_long_token_is_quoted_short_in_bounded_memory(self, capsys, monkeypatch):
         token = "p" * 1_000_000

@@ -1,18 +1,29 @@
-"""Board model: moves, states, legality, and replay validation."""
+"""Board model: moves, states, legality, replay validation, and the
+closed form of the optimal word."""
 
 import tracemalloc
+from functools import cache
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hanoilang.constructions import HanoiInstance, recursive_solve
+from hanoilang.constructions import (
+    HanoiInstance,
+    build_hanoi_grammar,
+    grammar_step_limit,
+    recursive_solve,
+)
+from hanoilang.grammar import _derive
 from hanoilang.hanoi import (
     Board,
     HanoiNonterminal,
     InvalidDiscCount,
     MoveParseError,
     MoveSymbol,
+    move_at,
+    state_at,
     validate_sequence,
 )
 from oracle import (
@@ -21,8 +32,10 @@ from oracle import (
     HanoiState,
     LargerOnSmaller,
     apply_move,
+    checked_replay,
     initial_state,
     is_solved,
+    optimal_position,
 )
 
 ALL_MOVES = [MoveSymbol(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
@@ -261,19 +274,6 @@ def test_reverse_move_restores_state(n_discs, data):
     assert apply_move(apply_move(state, mv), MoveSymbol.of(mv.dst, mv.src)) == state
 
 
-def checked_replay(n_discs, moves):
-    """The report validate_sequence must give, by replaying through the
-    fully checked apply_move / is_solved."""
-    labels = {EmptySource: "empty-source", LargerOnSmaller: "larger-on-smaller"}
-    state = initial_state(n_discs)
-    for i, mv in enumerate(moves):
-        try:
-            state = apply_move(state, mv)
-        except (EmptySource, LargerOnSmaller) as err:
-            return (False, i, labels[type(err)], False, i + 1)
-    return (True, None, None, is_solved(state, n_discs), len(moves))
-
-
 @settings(max_examples=300)
 @given(n_discs=st.integers(min_value=1, max_value=6), data=st.data())
 def test_validate_agrees_with_stepwise_replay(n_discs, data):
@@ -334,3 +334,129 @@ def test_board_run_tracks_apply_move(n_discs, data):
         assert board.run(mv.code for mv in chunk) == expected
         assert tuple(map(tuple, board.pegs)) == laid_out(state)
         assert board.solved() == is_solved(state, n_discs)
+
+
+# ---------------------------------------------------------------------------
+# The closed form of the optimal word, and Board's check against it.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_discs", range(1, 11))
+def test_closed_form_follows_the_recursive_word_at_every_move(n_discs):
+    state = initial_state(n_discs)
+    assert state_at(n_discs, 0) == state.pegs
+    for k, mv in enumerate(recursive_solve(HanoiInstance(n_discs)), 1):
+        assert move_at(n_discs, k) is mv
+        state = apply_move(state, mv)
+        assert state_at(n_discs, k) == state.pegs
+
+
+@settings(max_examples=300)
+@given(n_discs=st.integers(min_value=11, max_value=64) | st.just(100), data=st.data())
+def test_each_closed_form_move_leads_to_the_next_position(n_discs, data):
+    last = 2 ** n_discs - 2
+    k = data.draw(st.integers(min_value=0, max_value=last)
+                  | st.sampled_from([0, 1, 4094, 4095, 4096, 2 ** 63, last]).filter(lambda k: k <= last))
+    state = HanoiState(state_at(n_discs, k))
+    assert state == optimal_position(n_discs, k)
+    assert apply_move(state, move_at(n_discs, k + 1)) == HanoiState(state_at(n_discs, k + 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: move_at(3, 0), lambda: move_at(3, 8), lambda: move_at(64, 2 ** 64),
+    lambda: state_at(3, -1), lambda: state_at(3, 8), lambda: state_at(100, 2 ** 100),
+    lambda: move_at(0, 1), lambda: state_at(0, 0),
+])
+def test_closed_form_rejects_an_index_outside_the_word(call):
+    with pytest.raises(ValueError, match="outside"):
+        call()
+
+
+@cache
+def optimal_codes(n_discs):
+    """The optimal word's codes from the grammar, not the closed form."""
+    codes = []
+    _derive(build_hanoi_grammar(n_discs), codes.extend, grammar_step_limit(n_discs),
+            attrgetter("code"))
+    return tuple(codes)
+
+
+CODES = [mv.code for mv in ALL_MOVES]
+FAULTS = ("none", "substitution", "deletion", "insertion", "truncation", "extension")
+# The board checks the word in 4,095-move blocks, with a larger disc's move
+# at each index 4,095 + 4,096 t.
+BLOCK_EDGES = (4094, 4095, 4096, 4097, 8190, 8191)
+
+
+def draw_faulted_word(data, n_discs, edges=()):
+    """The optimal word with one fault at an index drawn near the block
+    edges or the given ones, or anywhere: a substitution (legal or not),
+    deletion, insertion, truncation, or moves past 2^n - 1. Returns the
+    codes and the fault's index."""
+    word = list(optimal_codes(n_discs))
+    kind = data.draw(st.sampled_from(FAULTS), label="fault")
+    if kind in ("none", "extension"):
+        at = len(word)
+    else:
+        near = [i for i in (0, *BLOCK_EDGES, *edges, len(word) - 1) if i < len(word)]
+        at = data.draw(st.sampled_from(near) | st.integers(0, len(word) - 1), label="at")
+    other = data.draw(st.sampled_from([c for c in CODES if at == len(word) or c != word[at]]),
+                      label="code")
+    if kind == "substitution":
+        word[at] = other
+    elif kind == "deletion":
+        del word[at]
+    elif kind == "insertion":
+        word.insert(at, other)
+    elif kind == "truncation":
+        del word[at:]
+    elif kind == "extension":
+        word += [other] * data.draw(st.integers(1, 3), label="extra moves")
+    return word, at
+
+
+def draw_chunks(data, codes, at):
+    """codes cut at random places, and at a drawn subset of the fault's
+    index, its neighbours and the block edges."""
+    edges = data.draw(st.sets(st.sampled_from([at - 1, at, at + 1, *BLOCK_EDGES])), label="edges")
+    cuts = data.draw(st.lists(st.integers(0, len(codes)), max_size=8), label="cuts")
+    cuts = sorted({0, len(codes), *(c for c in (*edges, *cuts) if 0 <= c <= len(codes))})
+    return [codes[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def replay_in_chunks(n_discs, chunks):
+    """Feed chunks to a fresh Board as verify does, checking its pegs
+    against the recursion while it follows the optimal word; returns the
+    report's fields."""
+    board = Board(n_discs)
+    played, reason = 0, None
+    for chunk in chunks:
+        count, reason = board.run(chunk)
+        played += count
+        if board.optimal_prefix is not None:
+            assert board.optimal_prefix == played
+            assert HanoiState(board.pegs) == optimal_position(n_discs, played)
+        if reason is not None:
+            break
+    return tuple(board.report(played, reason))
+
+
+@settings(max_examples=250, deadline=None)
+@given(n_discs=st.integers(min_value=1, max_value=13), data=st.data())
+def test_board_on_a_faulted_optimal_word_agrees_with_the_checked_replay(n_discs, data):
+    codes, at = draw_faulted_word(data, n_discs)
+    report = replay_in_chunks(n_discs, draw_chunks(data, codes, at))
+    assert report == checked_replay(n_discs, list(map(MoveSymbol.parse, codes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_board_on_a_faulted_20_disc_word_agrees_with_the_checked_replay(data):
+    """Faults at sampled indices of the 20-disc word, the last 4,096-move
+    block edges among them. The oracle replays from the recursion's
+    position a little before the fault, and the word stops 200 moves
+    after it, so the checked replay stays short."""
+    turn = data.draw(st.integers(1, 255), label="block")
+    codes, at = draw_faulted_word(data, 20, edges=(4096 * turn - 1, 4096 * turn))
+    codes, start = codes[:at + 200], max(0, at - 100)
+    report = replay_in_chunks(20, draw_chunks(data, codes, at))
+    assert report == checked_replay(20, list(map(MoveSymbol.parse, codes[start:])), start)

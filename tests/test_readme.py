@@ -21,7 +21,8 @@ UNEXPORTED = {
     "constructions": ("BFS_MAX_DISCS", "PEG_PAIRS", "BfsResult", "CapExceeded", "spare_peg"),
     "grammar": ("Derivation", "Grammar", "GrammarError", "NoApplicableProduction", "Production",
                 "StepLimitExceeded", "Symbol", "format_form", "nonterminal", "terminal"),
-    "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport"),
+    "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport",
+              "move_at", "state_at"),
     "pda": ("DeterminismReport", "EmptyStack", "NondeterministicPda", "Pda", "PdaConfiguration",
             "PdaError", "RunOutcome", "RunTrace", "step"),
 }
