@@ -17,7 +17,7 @@ nonterminal ``h_ij(n)`` stands for the whole task of relocating a tower
 of n discs from peg i to peg j.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from typing import NamedTuple
 
 from .grammar import Grammar, Production, nonterminal, terminal
@@ -135,58 +135,77 @@ def _legal_moves(n_discs: int):
     """The move relation of the N-disc puzzle on integer positions.
 
     Base-3 digit d-1 of a position is the peg (0..2) of disc d, so the
-    start tower is 0 and the goal tower is 3^N - 1. The returned function
-    maps a position to its (move, next position) pairs, legal moves only,
-    in PEG_PAIRS order. Moving disc t from peg a to peg b adds
-    (b - a) * 3^(t-1).
+    start tower is 0 and the goal tower is 3^N - 1. A position's legal
+    moves depend only on the top disc of each peg, so the rule is applied
+    once per triple of top discs, and moving disc t from peg a to peg b
+    adds (b - a) * 3^(t-1). Returns (base, table, legal_moves):
+    legal_moves(position) is the position's legal moves, each with the
+    delta it adds to the position, in PEG_PAIRS order. table[position %
+    base] is the same tuple where those low digits show all three pegs,
+    else None: legal_moves then takes the unseen pegs' top discs from the
+    higher digits, read once per value of position // base.
     """
-    moves = [(MoveSymbol.of(i, j), i - 1, j - 1) for i, j in PEG_PAIRS]
     empty = n_discs + 1  # the "top disc" of an empty peg: larger than any disc
-    place = [3 ** d for d in range(n_discs)]
+    rules, high, merged = {}, {}, {}
 
-    def legal_moves(position: int) -> list[tuple[MoveSymbol, int]]:
-        # Top disc of each peg: the smallest disc on it, found by reading
-        # the digits smallest disc first until all three pegs are seen.
-        top = [empty, empty, empty]
-        unseen = 3
-        rest = position
-        for disc in range(1, n_discs + 1):
-            peg = rest % 3
-            rest //= 3
-            if top[peg] == empty:
-                top[peg] = disc
-                unseen -= 1
-                if not unseen:
-                    break
-        return [
-            (mv, position + (dst - src) * place[top[src] - 1])
-            for mv, src, dst in moves
-            if top[src] < top[dst]
-        ]
+    def by_tops(top):
+        if top not in rules:
+            rules[top] = tuple((MoveSymbol.of(i, j), (j - i) * 3 ** (top[i - 1] - 1))
+                               for i, j in PEG_PAIRS if top[i - 1] < top[j - 1])
+        return rules[top]
 
-    return legal_moves
+    # Top discs of every pattern of the low digits, one digit at a time:
+    # disc d on peg p tops p unless a smaller disc already does.
+    low = min(n_discs, 6)
+    tops = [(empty, empty, empty)]
+    for disc in range(1, low + 1):
+        tops = [t if t[peg] < empty else t[:peg] + (disc,) + t[peg + 1:]
+                for peg in range(3) for t in tops]
+    base = len(tops)
+
+    def legal_moves(position: int) -> tuple:
+        rest = position // base
+        if rest not in high:  # top discs among discs low+1..N
+            top, digits = [empty] * 3, rest
+            for disc in range(low + 1, n_discs + 1):
+                digits, peg = divmod(digits, 3)
+                top[peg] = min(top[peg], disc)
+            high[rest] = tuple(top)
+        key = tops[position % base], high[rest]
+        if key not in merged:  # a low top disc hides the high ones below it
+            merged[key] = by_tops(tuple(t if t < empty else h for t, h in zip(*key)))
+        return merged[key]
+
+    return base, [None if empty in t else by_tops(t) for t in tops], legal_moves
 
 
-def _breadth_first(legal_moves, size: int, source: int) -> tuple[list[int], list[int]]:
-    """Distances from source to each of the size positions, and the number
-    of shortest paths to each, counted layer by layer: a position's count
-    is the sum of the counts of its neighbours one step nearer source."""
-    dist = [-1] * size
+def _breadth_first(n_discs: int, source: int) -> tuple:
+    """Distances from source to each of the 3^N positions, the number of
+    shortest paths to each, and the legal_moves of _legal_moves. Counted
+    layer by layer: a position's count is the sum of the counts of its
+    neighbours one step nearer source."""
+    size = 3 ** n_discs
+    dist = [-1] * size  # first, so a size that cannot be held fails at once
     ways = [0] * size
+    base, table, legal_moves = _legal_moves(n_discs)
     dist[source] = 0
     ways[source] = 1
-    frontier = deque([source])
-    while frontier:
-        position = frontier.popleft()
-        step = dist[position] + 1
-        for _, succ in legal_moves(position):
-            if dist[succ] < 0:
-                dist[succ] = step
-                ways[succ] = ways[position]
-                frontier.append(succ)
-            elif dist[succ] == step:
-                ways[succ] += ways[position]
-    return dist, ways
+    layer, step = [source], 0
+    while layer:
+        step += 1
+        following = []
+        for position in layer:
+            w = ways[position]
+            for _, delta in table[position % base] or legal_moves(position):
+                succ = position + delta
+                if dist[succ] < 0:
+                    dist[succ] = step
+                    ways[succ] = w
+                    following.append(succ)
+                elif dist[succ] == step:
+                    ways[succ] += w
+        layer = following
+    return dist, ways, legal_moves
 
 
 def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResult:
@@ -208,23 +227,21 @@ def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResul
             f"breadth-first search over 3^{n_discs} positions exceeds the "
             f"{max_discs}-disc cap"
         )
-    legal_moves = _legal_moves(n_discs)
-    size = 3 ** n_discs
-    start, goal = 0, size - 1
+    start, goal = 0, 3 ** n_discs - 1
 
     # One search from the goal: disc moves are reversible, so the move graph
     # is undirected and its goal->start path count is the start->goal count.
-    to_goal, ways = _breadth_first(legal_moves, size, goal)
+    to_goal, ways, legal_moves = _breadth_first(n_discs, goal)
 
     # Reconstruct one shortest path greedily; legal_moves() lists moves
     # in lexicographic order, so the first on-shortest-path move wins.
     sequence = []
     position = start
     while position != goal:
-        for mv, succ in legal_moves(position):
-            if to_goal[succ] == to_goal[position] - 1:
+        for mv, delta in legal_moves(position):
+            if to_goal[position + delta] == to_goal[position] - 1:
                 sequence.append(mv)
-                position = succ
+                position += delta
                 break
         else:
             raise AssertionError("shortest-path reconstruction lost its way")

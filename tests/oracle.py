@@ -6,6 +6,8 @@ replays a word on them, and optimal_position places the discs of the
 optimal word by the recursion, not by the closed form. reference_bfs is
 the breadth-first oracle on these states; hanoilang.constructions.bfs_optimal
 runs the same search on integer-coded positions and must agree with it.
+digit_legal_moves reads a position's top discs digit by digit, where
+bfs_optimal looks its moves up by the top discs of its low digits.
 """
 
 from collections import deque
@@ -143,6 +145,38 @@ def neighbours(state: HanoiState):
         if destination and destination[-1] < source[-1]:
             continue
         yield mv, apply_move(state, mv)
+
+
+def digit_legal_moves(n_discs: int):
+    """The move relation on integer positions, decoded digit by digit:
+    maps a position to its (move, next position) pairs, legal moves only,
+    in PEG_PAIRS order. hanoilang.constructions._legal_moves looks the
+    same moves up from a table of top discs and must agree with it."""
+    moves = [(mv, mv.src - 1, mv.dst - 1) for mv in ALL_MOVES]
+    empty = n_discs + 1  # the "top disc" of an empty peg: larger than any disc
+    place = [3 ** d for d in range(n_discs)]
+
+    def legal_moves(position: int) -> list[tuple[MoveSymbol, int]]:
+        # Top disc of each peg: the smallest disc on it, found by reading
+        # the digits smallest disc first until all three pegs are seen.
+        top = [empty, empty, empty]
+        unseen = 3
+        rest = position
+        for disc in range(1, n_discs + 1):
+            peg = rest % 3
+            rest //= 3
+            if top[peg] == empty:
+                top[peg] = disc
+                unseen -= 1
+                if not unseen:
+                    break
+        return [
+            (mv, position + (dst - src) * place[top[src] - 1])
+            for mv, src, dst in moves
+            if top[src] < top[dst]
+        ]
+
+    return legal_moves
 
 
 def decode_position(n_discs: int, position: int) -> HanoiState:

@@ -25,6 +25,7 @@ from hanoilang.hanoi import (
     HanoiNonterminal,
     InvalidDiscCount,
     MoveSymbol,
+    move_at,
     validate_sequence,
 )
 from hanoilang.pda import (
@@ -40,6 +41,7 @@ from oracle import (
     IllegalMove,
     apply_move,
     decode_position,
+    digit_legal_moves,
     initial_state,
     is_solved,
     reference_bfs,
@@ -353,6 +355,33 @@ class TestBfsOptimal:
     def test_matches_the_checked_reference(self, n):
         assert bfs_optimal(n) == reference_bfs(n)
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_matches_the_closed_form_where_the_high_digits_decide(self, n):
+        """At 9 and 10 discs a peg left unseen by the low six digits takes
+        its top disc from the higher ones, on many positions of the search."""
+        expected = tuple(move_at(n, k) for k in range(1, 2 ** n))
+        assert bfs_optimal(n) == BfsResult(expected, 1)
+
+
+@st.composite
+def positions(draw, n):
+    """A position of n discs. The low six discs and the others each sit on
+    a drawn set of one to three pegs, so the draws include the towers,
+    positions with one or two empty pegs, and low digits that leave a peg
+    unseen."""
+    digits = []
+    for count in (min(n, 6), max(n - 6, 0)):
+        pegs = sorted(draw(st.sets(st.integers(0, 2), min_size=1)))
+        digits += draw(st.lists(st.sampled_from(pegs), min_size=count, max_size=count))
+    return sum(peg * 3 ** d for d, peg in enumerate(digits))
+
+
+def successors(moves, position):
+    """The position's (move, next position) pairs, as the search reads
+    them: from the table of low digits, else from legal_moves."""
+    base, table, legal_moves = moves
+    return [(mv, position + delta) for mv, delta in table[position % base] or legal_moves(position)]
+
 
 class TestIntegerPositions:
     @settings(max_examples=200)
@@ -361,7 +390,7 @@ class TestIntegerPositions:
         """Along a random legal walk, each position's successors decode to
         the states apply_move reaches, in PEG_PAIRS order, and the moves
         apply_move rejects have no successor."""
-        legal_moves = _legal_moves(n)
+        moves = _legal_moves(n)
         position, state = 0, initial_state(n)
         for _ in range(data.draw(st.integers(min_value=0, max_value=60))):
             expected = []
@@ -370,10 +399,34 @@ class TestIntegerPositions:
                     expected.append((mv, apply_move(state, mv)))
                 except IllegalMove:
                     pass
-            got = legal_moves(position)
+            got = successors(moves, position)
             assert [(mv, decode_position(n, succ)) for mv, succ in got] == expected
             pick = data.draw(st.integers(min_value=0, max_value=len(got) - 1))
             position, state = got[pick][1], expected[pick][1]
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_table_and_fallback_agree_with_the_digit_by_digit_reading(self, data):
+        """The search's successors and legal_moves' equal the oracle's, at
+        1 to 20 discs, over several positions that share one table and its
+        memos; the table has an entry exactly where the low digits show all
+        three pegs."""
+        n = data.draw(st.integers(min_value=1, max_value=20))
+        moves, expected = _legal_moves(n), digit_legal_moves(n)
+        base, table, legal_moves = moves
+        for position in data.draw(st.lists(positions(n), min_size=1, max_size=30)):
+            assert successors(moves, position) == expected(position)
+            got = [(mv, position + delta) for mv, delta in legal_moves(position)]
+            assert got == expected(position)
+            low_pegs = {position // 3 ** d % 3 for d in range(min(n, 6))}
+            assert (table[position % base] is None) == (len(low_pegs) < 3)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_towers_have_two_moves_of_the_smallest_disc(self, n):
+        moves, expected = _legal_moves(n), digit_legal_moves(n)
+        for tower in (0, (3 ** n - 1) // 2, 3 ** n - 1):
+            assert successors(moves, tower) == expected(tower)
+            assert len(expected(tower)) == 2
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_path_counts_sum_over_every_shortest_predecessor(self, n):
@@ -381,12 +434,11 @@ class TestIntegerPositions:
         reference's. From the start tower every count is 1, so other
         sources are searched too: there some positions have two."""
         size = 3 ** n
-        legal_moves = _legal_moves(n)
         states = [decode_position(n, position) for position in range(size)]
         sources = range(size) if n <= 4 else range(0, size, size // 20)
         most = 0
         for source in sources:
-            dist, ways = _breadth_first(legal_moves, size, source)
+            dist, ways, _ = _breadth_first(n, source)
             ref_dist, ref_ways = reference_path_counts(states[source])
             assert dict(zip(states, dist)) == ref_dist
             assert dict(zip(states, ways)) == ref_ways
@@ -401,9 +453,8 @@ class TestIntegerPositions:
         count 1, so no end-to-end test could tell ways[start] from
         ways[goal]. Sources as in the test above, so counts of 2 occur."""
         size = 3 ** n
-        legal_moves = _legal_moves(n)
         sources = range(size) if n <= 4 else range(0, size, size // 20)
-        searched = {s: _breadth_first(legal_moves, size, s) for s in sources}
+        searched = {s: _breadth_first(n, s)[:2] for s in sources}
         most = 0
         for s, (dist, ways) in searched.items():
             for t in sources:
