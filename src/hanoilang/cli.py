@@ -51,7 +51,7 @@ from .grammar import (
     format_form,
 )
 from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
-from .pda import PdaConfiguration, RunOutcome, _run, step as pda_step
+from .pda import RunOutcome, _run, step as pda_step
 
 # Disc-count caps. Materializing a word above 24 discs needs gigabytes;
 # enumeration and traces blow up far sooner. --unsafe-no-cap lifts all of
@@ -342,11 +342,11 @@ def _grammar_forms(n: int):
 
 def _pda_stacks(n: int):
     machine = build_hanoi_pda(n)
-    config = PdaConfiguration(machine.start_state, (), (machine.start_stack,))
-    yield config.stack
-    while config.stack:
-        (config,) = pda_step(machine, config)  # deterministic: exactly one
-        yield config.stack
+    stack = (machine.start_stack,)
+    yield stack
+    while stack:
+        (stack,) = pda_step(machine, stack)  # deterministic: exactly one
+        yield stack
 
 
 def cmd_trace(args) -> int:

@@ -120,16 +120,16 @@ class Grammar:
         object.__setattr__(
             self, "_by_lhs", {lhs: tuple(prods) for lhs, prods in index.items()}
         )
-        # The derivation's table for _unwind, with one row: each symbol is
-        # an id 0..; a terminal pops and reports its payload in 0 steps, a
-        # nonterminal pushes its first production's rhs in 1 step (no move
-        # without a production). symbols[id] names a stuck nonterminal.
+        # The derivation's table for _unwind: each symbol is an id 0..; a
+        # terminal pops and reports its payload in 0 steps, a nonterminal
+        # pushes its first production's rhs in 1 step (no move without a
+        # production). symbols[id] names a stuck nonterminal.
         symbols = list(self.nonterminals | self.terminals)
         ids = {sym: i for i, sym in enumerate(symbols)}
-        moves = [(0, tuple(ids[s] for s in reversed(index[sym][0].rhs))) if sym in index
-                 else (0, ()) if sym.is_terminal else None for sym in symbols]
+        moves = [tuple(ids[s] for s in reversed(index[sym][0].rhs)) if sym in index
+                 else () if sym.is_terminal else None for sym in symbols]
         effects = [((sym.payload,), 0) if sym.is_terminal else ((), 1) for sym in symbols]
-        object.__setattr__(self, "_compiled", ((0, ids[self.start], moves, effects), symbols))
+        object.__setattr__(self, "_compiled", ((ids[self.start], moves, effects), symbols))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -162,34 +162,34 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int,
             translate: Callable[[Any], Any] | None = None) -> tuple[int, int, int | None]:
     """The one loop of the derivation and of the automaton's runner.
 
-    table is (row, start symbol, moves, effects). A stack of symbol ids,
-    the start symbol alone at first, is unwound from its top: the move
-    moves[row + top] is (target row, pushed ids reversed for a list stack)
-    or None, and taking it pops top, costs and reports what effects[top]
-    gives, as (() or (payload,), steps). The reported payloads, each
-    mapped once through translate, go to sink in lists of _CHUNK to
-    2 * _CHUNK - 1 items, the last one shorter, also when the run stops;
-    sink may keep a list. Returns (steps, payloads handed over, stop):
-    stop is None when the stack emptied, else the index into moves of
-    the move that is None or costs more steps than are left.
+    table is (start symbol, moves, effects). A stack of symbol ids, the
+    start symbol alone at first, is unwound from its top: the move
+    moves[top] is the pushed ids, reversed for a list stack, or None,
+    and taking it pops top, costs and reports what effects[top] gives, as
+    (() or (payload,), steps). The reported payloads, each mapped once
+    through translate, go to sink in lists of _CHUNK to 2 * _CHUNK - 1
+    items, the last one shorter, also when the run stops; sink may keep a
+    list. Returns (steps, payloads handed over, stop): stop is None when
+    the stack emptied, else the symbol whose move is None or costs more
+    steps than are left.
 
-    The machine reads no input, so a symbol on top in a given row always
-    unwinds to the same payloads, in the same steps, to the same row. At
-    a visit where the recorded runs of its pushed symbols, read top first
-    from the target row, cover that run, a run of at most _CHUNK payloads
-    is recorded while the cache has room; it is replayed whenever the
-    steps left cover it, and otherwise the symbol takes one move.
+    The machine reads no input and has one state, so a symbol on top
+    always unwinds to the same payloads in the same steps. At a visit
+    where the recorded runs of its pushed symbols cover that run, a run
+    of at most _CHUNK payloads is recorded while the cache has room; it
+    is replayed whenever the steps left cover it, and otherwise the
+    symbol takes one move.
     """
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
-    row, start, moves, effects = table
+    start, moves, effects = table
     if translate is not None:
         effects = [(tuple(map(translate, items)), cost) for items, cost in effects]
     chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
-    # runs[row + id] is None while unknown, the recorded (payloads, steps,
-    # end row), or False once it will not be recorded. An attempt that
-    # meets an unknown part fails again until another run is decided, so
-    # failed[row + id] keeps the count of decided runs at its last failure.
+    # runs[id] is None while unknown, the recorded (payloads, steps), or
+    # False once it will not be recorded. An attempt that meets an unknown
+    # part fails again until another run is decided, so failed[id] keeps
+    # the count of decided runs at its last failure.
     runs: list = [None] * len(moves)
     failed: dict = {}
     decided = 0
@@ -203,44 +203,39 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int,
     # eighth call.
     while True:
         if not stack:
-            at = None
+            top = None
             break
         top = pop()
-        at = row + top
-        run = runs[at]
-        if run is None and moves[at] is not None and failed.get(at) != decided:
-            end, push = moves[at]
+        run = runs[top]
+        push = moves[top]
+        if run is None and push is not None and failed.get(top) != decided:
             parts = [effects[top]]
             for symbol in reversed(push):
-                run = runs[end + symbol]
+                run = runs[symbol]
                 if not run:  # None: not yet known; False: so this one is not recorded
                     break
                 parts.append(run)
-                end = run[2]
             else:
                 size = sum(len(part[0]) for part in parts)
                 if size > chunk or size > room:
                     run = False
                 else:
                     room -= size
-                    run = (sum((part[0] for part in parts), ()),
-                           sum(part[1] for part in parts), end)
+                    run = (sum((part[0] for part in parts), ()), sum(part[1] for part in parts))
             if run is None:
-                failed[at] = decided
+                failed[top] = decided
             else:
-                runs[at] = run
+                runs[top] = run
                 decided += 1
         if run and run[1] <= left:
             buffer += run[0]
             left -= run[1]
-            row = run[2]
         else:
             items, cost = effects[top]
-            if moves[at] is None or cost > left:
+            if push is None or cost > left:
                 break
             buffer += items
             left -= cost
-            row, push = moves[at]
             extend(push)
         if len(buffer) >= chunk:
             sink(buffer)
@@ -248,7 +243,7 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int,
             buffer = []
     if buffer:
         sink(buffer)
-    return step_limit - left, handed + len(buffer), at
+    return step_limit - left, handed + len(buffer), top
 
 
 class Derivation(namedtuple("Derivation", "word steps")):

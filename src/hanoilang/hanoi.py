@@ -130,9 +130,9 @@ class ValidationReport(namedtuple(
 
 # Disc d moves along a fixed 3-cycle of the pegs, 0-based: 0 -> 2 -> 1 -> 0
 # when n - d is even, 0 -> 1 -> 2 -> 0 when it is odd. A Board checks the
-# word in blocks of the top _BLOCK_DISCS discs' transfers (4,095 moves).
+# word against the period of the moves of its _PERIOD_DISCS smallest discs.
 _CYCLES = ((0, 2, 1), (0, 1, 2))
-_BLOCK_DISCS = 12
+_PERIOD_DISCS = 12
 
 
 def move_at(n: int, k: int) -> MoveSymbol:
@@ -169,21 +169,20 @@ def state_at(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     return tuple(map(tuple, pegs))
 
 
-def _relabel(codes, pegs) -> list:
-    """codes with pegs 1, 2 and 3 renamed pegs[0], pegs[1] and pegs[2]."""
-    names = {mv.code: _CANONICAL_MOVES[pegs[mv.src - 1], pegs[mv.dst - 1]].code
-             for mv in _CANONICAL_MOVES.values()}
-    return list(map(names.__getitem__, codes))
-
-
-def _transfer(m: int, src: int, dst: int) -> list:
-    """The optimal m-disc word from peg src to peg dst, as codes: the
-    (d-1)-disc word to the spare peg, disc d's move, and the (d-1)-disc
-    word back on top, doubled from d = 1 by relabelling."""
-    word = []
-    for _ in range(m):
-        word = _relabel(word, (1, 3, 2)) + [_CANONICAL_MOVES[1, 3].code] + _relabel(word, (2, 1, 3))
-    return _relabel(word, (src, 6 - src - dst, dst))
+def _period(n: int, m: int) -> list:
+    """Codes of moves 1..3 * 2^m of the optimal n-disc word, m <= n, where
+    discs 1..m move, and None at every 2^m-th, where a larger disc does.
+    The moves of discs 1..m repeat with this period: doubled from disc 1,
+    the list gets disc d's three moves, one per turn, at moves
+    2^(d-1) * (2 * turn + 1)."""
+    word = [None] * 3
+    for disc in range(1, m + 1):
+        word *= 2
+        cycle = _CYCLES[(n - disc) & 1]
+        for turn in range(3):
+            move = _CANONICAL_MOVES[cycle[turn] + 1, cycle[(turn + 1) % 3] + 1]
+            word[((2 * turn + 1) << (disc - 1)) - 1] = move.code
+    return word
 
 
 class Board:
@@ -200,7 +199,7 @@ class Board:
     first that did not.
     """
 
-    __slots__ = ("n_discs", "pegs", "table", "optimal_prefix", "_blocks")
+    __slots__ = ("n_discs", "pegs", "table", "optimal_prefix", "_period")
 
     def __init__(self, n_discs: int):
         if n_discs < 1:
@@ -212,31 +211,21 @@ class Board:
             for mv in _CANONICAL_MOVES.values()
         }
         self.optimal_prefix = 0
-        self._blocks = {}  # (source, target) peg -> that transfer of the top discs
+        self._period = _period(n_discs, min(n_discs, _PERIOD_DISCS))
 
     def _expected(self, start: int, count: int) -> list:
         """Codes start..start + count - 1 (0-based) of the optimal word, cut
-        at its end, or at move 2^64 - 1, which no input reaches. With m =
-        min(n, 12), the word is a run of m-disc transfers along disc m's
-        cycle, each followed by one move of a larger disc."""
-        n = self.n_discs
-        m = min(n, _BLOCK_DISCS)
-        last = (1 << m) - 1  # the offset of the larger disc's move
-        cycle = _CYCLES[(n - m) & 1]
+        at its end, or at move 2^64 - 1, which no input reaches: slices of
+        the period of discs 1..m, m = min(n, 12), with every 2^m-th move,
+        a larger disc's, patched in by move_at."""
+        n, period = self.n_discs, self._period
+        size, block = len(period), len(period) // 3
         stop = min(start + count, (1 << min(n, 64)) - 1)
         window = []
-        while start < stop:
-            turn, offset = start >> m, start & last
-            if offset == last:
-                window.append(move_at(n, start + 1).code)
-                start += 1
-                continue
-            pair = cycle[turn % 3] + 1, cycle[(turn + 1) % 3] + 1
-            if (block := self._blocks.get(pair)) is None:
-                block = self._blocks[pair] = _transfer(m, *pair)
-            piece = block[offset:offset + stop - start]
-            window += piece
-            start += len(piece)
+        for at in range(start - start % size, stop, size):
+            window += period[max(start - at, 0):stop - at]
+        for k in range((start // block + 1) * block, stop + 1, block):
+            window[k - 1 - start] = move_at(n, k).code
         return window
 
     def run(self, codes) -> tuple[int, str | None]:

@@ -1,21 +1,21 @@
 """Generic pushdown automaton types, step relation and deterministic runner.
 
-The automata read no input: like the paper's automaton, which emits the
-solution while it empties its stack, they only generate, so every move is
-an epsilon move. Configurations keep the stack top at the front, and a
-transition's pushed word replaces the consumed top verbatim (its first
-symbol becomes the new top). Transition keys are (state, stack top). The
-deterministic runner accepts by emptying the stack, and so accepts only
-the empty input word. pda_from_grammar builds the one-state automaton
+The automata have one state and read no input: like the paper's
+automaton, which emits the solution while it empties its stack, they only
+generate, so every move is an epsilon move, keyed by the stack top alone.
+Stacks are tuples with the top at the front, and a transition's pushed
+word replaces the consumed top verbatim (its first symbol becomes the new
+top). The deterministic runner accepts by emptying the stack, and so
+accepts only the empty input word. pda_from_grammar builds the automaton
 that runs a grammar's leftmost derivation.
 
-Each Pda compiles its transitions once into an integer table: states and
-stack symbols become ids, and moves sit in a flat list indexed by state
-and stack top. The deterministic runner is grammar._unwind, the loop the
-derivation runs, on that table: a stack symbol in a given state always
-unwinds the same way, so the run of a small one is recorded once and
-replayed. step stays symbolic; iterating it is the runner's checked
-reference, as derive_step is for the grammar's compiled derivation.
+Each Pda compiles its transitions once into an integer table: stack
+symbols become ids, and moves sit in a list indexed by stack top. The
+deterministic runner is grammar._unwind, the loop the derivation runs, on
+that table: a stack symbol always unwinds the same way, so the run of a
+small one is recorded once and replayed. step stays symbolic; iterating
+it is the runner's checked reference, as derive_step is for the
+grammar's compiled derivation.
 """
 
 from collections import namedtuple
@@ -23,8 +23,6 @@ from enum import Enum
 from typing import Any, Callable
 
 from .grammar import Grammar, _unwind
-
-PDA_STATE = "q0"
 
 
 class PdaError(ValueError):
@@ -49,16 +47,6 @@ class StackSymbol(namedtuple("StackSymbol", "payload observable", defaults=(Fals
         return str(self.payload)
 
 
-class PdaConfiguration(namedtuple("PdaConfiguration", "state remaining_input stack")):
-    """Instantaneous description: state, unread input, stack (top first)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
-
-    def __new__(cls, state: Any, remaining_input, stack):
-        return super().__new__(cls, state, tuple(remaining_input), tuple(stack))
-
-
 class RunOutcome(Enum):
     EMPTY_STACK_HALT = "empty-stack-halt"
     STUCK = "stuck"
@@ -75,7 +63,7 @@ class RunTrace(namedtuple("RunTrace", "steps emitted outcome")):
 class DeterminismReport(namedtuple("DeterminismReport", "deterministic witness reason",
                                    defaults=(None, None))):
     """Result of the determinism check; truthy iff deterministic. On
-    failure, witness names the (state, stack symbol) pair at fault."""
+    failure, witness names the stack symbol at fault."""
 
     __slots__ = ()
 
@@ -84,69 +72,51 @@ class DeterminismReport(namedtuple("DeterminismReport", "deterministic witness r
 
 
 class Pda:
-    """Immutable pushdown automaton without input letters, equal only to itself.
+    """Immutable one-state pushdown automaton without input letters, equal
+    only to itself.
 
-    transitions maps (state, StackSymbol) to a collection of (target state,
-    pushed word) pairs; missing keys mean no move.
+    transitions maps a StackSymbol to a collection of pushed words that may
+    replace it on top; missing keys mean no move.
     """
 
-    __slots__ = ("states", "stack_alphabet", "transitions", "start_state", "start_stack",
-                 "_compiled")
+    __slots__ = ("stack_alphabet", "transitions", "start_stack", "_compiled")
 
-    def __init__(self, states, stack_alphabet, transitions: dict, start_state: Any,
-                 start_stack: StackSymbol):
-        fields = (frozenset(states), frozenset(stack_alphabet), transitions, start_state,
-                  start_stack)
+    def __init__(self, stack_alphabet, transitions: dict, start_stack: StackSymbol):
+        fields = (frozenset(stack_alphabet), transitions, start_stack)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
         if not self.stack_alphabet:
             raise PdaError("stack alphabet must be nonempty")
-        if self.start_state not in self.states:
-            raise PdaError(f"start state {self.start_state!r} is not a listed state")
         if self.start_stack not in self.stack_alphabet:
             raise PdaError(f"start stack symbol {self.start_stack} is not in the stack alphabet")
         normalized = {}
-        for (state, top), targets in self.transitions.items():
-            if state not in self.states:
-                raise PdaError(f"transition from unknown state {state!r}")
+        for top, pushes in self.transitions.items():
             if top not in self.stack_alphabet:
                 raise PdaError(f"transition on unknown stack symbol {top}")
-            entry = []
-            for target, push in targets:
-                if target not in self.states:
-                    raise PdaError(f"transition into unknown state {target!r}")
-                push = tuple(push)
-                for sym in push:
-                    if sym not in self.stack_alphabet:
-                        raise PdaError(f"transition pushes unknown stack symbol {sym}")
-                entry.append((target, push))
-            normalized[state, top] = tuple(entry)
+            normalized[top] = tuple(map(tuple, pushes))
+            for sym in sum(normalized[top], ()):
+                if sym not in self.stack_alphabet:
+                    raise PdaError(f"transition pushes unknown stack symbol {sym}")
         object.__setattr__(self, "transitions", normalized)
-        # The runner's table for grammar._unwind. States and stack symbols
-        # are ids 0..; a state is kept as its row, id * K for K stack
-        # symbols. moves[row + top] is (target row, pushed ids reversed for
-        # a list stack) or None. Only the first target is kept: the runner
-        # refuses nondeterministic machines. Every move costs one step, and
-        # an observable top reports its payload.
+        # The runner's table for grammar._unwind. Stack symbols are ids
+        # 0..; moves[top] is the first pushed word's ids reversed for a
+        # list stack, or None: the runner refuses nondeterministic
+        # machines. Every move costs one step, and an observable top
+        # reports its payload.
         symbols = {sym: i for i, sym in enumerate(self.stack_alphabet)}
-        width = len(symbols)
-        rows = {state: i * width for i, state in enumerate(self.states)}
-        moves = [None] * (len(rows) * width)
-        for (state, top), targets in normalized.items():
-            if targets:
-                target, push = targets[0]
-                moves[rows[state] + symbols[top]] = (
-                    rows[target], tuple(symbols[sym] for sym in reversed(push)))
+        moves = [None] * len(symbols)
+        for top, pushes in normalized.items():
+            if pushes:
+                moves[symbols[top]] = tuple(symbols[sym] for sym in reversed(pushes[0]))
         effects = [((sym.payload,) if sym.observable else (), 1) for sym in symbols]
-        object.__setattr__(self, "_compiled", (
-            rows[self.start_state], symbols[self.start_stack], moves, effects))
+        object.__setattr__(self, "_compiled", (symbols[self.start_stack], moves, effects))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:
-    """The textbook one-state CFG-to-PDA construction, epsilon moves only.
+    """The textbook CFG-to-PDA construction, one state, epsilon moves only.
 
     Terminals are observable stack symbols that pop; bottom and each
     nonterminal on some right-hand side expand by the first production of
@@ -172,34 +142,30 @@ def pda_from_grammar(grammar: Grammar, bottom: StackSymbol) -> Pda:
               for sym in symbols if sym.is_terminal or grammar.productions_for(sym)}
     pushes[bottom] = grammar.productions_for(grammar.start)[0].rhs
     return Pda(
-        states=frozenset({PDA_STATE}),
         stack_alphabet=frozenset(stacked.values()) | {bottom},
-        transitions={(PDA_STATE, top): ((PDA_STATE, tuple(map(stacked.get, rhs))),)
-                     for top, rhs in pushes.items()},
-        start_state=PDA_STATE,
+        transitions={top: (tuple(map(stacked.get, rhs)),) for top, rhs in pushes.items()},
         start_stack=bottom,
     )
 
 
-def step(pda: Pda, config: PdaConfiguration) -> set:
-    """All successor configurations in one transition.
+def step(pda: Pda, stack: tuple) -> set:
+    """All successor stacks, top first, in one transition.
 
-    Each move replaces the stack top with the pushed word and leaves the
-    input unread. The empty set means the configuration is stuck.
+    Each move replaces the stack top with a pushed word. The empty set
+    means the stack is stuck.
     """
-    if not config.stack:
-        raise EmptyStack("an empty stack has no successor configuration")
-    rest = config.stack[1:]
-    return {PdaConfiguration(target, config.remaining_input, push + rest)
-            for target, push in pda.transitions.get((config.state, config.stack[0]), ())}
+    if not stack:
+        raise EmptyStack("an empty stack has no successor")
+    rest = stack[1:]
+    return {push + rest for push in pda.transitions.get(stack[0], ())}
 
 
 def is_deterministic(pda: Pda) -> DeterminismReport:
-    """Check that every (state, stack top) has at most one move."""
-    for (state, top), targets in pda.transitions.items():
-        if len(targets) > 1:
-            return DeterminismReport(False, witness=(state, top),
-                                     reason=f"{len(targets)} epsilon moves for one situation")
+    """Check that every stack top has at most one move."""
+    for top, pushes in pda.transitions.items():
+        if len(pushes) > 1:
+            return DeterminismReport(False, witness=top,
+                                     reason=f"{len(pushes)} epsilon moves for one situation")
     return DeterminismReport(True)
 
 
@@ -238,5 +204,5 @@ def _run(pda: Pda, sink: Callable[[list], None], step_limit: int,
     steps, _, stop = _unwind(pda._compiled, sink, step_limit, translate)
     if stop is None:
         return steps, RunOutcome.EMPTY_STACK_HALT
-    moves = pda._compiled[2]
+    moves = pda._compiled[1]
     return steps, RunOutcome.STUCK if moves[stop] is None else RunOutcome.STEP_LIMIT

@@ -682,6 +682,18 @@ class TestTrace:
             {"step": 2, "stack": "ε"},
         ]
 
+    @pytest.mark.parametrize("engine", ["grammar", "pda"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_three_discs_match_the_golden_trace_byte_for_byte(self, engine, fmt):
+        suffix = "txt" if fmt == "text" else "json"
+        golden = Path(__file__).parent / "data" / f"trace_n3_{engine}.{suffix}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hanoilang", "trace", "--n", "3", "--engine", engine,
+             "--format", fmt],
+            capture_output=True, env=dict(SUBPROCESS_ENV, PYTHONIOENCODING="utf-8"))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == golden.read_bytes()
+
     def test_limit_truncates(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--n", "3", "--limit", "2")
         assert code == 0

@@ -28,14 +28,7 @@ from hanoilang.hanoi import (
     move_at,
     validate_sequence,
 )
-from hanoilang.pda import (
-    PDA_STATE,
-    PdaConfiguration,
-    RunOutcome,
-    is_deterministic,
-    run_to_empty_stack,
-    step,
-)
+from hanoilang.pda import RunOutcome, is_deterministic, run_to_empty_stack, step
 from oracle import (
     ALL_MOVES,
     IllegalMove,
@@ -123,8 +116,7 @@ class TestPdaBuilder:
 
     def test_shape(self):
         m = build_hanoi_pda(3)
-        assert m.states == frozenset({PDA_STATE})
-        assert {state for state, _ in m.transitions} == {PDA_STATE}
+        assert set(m.transitions) <= m.stack_alphabet
         assert m.start_stack == STACK_BOTTOM
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -158,8 +150,8 @@ def test_pushed_stack_symbols_are_the_transition_keys_themselves():
     # the symbolic step, which `trace --engine pda` runs, then matches its
     # transition lookups by identity, not by dataclass equality
     m = build_hanoi_pda(5)
-    keys = {id(top) for _, top in m.transitions}
-    pushed = [sym for targets in m.transitions.values() for _, push in targets for sym in push]
+    keys = {id(top) for top in m.transitions}
+    pushed = [sym for pushes in m.transitions.values() for push in pushes for sym in push]
     assert pushed and all(id(sym) in keys for sym in pushed)
 
 
@@ -169,11 +161,11 @@ class TestHandTraces:
 
     def expand_stacks(self, n):
         m = build_hanoi_pda(n)
-        config = PdaConfiguration(m.start_state, (), (m.start_stack,))
-        stacks = [" ".join(str(s) for s in config.stack)]
-        while config.stack:
-            (config,) = step(m, config)
-            stacks.append(" ".join(str(s) for s in config.stack))
+        stack = (m.start_stack,)
+        stacks = [" ".join(str(s) for s in stack)]
+        while stack:
+            (stack,) = step(m, stack)
+            stacks.append(" ".join(str(s) for s in stack))
         return stacks
 
     def test_two_disc_run_stack_by_stack(self):
@@ -230,11 +222,11 @@ class TestRunLaws:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_stack_depth_stays_bounded(self, n):
         m = build_hanoi_pda(n)
-        config = PdaConfiguration(m.start_state, (), (m.start_stack,))
+        stack = (m.start_stack,)
         deepest = 1
-        while config.stack:
-            (config,) = step(m, config)
-            deepest = max(deepest, len(config.stack))
+        while stack:
+            (stack,) = step(m, stack)
+            deepest = max(deepest, len(stack))
         assert deepest <= 2 * n - 1
 
     def test_step_limit_outcome_mid_solution(self):
@@ -246,12 +238,12 @@ class TestRunLaws:
         # at 6 discs every task's run is recorded and replayed, and most
         # limits land inside one, which must then be taken step by step
         m = build_hanoi_pda(6)
-        config = PdaConfiguration(m.start_state, (), (m.start_stack,))
+        stack = (m.start_stack,)
         emitted, prefixes = [], [()]
-        while config.stack:
-            if config.stack[0].observable:
-                emitted.append(config.stack[0].payload)
-            (config,) = step(m, config)
+        while stack:
+            if stack[0].observable:
+                emitted.append(stack[0].payload)
+            (stack,) = step(m, stack)
             prefixes.append(tuple(emitted))
         assert len(prefixes) == 127
         for limit in range(1, 127):

@@ -382,8 +382,8 @@ def optimal_codes(n_discs):
 
 CODES = [mv.code for mv in ALL_MOVES]
 FAULTS = ("none", "substitution", "deletion", "insertion", "truncation", "extension")
-# The board checks the word in 4,095-move blocks, with a larger disc's move
-# at each index 4,095 + 4,096 t.
+# The board checks the word against the 3 * 4,096-move period of its 12
+# smallest discs' moves, with a larger disc's move at each index 4,095 + 4,096 t.
 BLOCK_EDGES = (4094, 4095, 4096, 4097, 8190, 8191)
 
 
@@ -423,15 +423,18 @@ def draw_chunks(data, codes, at):
     return [codes[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def replay_in_chunks(n_discs, chunks):
+def replay_in_chunks(n_discs, chunks, fault):
     """Feed chunks to a fresh Board as verify does, checking its pegs
-    against the recursion while it follows the optimal word; returns the
-    report's fields."""
+    against the recursion while it follows the optimal word, which it
+    must do up to the fault's index; returns the report's fields."""
     board = Board(n_discs)
-    played, reason = 0, None
+    played, fed, reason = 0, 0, None
     for chunk in chunks:
         count, reason = board.run(chunk)
         played += count
+        fed += len(chunk)
+        if fed <= fault:  # every code so far is the optimal word's
+            assert board.optimal_prefix == played
         if board.optimal_prefix is not None:
             assert board.optimal_prefix == played
             assert HanoiState(board.pegs) == optimal_position(n_discs, played)
@@ -444,7 +447,7 @@ def replay_in_chunks(n_discs, chunks):
 @given(n_discs=st.integers(min_value=1, max_value=13), data=st.data())
 def test_board_on_a_faulted_optimal_word_agrees_with_the_checked_replay(n_discs, data):
     codes, at = draw_faulted_word(data, n_discs)
-    report = replay_in_chunks(n_discs, draw_chunks(data, codes, at))
+    report = replay_in_chunks(n_discs, draw_chunks(data, codes, at), at)
     assert report == checked_replay(n_discs, list(map(MoveSymbol.parse, codes)))
 
 
@@ -458,5 +461,20 @@ def test_board_on_a_faulted_20_disc_word_agrees_with_the_checked_replay(data):
     turn = data.draw(st.integers(1, 255), label="block")
     codes, at = draw_faulted_word(data, 20, edges=(4096 * turn - 1, 4096 * turn))
     codes, start = codes[:at + 200], max(0, at - 100)
-    report = replay_in_chunks(20, draw_chunks(data, codes, at))
+    report = replay_in_chunks(20, draw_chunks(data, codes, at), at)
     assert report == checked_replay(20, list(map(MoveSymbol.parse, codes[start:])), start)
+
+
+@settings(deadline=None)
+@given(n_discs=st.integers(1, 70), data=st.data())
+def test_the_word_the_board_compares_with_is_the_closed_form(n_discs, data):
+    """Board._expected against move_at, on windows that start near the
+    block edges, the ends of the 3 * 4,096-move period, or the word's
+    end (or move 2^64 - 1, where the board stops), and may span a
+    period."""
+    last = (1 << min(n_discs, 64)) - 1
+    edges = [e for e in (0, *BLOCK_EDGES, 12286, 12287, 12288, 24575, last - 1) if e < last]
+    start = data.draw(st.sampled_from(edges) | st.integers(0, last - 1), label="start")
+    count = data.draw(st.integers(0, 13000), label="count")
+    expected = [move_at(n_discs, k + 1).code for k in range(start, min(start + count, last))]
+    assert Board(n_discs)._expected(start, count) == expected

@@ -23,8 +23,8 @@ UNEXPORTED = {
                 "StepLimitExceeded", "Symbol", "format_form", "nonterminal", "terminal"),
     "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport",
               "move_at", "state_at"),
-    "pda": ("DeterminismReport", "EmptyStack", "NondeterministicPda", "Pda", "PdaConfiguration",
-            "PdaError", "RunOutcome", "RunTrace", "step"),
+    "pda": ("DeterminismReport", "EmptyStack", "NondeterministicPda", "Pda", "PdaError",
+             "RunOutcome", "RunTrace", "step"),
 }
 
 

@@ -21,7 +21,6 @@ from hanoilang.hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol, Vali
 from hanoilang.pda import (
     DeterminismReport,
     Pda,
-    PdaConfiguration,
     PdaError,
     RunOutcome,
     RunTrace,
@@ -44,10 +43,9 @@ RECORDS = [
     (Production, (S, (a, S)), (S, (a,)), "rhs"),
     (Derivation, ((P13,), 1), ((P13,), 2), "steps"),
     (StackSymbol, ("z0", False), ("z0", True), "observable"),
-    (PdaConfiguration, ("q0", (), (Z,)), ("q0", (), (Z, Z)), "stack"),
     (RunTrace, (3, (P13,), RunOutcome.EMPTY_STACK_HALT), (3, (P13,), RunOutcome.STUCK), "outcome"),
-    (DeterminismReport, (False, ("q0", Z), "2 epsilon moves for one situation"),
-     (False, ("q0", Z), "both epsilon and input moves are enabled"), "reason"),
+    (DeterminismReport, (False, Z, "2 epsilon moves for one situation"),
+     (False, Z, "both epsilon and input moves are enabled"), "reason"),
     (HanoiInstance, (3,), (4,), "n_discs"),
 ]
 RECORD_IDS = [cls.__name__ for cls, *_ in RECORDS]
@@ -59,8 +57,7 @@ def grammar(start=S, rhs=(a,)):
 
 
 def pda(**changes):
-    fields = dict(states=frozenset({"q"}), stack_alphabet=frozenset({Z, M}),
-                  transitions={("q", Z): (("q", (M,)),)}, start_state="q", start_stack=Z)
+    fields = dict(stack_alphabet=frozenset({Z, M}), transitions={Z: ((M,),)}, start_stack=Z)
     return Pda(**{**fields, **changes})
 
 
@@ -101,11 +98,7 @@ def test_make_and_replace_rebuild_records_from_their_fields(cls, args, other, fi
 
 def test_records_normalise_their_sequences_to_tuples():
     assert Production(S, [a]) == Production(S, (a,))
-    assert PdaConfiguration("q0", [], [Z]).stack == (Z,)
-    assert PdaConfiguration("q0", ["c"], []).remaining_input == ("c",)
     assert Production(S, (a,))._replace(rhs=[a, S]).rhs == (a, S)
-    assert PdaConfiguration._make(("q0", ["c"], [Z])) == PdaConfiguration("q0", ("c",), (Z,))
-    assert PdaConfiguration("q0", (), (Z,))._replace(stack=[Z, Z]).stack == (Z, Z)
 
 
 def test_records_take_their_fields_by_keyword_and_default():
@@ -168,13 +161,9 @@ def test_grammar_keeps_its_checks(make, message):
 
 @pytest.mark.parametrize("changes, message", [
     (dict(stack_alphabet=frozenset()), "stack alphabet must be nonempty"),
-    (dict(start_state="r"), "start state 'r' is not a listed state"),
     (dict(start_stack=StackSymbol("y")), "start stack symbol y is not in the stack alphabet"),
-    (dict(transitions={("r", Z): ()}), "transition from unknown state 'r'"),
-    (dict(transitions={("q", StackSymbol("y")): ()}), "transition on unknown stack symbol y"),
-    (dict(transitions={("q", Z): (("r", ()),)}), "transition into unknown state 'r'"),
-    (dict(transitions={("q", Z): (("q", (StackSymbol("y"),)),)}),
-     "transition pushes unknown stack symbol y"),
+    (dict(transitions={StackSymbol("y"): ()}), "transition on unknown stack symbol y"),
+    (dict(transitions={Z: ((StackSymbol("y"),),)}), "transition pushes unknown stack symbol y"),
 ])
 def test_pda_keeps_its_checks(changes, message):
     with raises_exactly(PdaError, message):
@@ -185,12 +174,12 @@ def test_grammar_and_pda_take_keywords_and_cannot_be_assigned():
     g, m = grammar(), pda()
     assert (g.terminals, g.nonterminals, g.start, g.productions) == (
         frozenset({a}), frozenset({S}), S, (Production(S, (a,)),))
-    assert (m.states, m.start_state, m.start_stack) == (frozenset({"q"}), "q", Z)
-    assert m.transitions == {("q", Z): (("q", (M,)),)}
+    assert (m.stack_alphabet, m.start_stack) == (frozenset({Z, M}), Z)
+    assert m.transitions == {Z: ((M,),)}
     with pytest.raises(AttributeError):
         g.start = S
     with pytest.raises(AttributeError):
-        m.start_state = "q"
+        m.start_stack = Z
 
 
 def test_grammar_compares_by_fields_and_pda_by_identity():
@@ -204,7 +193,7 @@ def test_reports_are_truthy_iff_the_check_passed():
     assert ValidationReport(True, None, None, False, 2)
     assert not ValidationReport(False, 1, "empty-source", False, 2)
     assert DeterminismReport(True)
-    assert not DeterminismReport(False, ("q0", Z), "2 epsilon moves for one situation")
+    assert not DeterminismReport(False, Z, "2 epsilon moves for one situation")
 
 
 @pytest.mark.parametrize("record, text, representation", [
