@@ -664,6 +664,17 @@ class TestTrace:
             "⟨q0, ε, ε⟩",
         ]
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_pda_trace_pops_the_solution_and_ends_on_the_empty_stack(self, capsys, n):
+        code, out, _ = run_cli(capsys, "trace", "--n", str(n), "--engine", "pda")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 2 ** (n + 1) - 1  # 2^(n+1) - 2 transitions
+        assert lines[-1] == "⟨q0, ε, ε⟩"
+        tops = [line.removeprefix("⟨q0, ε, ").removesuffix("⟩").split()[0] for line in lines[:-1]]
+        assert [top for top in tops if top.startswith("p")] == [
+            mv.code for mv in recursive_solve(HanoiInstance(n))]
+
     def test_json_grammar_trace(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--n", "2", "--format", "json")
         entries = json.loads(out)

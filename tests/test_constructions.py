@@ -139,6 +139,16 @@ class TestPdaBuilder:
             else:
                 assert not sym.observable
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_tasks_push_their_grammar_rule_and_moves_pop(self, n):
+        grammar, m = build_hanoi_grammar(n), build_hanoi_pda(n)
+        rules = {prod.lhs.payload: tuple(sym.payload for sym in prod.rhs)
+                 for prod in grammar.productions}
+        for top, pushes in m.transitions.items():
+            lhs = grammar.start.payload if top == STACK_BOTTOM else top.payload
+            expected = () if top.observable else rules[lhs]
+            assert [tuple(sym.payload for sym in push) for push in pushes] == [expected]
+
     def test_single_disc_machine_emits_one_move(self):
         trace = pda_run(1)
         assert trace.outcome is RunOutcome.EMPTY_STACK_HALT

@@ -50,11 +50,25 @@ class TestConstruction:
         with pytest.raises(PdaError):
             make_pda({Z: ((ghost,),)})
 
+    def test_pushed_words_are_normalised_to_tuples(self):
+        pda = make_pda({Z: [[A, Z], []]})
+        assert pda.transitions == {Z: ((A, Z), ())}
+        assert step(pda, (Z, M1)) == {(A, Z, M1), (M1,)}
+
 
 class TestStep:
     def test_epsilon_move_replaces_top(self):
         pda = make_pda({Z: ((A, Z),)})
         assert step(pda, (Z,)) == {(A, Z)}
+
+    def test_pop_leaves_the_rest_of_the_stack(self):
+        pda = make_pda({M1: ((),)})
+        assert step(pda, (M1, Z)) == {(Z,)}
+
+    def test_moves_are_keyed_by_the_top_alone(self):
+        pda = make_pda({Z: ((),)})
+        assert step(pda, (A, Z)) == set()
+        assert step(pda, (Z, A)) == {(A,)}
 
     def test_several_targets_give_several_successors(self):
         pda = make_pda({Z: ((A, Z), ())})
@@ -95,6 +109,12 @@ class TestIsDeterministic:
 
     def test_entry_without_targets_is_deterministic(self):
         assert is_deterministic(make_pda({Z: ()}))
+
+    def test_witness_is_the_top_with_several_moves(self):
+        pda = make_pda({Z: ((A,),), A: ((), (M1,)), M1: ((),)})
+        report = is_deterministic(pda)
+        assert (report.deterministic, report.witness) == (False, A)
+        assert report.reason == "2 epsilon moves for one situation"
 
 
 class TestRunToEmptyStack:
@@ -264,6 +284,17 @@ def test_chunked_run_hands_over_the_stepwise_payloads(case, chunk, cache_chunks)
     assert all(0 < len(items) < 2 * chunk for items in lists[-1:])
 
 
+def test_a_recorded_run_is_replayed_or_cut_at_every_limit():
+    # Z pushes C over three A's, and each A pushes B C C: the later visits
+    # to A may replay its recorded run, and limits inside it must cut it
+    B, C = StackSymbol("b", observable=True), StackSymbol("c", observable=True)
+    pda = Pda(frozenset({Z, A, B, C}), {Z: ((C, A, A, A),), A: ((B, C, C),), B: ((),),
+                                         C: ((),)}, Z)
+    assert stepwise_run(pda, (), 14) == (14, tuple("cbccbccbcc"), RunOutcome.EMPTY_STACK_HALT)
+    for limit in range(1, 15):
+        assert run_to_empty_stack(pda, (), step_limit=limit) == stepwise_run(pda, (), limit)
+
+
 def test_a_run_that_never_ends_runs_in_fixed_memory():
     # Z pushes m1 over itself forever: m1's run is recorded and replayed, Z
     # never gets one, and the visit that looks for it must keep nothing
@@ -281,6 +312,9 @@ def test_a_run_that_never_ends_runs_in_fixed_memory():
 # Hand-built runs that end each way, including paths random machines rarely
 # take; each goes through the same comparison as the random ones.
 OUTCOME_CASES = {
+    "halt-after-nested-pushes": (
+        make_pda({Z: ((A, M1),), A: ((M2, M1),), M1: ((),), M2: ((),)}), (),
+        RunOutcome.EMPTY_STACK_HALT),
     "entry-without-targets-is-stuck": (
         make_pda({Z: ((M1, A),), M1: ((),), A: ()}), (), RunOutcome.STUCK),
     "stuck-without-a-move": (make_pda({Z: ((M1, A),), M1: ((),)}), (), RunOutcome.STUCK),

@@ -164,6 +164,10 @@ def test_grammar_keeps_its_checks(make, message):
     (dict(start_stack=StackSymbol("y")), "start stack symbol y is not in the stack alphabet"),
     (dict(transitions={StackSymbol("y"): ()}), "transition on unknown stack symbol y"),
     (dict(transitions={Z: ((StackSymbol("y"),),)}), "transition pushes unknown stack symbol y"),
+    (dict(transitions={Z: ((M,), (M, StackSymbol("y")))}),
+     "transition pushes unknown stack symbol y"),
+    (dict(transitions={("q", Z): ((M,),)}),
+     "transition on unknown stack symbol ('q', StackSymbol(payload='Z', observable=False))"),
 ])
 def test_pda_keeps_its_checks(changes, message):
     with raises_exactly(PdaError, message):
