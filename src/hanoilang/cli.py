@@ -22,13 +22,13 @@ A closed stdout or stderr takes output as /dev/null would, and a closed
 stdin makes `verify -` exit 2.
 """
 
-import argparse
 import os
 import sys
 import time
 from contextlib import nullcontext
 from itertools import islice, pairwise
 from operator import attrgetter
+from types import SimpleNamespace
 
 from .constructions import (
     BFS_MAX_DISCS,
@@ -378,60 +378,88 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMON = {
+    "--n": dict(type=int, required=True, metavar="N", help="number of discs"),
+    "--unsafe-no-cap": dict(action="store_true", help="lift the disc-count caps (expect "
+                            "long runtimes and large outputs)"),
+}
+_FORMAT = {"--format": dict(choices=("text", "json"), default="text")}
+
+# Each subcommand's handler, help line and options: an option's name and
+# its argparse keyword arguments, or a positional's dest and its own.
+COMMANDS = {
+    "solve": (cmd_solve, "produce the optimal move sequence", {
+        **_COMMON, "--engine": dict(choices=ENGINES, default="grammar"), **_FORMAT,
+        "--stream": dict(action="store_true",
+                         help="print one move per line as they are produced")}),
+    "verify": (cmd_verify, "replay a move sequence and judge it", {
+        **_COMMON, "moves": dict(metavar="FILE",
+                                 help="whitespace-separated move codes; '-' for stdin"),
+        **_FORMAT}),
+    "compare": (cmd_compare, "run all engines and check they agree", _COMMON),
+    "enumerate": (cmd_enumerate, "list every generated word within a step bound", {
+        **_COMMON, "--bound": dict(type=int, default=None, metavar="STEPS",
+                                   help="max derivation steps to explore "
+                                   "(default: 2^N, enough for the full word)")}),
+    "trace": (cmd_trace, "show each derivation step or automaton configuration", {
+        **_COMMON, "--engine": dict(choices=("grammar", "pda"), default="grammar"), **_FORMAT,
+        "--limit": dict(type=int, default=None, metavar="COUNT",
+                        help="print at most this many trace entries")}),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
     parser = argparse.ArgumentParser(
         prog="hanoilang",
         description="Towers of Hanoi as a formal language: grammar, "
         "pushdown automaton, and reference solvers.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub):
-        sub.add_argument("--n", type=int, required=True, metavar="N",
-                         help="number of discs")
-        sub.add_argument("--unsafe-no-cap", action="store_true",
-                         help="lift the disc-count caps (expect long runtimes "
-                         "and large outputs)")
-
-    solve = subparsers.add_parser(
-        "solve", help="produce the optimal move sequence")
-    common(solve)
-    solve.add_argument("--engine", choices=ENGINES, default="grammar")
-    solve.add_argument("--format", choices=("text", "json"), default="text")
-    solve.add_argument("--stream", action="store_true",
-                       help="print one move per line as they are produced")
-    solve.set_defaults(func=cmd_solve)
-
-    verify = subparsers.add_parser(
-        "verify", help="replay a move sequence and judge it")
-    common(verify)
-    verify.add_argument("moves", metavar="FILE",
-                        help="whitespace-separated move codes; '-' for stdin")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(func=cmd_verify)
-
-    compare = subparsers.add_parser(
-        "compare", help="run all engines and check they agree")
-    common(compare)
-    compare.set_defaults(func=cmd_compare)
-
-    enumerate_ = subparsers.add_parser(
-        "enumerate", help="list every generated word within a step bound")
-    common(enumerate_)
-    enumerate_.add_argument("--bound", type=int, default=None, metavar="STEPS",
-                            help="max derivation steps to explore "
-                            "(default: 2^N, enough for the full word)")
-    enumerate_.set_defaults(func=cmd_enumerate)
-
-    trace = subparsers.add_parser(
-        "trace", help="show each derivation step or automaton configuration")
-    common(trace)
-    trace.add_argument("--engine", choices=("grammar", "pda"), default="grammar")
-    trace.add_argument("--format", choices=("text", "json"), default="text")
-    trace.add_argument("--limit", type=int, default=None, metavar="COUNT",
-                       help="print at most this many trace entries")
-    trace.set_defaults(func=cmd_trace)
+    for command, (func, help_line, options) in COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_line)
+        for name, spec in options.items():
+            sub.add_argument(name, **spec)
+        sub.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv):
+    """The namespace build_parser's parser makes from a plain command line,
+    read without argparse: a subcommand, then options by their exact long
+    names and at most one positional, every value well formed and none
+    starting with '-'. None for anything else, which argparse then reads,
+    or rejects with its own message and exit code 2."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    given = {name: spec.get("default", False if "action" in spec else None)
+             for name, spec in options.items()}
+    positional = next((name for name in options if name[0] != "-"), None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            if positional is None or given[positional] is not None:  # none, or a second one
+                return None
+            token, value = positional, token
+        elif token not in options:
+            return None
+        elif "action" in options[token]:  # a store_true flag
+            given[token] = True
+            continue
+        else:
+            value = next(tokens, "-")
+            if value[:1] == "-" or value not in options[token].get("choices", (value,)):
+                return None
+        try:
+            given[token] = options[token].get("type", str)(value)
+        except ValueError:
+            return None
+    if any(given[name] is None for name, spec in options.items()
+           if spec.get("required", name[0] != "-")):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in given.items()})
 
 
 def main(argv=None) -> int:
@@ -440,11 +468,13 @@ def main(argv=None) -> int:
             os.write(fd, b"")
         except OSError:  # closed or read-only: take output as /dev/null would
             setattr(sys, name, open(os.devnull, "w"))
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.n < 1:  # every subcommand takes --n
         _complain(f"--n must be at least 1, got {args.n}")
         return EXIT_USAGE

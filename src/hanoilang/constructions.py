@@ -18,7 +18,6 @@ of n discs from peg i to peg j.
 """
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from .grammar import Grammar, Production, nonterminal, terminal
 from .hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol
@@ -126,9 +125,10 @@ def recursive_solve(instance: HanoiInstance) -> tuple[MoveSymbol, ...]:
     return tuple(moves)
 
 
-class BfsResult(NamedTuple):
-    sequence: tuple
-    shortest_path_count: int
+class BfsResult(namedtuple("BfsResult", "sequence shortest_path_count")):
+    """The shortest solution and the number of shortest solutions."""
+
+    __slots__ = ()
 
 
 def _legal_moves(n_discs: int):

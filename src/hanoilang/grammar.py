@@ -15,7 +15,7 @@ the leftmost strategy.
 """
 
 from collections import namedtuple
-from typing import Any, Callable
+from collections.abc import Callable
 
 TERMINAL = "terminal"
 NONTERMINAL = "nonterminal"
@@ -39,7 +39,7 @@ class Symbol(namedtuple("Symbol", "kind payload")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
 
-    def __new__(cls, kind: str, payload: Any):
+    def __new__(cls, kind: str, payload: object):
         if kind not in (TERMINAL, NONTERMINAL):
             raise GrammarError(f"unknown symbol kind {kind!r}")
         return super().__new__(cls, kind, payload)
@@ -159,7 +159,7 @@ _CACHE_CHUNKS = 16
 
 
 def _unwind(table, sink: Callable[[list], None], step_limit: int,
-            translate: Callable[[Any], Any] | None = None) -> tuple[int, int, int | None]:
+            translate: Callable[[object], object] | None = None) -> tuple[int, int, int | None]:
     """The one loop of the derivation and of the automaton's runner.
 
     table is (start symbol, moves, effects). A stack of symbol ids, the
@@ -270,7 +270,7 @@ def derive_step(grammar: Grammar, form) -> SententialForm | None:
 
 
 def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
-            translate: Callable[[Any], Any] | None = None) -> tuple[int, int]:
+            translate: Callable[[object], object] | None = None) -> tuple[int, int]:
     """The leftmost derivation, run by _unwind on the grammar's table.
 
     Rewrites with the first production, as derive_step does, and hands the
@@ -303,7 +303,7 @@ def derive_full(grammar: Grammar, step_limit: int) -> Derivation:
     return Derivation(tuple(word), steps)
 
 
-def derive_streaming(grammar: Grammar, sink: Callable[[Any], None], step_limit: int) -> int:
+def derive_streaming(grammar: Grammar, sink: Callable[[object], None], step_limit: int) -> int:
     """Leftmost derivation that hands each terminal payload to sink.
 
     Payloads arrive in chunks of a few thousand, not the moment their

@@ -19,8 +19,8 @@ grammar's compiled derivation.
 """
 
 from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
-from typing import Any, Callable
 
 from .grammar import Grammar, _unwind
 
@@ -188,7 +188,7 @@ def run_to_empty_stack(pda: Pda, input_word, *, step_limit: int) -> RunTrace:
 
 
 def _run(pda: Pda, sink: Callable[[list], None], step_limit: int,
-         translate: Callable[[Any], Any] | None = None) -> tuple[int, RunOutcome]:
+         translate: Callable[[object], object] | None = None) -> tuple[int, RunOutcome]:
     """The deterministic run on the empty input word, by grammar._unwind
     on the compiled table, which hands the payloads that observable tops
     report to sink as it does, however the run ends. A stack symbol's

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hanoilang
-from hanoilang.cli import ENGINES, main
+from hanoilang.cli import COMMANDS, ENGINES, _plain_args, build_parser, main
 from hanoilang.constructions import HanoiInstance, recursive_solve
 from hanoilang.grammar import _CHUNK
 from hanoilang.hanoi import MoveParseError, MoveSymbol, validate_sequence
@@ -322,15 +322,15 @@ def whole_text_verdict(n, text, fmt):
 
 
 # Runs cli.main in a fresh interpreter and reports, as its last stderr
-# line, which of the modules that text output does without it loaded.
+# line, which of the modules that a plain text call does without it loaded.
 IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 from hanoilang.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print("loaded:", *sorted({"dataclasses", "inspect", "json"} & set(sys.modules) - before),
-      file=sys.stderr)
+watched = {"argparse", "dataclasses", "gettext", "inspect", "json", "locale", "typing"}
+print("loaded:", *sorted(watched & set(sys.modules) - before), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -346,11 +346,24 @@ class TestStartup:
         ("solve", "--n", "1", "--stream"),
         ("verify", "--n", "1", "-"),  # reads the probe's stdin, "p13"
         ("compare", "--n", "1"),
+        ("enumerate", "--n", "2"),
+        ("trace", "--n", "2", "--engine", "pda"),
     ], ids=" ".join)
-    def test_text_output_loads_no_dataclasses_inspect_or_json(self, argv):
+    def test_plain_text_calls_load_no_argparse_json_or_typing(self, argv):
         proc = run_probe(*argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "loaded:"
+
+    def test_help_still_comes_from_argparse(self):
+        proc = run_probe("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hanoilang [-h]")
+        assert "argparse" in proc.stderr.splitlines()[-1].split()
+
+    def test_a_bad_choice_still_gets_argparses_usage_error(self):
+        proc = run_probe("solve", "--n", "3", "--engine", "nope")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "argument --engine: invalid choice: 'nope'" in proc.stderr
 
     def test_json_output_still_prints_its_record(self):
         proc = run_probe("solve", "--n", "3", "--format", "json")
@@ -762,3 +775,97 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout == TWO_DISC_WORD + "\n"
+
+    def test_argparse_reads_what_the_plain_reader_declines(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--eng", "pda", "--n=2")
+        assert (code, out) == (0, TWO_DISC_WORD + "\n")
+
+
+# Tokens for command lines that argparse and the plain reader may read
+# differently: every name and value the table declares, and the forms
+# that only argparse reads or rejects.
+OPTION_NAMES = sorted({name for _, _, options in COMMANDS.values() for name in options
+                       if name.startswith("-")})
+CHOICES = sorted({choice for _, _, options in COMMANDS.values() for spec in options.values()
+                  for choice in spec.get("choices", ())})
+VALUES = ["0", "1", "3", "12", "-", "-1", "1_0", " 5", "0x10", "+2", "", "nope", "moves.txt"]
+STRAY = ["-h", "--help", "--", "-n", "--eng", "--str", "--n=3", "--engine=pda", "--bogus", "solve"]
+
+
+@st.composite
+def plain_command_lines(draw):
+    """A well-formed command line drawn from the table: a subcommand, its
+    required arguments, some of its other options, in any order."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    groups = []
+    for name, spec in COMMANDS[command][2].items():
+        if not name.startswith("-"):
+            groups.append([draw(st.sampled_from(["-", "moves.txt"]))])
+        elif spec.get("required") or draw(st.booleans()):
+            if spec.get("action") == "store_true":
+                groups.append([name])
+            elif "choices" in spec:
+                groups.append([name, draw(st.sampled_from(sorted(spec["choices"])))])
+            else:
+                groups.append([name, str(draw(st.integers(0, 30)))])
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def parsed_by_argparse(argv):
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestPlainReader:
+    @settings(max_examples=300, deadline=None)
+    @given(plain_command_lines())
+    def test_plain_command_lines_need_no_argparse(self, argv):
+        args = _plain_args(argv)
+        assert args is not None
+        assert vars(args) == parsed_by_argparse(argv)
+
+    @settings(max_examples=500, deadline=None)
+    @given(plain_command_lines(), st.lists(st.tuples(
+        st.integers(0, 20), st.sampled_from(OPTION_NAMES + CHOICES + VALUES + STRAY)), max_size=3),
+        st.booleans())
+    def test_the_plain_reader_agrees_with_argparse_or_declines(self, argv, inserts, cut):
+        for position, token in inserts:
+            argv.insert(position % (len(argv) + 1), token)
+        if cut:
+            argv.pop()
+        args = _plain_args(argv)
+        if args is not None:
+            assert vars(args) == parsed_by_argparse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["solve", "--help"], ["nope", "--n", "3"], ["solve"],
+        ["solve", "--n", "x"], ["solve", "--n", "-1"], ["solve", "--n", "0x10"],
+        ["solve", "--n", "3", "--engine", "nope"], ["solve", "--n", "3", "--bogus"],
+        ["compare", "--n", "3", "extra"], ["verify", "--n", "3"], ["verify", "--n", "3", "a", "b"],
+        ["solve", "--eng", "pda", "--n", "3"], ["solve", "--n=3"], ["solve", "--", "--n", "3"],
+        ["solve", "--n"], ["trace", "--n", "2", "--limit", "-1"],
+    ], ids=" ".join)
+    def test_what_the_plain_reader_declines(self, argv):
+        assert _plain_args(argv) is None
+
+    def test_the_benchmarks_and_the_readmes_command_lines_are_plain(self):
+        sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        ops = [workloads.solve_op(1, engine, fmt) for engine in ENGINES for fmt in ("text", "json")]
+        ops += [workloads.setup_op(name) for name in workloads.NAMES]
+        lines = [list(op.argv) for op in ops]
+        lines += [["solve", "--n", "15", "--engine", engine, "--stream"] for engine in ENGINES]
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines += [line.split("#")[0].split("|")[0].split()[1:] for line in block.splitlines()]
+        assert len(lines) > 20
+        for argv in lines:
+            args = _plain_args(argv)
+            assert args is not None, argv
+            assert vars(args) == parsed_by_argparse(argv), argv

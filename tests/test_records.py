@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from hanoilang.constructions import HanoiInstance
+from hanoilang.constructions import BfsResult, HanoiInstance
 from hanoilang.grammar import (
     Derivation,
     Grammar,
@@ -47,6 +47,7 @@ RECORDS = [
     (DeterminismReport, (False, Z, "2 epsilon moves for one situation"),
      (False, Z, "both epsilon and input moves are enabled"), "reason"),
     (HanoiInstance, (3,), (4,), "n_discs"),
+    (BfsResult, ((P13,), 1), ((P13,), 2), "shortest_path_count"),
 ]
 RECORD_IDS = [cls.__name__ for cls, *_ in RECORDS]
 
