@@ -8,20 +8,21 @@ Subcommands:
 * enumerate  -- list every word the N-disc grammar can generate
 * trace      -- show each derivation step or each automaton configuration
 
-solve in text mode prints the moves on stdout (one space-joined line, or
-one move per line with --stream) and a summary line on stderr, so stdout
-stays byte-comparable against golden files. JSON mode prints a single
-record {engine, n_discs, moves, move_count, elapsed_ms, verified}.
+solve writes the moves to stdout chunk by chunk as the engine hands them
+over: one space-joined line, one move per line with --stream, or a JSON
+record {engine, n_discs, moves, move_count, elapsed_ms, verified}. Text
+modes put a summary line on stderr, so stdout diffs against golden files.
 
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
 engine divergence), 2 usage error (bad arguments, unreadable or
-unparseable input, enumerate/trace caps), 3 engine failure (step limit,
-solve/bfs caps, a size past the interpreter's index or recursion limits).
-A reader that closes stdout early ends the output quietly with exit 0.
-A closed stdout or stderr takes output as /dev/null would, and a closed
-stdin makes `verify -` exit 2.
+unparseable input, unwritable output, enumerate/trace caps), 3 engine
+failure (step limit, solve/bfs caps, a size past the interpreter's index
+or recursion limits). A reader that closes stdout early ends the output
+quietly with exit 0. A closed stdout or stderr takes output as /dev/null
+would, and a closed stdin makes `verify -` exit 2.
 """
 
+import errno
 import os
 import sys
 import time
@@ -53,9 +54,9 @@ from .grammar import (
 from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
 from .pda import RunOutcome, _run, step as pda_step
 
-# Disc-count caps. Materializing a word above 24 discs needs gigabytes;
-# enumeration and traces blow up far sooner. --unsafe-no-cap lifts all of
-# them for people who know what they are asking for.
+# Disc-count caps. Above 24 discs a word is gigabytes: of output, and for
+# compare and the recursive and bfs engines of memory too; enumeration and
+# traces blow up far sooner. --unsafe-no-cap lifts all of them.
 SOLVE_MATERIALIZED_MAX = 24
 ENUMERATE_MAX = 4
 TRACE_MAX = 6
@@ -140,23 +141,18 @@ ENGINES = {
 }
 
 
-def _write_lines(out, codes) -> None:
-    """Write a chunk of move codes one per line to the text stream out, in
-    one write; an engine's chunks are at most 2 * _CHUNK - 1 codes long.
-
-    When out has a binary buffer, as sys.stdout does, the chunk goes there.
-    A write larger than the buffer's own goes straight to the file and
-    ends short, without an error, when the reader closes the pipe. A short
-    count is therefore raised as the BrokenPipeError it stands for, so the
-    output ends there even when it was the last chunk. A stream without a
-    binary buffer, such as an io.StringIO, takes the text.
-    """
-    text = "\n".join(codes) + "\n"
-    binary = getattr(out, "buffer", None)
+def _write(text: str) -> None:
+    """Write text to stdout in one write: to its binary buffer, unless it
+    has none, as an io.StringIO. A write larger than that buffer's own
+    goes straight to the file and can end short without an error, at a
+    closed pipe or a full disk: writing the rest raises that error, and a
+    second short count is taken for a closed pipe."""
+    binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
-        out.write(text)
-    elif binary.write(data := text.encode()) < len(data):
-        raise BrokenPipeError("stdout took only part of a write")
+        sys.stdout.write(text)
+    elif (done := binary.write(data := text.encode())) < len(data):
+        if binary.write(data[done:]) < len(data) - done:
+            raise BrokenPipeError("stdout took only part of a write")
 
 
 def cmd_solve(args) -> int:
@@ -172,19 +168,25 @@ def cmd_solve(args) -> int:
             "or --stream with the grammar or pda engine)"
         )
         return EXIT_ENGINE
+    # Every format is an opening, the codes joined by a separator, and a
+    # closing. JSON's give json.dumps(record, indent=2)'s bytes without its
+    # indented encoder, which runs in pure Python, over 3x slower per move.
+    record = {"engine": args.engine, "n_discs": args.n, "moves": None}
+    opening, separator = "", "\n" if args.stream else " "
+    if args.format == "json":
+        import json
+        opening = json.dumps(record, indent=2).split("null")[0] + '[\n    "'
+        separator = '",\n    "'
     board = Board(args.n)
-    codes = []  # the whole word, kept without --stream
     count = 0
     legal = True
 
     def sink(chunk: list) -> None:
-        nonlocal count, legal
+        nonlocal count, legal, opening
         legal = legal and board.run(chunk)[1] is None
         count += len(chunk)
-        if args.stream:
-            _write_lines(sys.stdout, chunk)
-        else:
-            codes.extend(chunk)
+        _write(opening + separator.join(chunk))
+        opening = separator  # the opening went out with the first chunk
 
     started = time.perf_counter()
     try:
@@ -192,25 +194,13 @@ def cmd_solve(args) -> int:
     except EngineFailure as exc:
         _complain(str(exc))
         return EXIT_ENGINE
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    record = {
-        "engine": args.engine,
-        "n_discs": args.n,
-        "moves": codes,
-        "move_count": count,
-        "elapsed_ms": round(elapsed_ms, 3),
-        "verified": legal and board.solved(),
-    }
+    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+    record.update(move_count=count, elapsed_ms=elapsed_ms, verified=legal and board.solved())
+    # print writes the closing: at a terminal it flushes before the summary
     if args.format == "json":
-        # json.dumps(record, indent=2), with the codes, which need no
-        # escaping, joined in its layout: its indented encoder runs in
-        # pure Python, over three times slower per move.
-        import json
-        head, tail = json.dumps({**record, "moves": None}, indent=2).split("null", 1)
-        print(head + '[\n    "' + '",\n    "'.join(codes) + '"\n  ]' + tail)
+        print('"\n  ]' + json.dumps(record, indent=2).split("null", 1)[1])
         return EXIT_OK
-    if not args.stream:
-        print(" ".join(codes))
+    print()
     print(_summary_line(record), file=sys.stderr)
     return EXIT_OK
 
@@ -463,18 +453,25 @@ def _plain_args(argv):
 
 
 def main(argv=None) -> int:
+    unwritable = None
     for fd, name in ((1, "stdout"), (2, "stderr")):
         try:
             os.write(fd, b"")
-        except OSError:  # closed or read-only: take output as /dev/null would
-            setattr(sys, name, open(os.devnull, "w"))
+        except OSError as exc:
+            # Closed or read-only: act as /dev/null. Another stdout error, such
+            # as /dev/full's, is reported once stderr is known to take it.
+            if fd == 1 and exc.errno != errno.EBADF:
+                unwritable = exc
+            else:
+                setattr(sys, name, open(os.devnull, "w"))
+    if unwritable is not None:
+        _complain(f"cannot write output: {unwritable}")
+        return EXIT_USAGE
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_args(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    try:
+        args = _plain_args(argv) or build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.n < 1:  # every subcommand takes --n
         _complain(f"--n must be at least 1, got {args.n}")
         return EXIT_USAGE
@@ -482,12 +479,14 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # an early close shows here when the output fit the buffer
         return code
-    except BrokenPipeError:
-        # The reader closed stdout early (`solve --stream | head`): that ends
-        # the output, not the run. Point stdout at devnull so the flush at
-        # interpreter shutdown cannot raise again.
+    except OSError as exc:
+        # A reader that closed stdout early (`solve --stream | head`) ends the
+        # output, not the run; commands catch their own read errors, so any
+        # other is stdout's. Devnull on stdout keeps the shutdown flush quiet.
+        if not isinstance(exc, BrokenPipeError):
+            _complain(f"cannot write output: {exc}")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return EXIT_OK if isinstance(exc, BrokenPipeError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command-line behaviour: output shapes, exit codes, caps, and streams."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hanoilang
-from hanoilang.cli import COMMANDS, ENGINES, _plain_args, build_parser, main
+from hanoilang.cli import COMMANDS, ENGINES, EngineFailure, _plain_args, build_parser, main
 from hanoilang.constructions import HanoiInstance, recursive_solve
 from hanoilang.grammar import _CHUNK
-from hanoilang.hanoi import MoveParseError, MoveSymbol, validate_sequence
+from hanoilang.hanoi import MoveParseError, MoveSymbol, move_at, validate_sequence
 from oracle import checked_replay
 
 TWO_DISC_WORD = "p12 p13 p23"
@@ -32,6 +33,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The 13-disc word by the closed form: two full chunks and a remainder.
+WORD_13 = [move_at(13, k).code for k in range(1, 2 ** 13)]
+FORMATS = {"text": (), "stream": ("--stream",), "json": ("--format", "json")}
+
+
+def written(fmt, codes, n=13):
+    """What `solve --n n` in format fmt writes before its closing when the
+    grammar engine hands over codes."""
+    if fmt == "json":
+        return (f'{{\n  "engine": "grammar",\n  "n_discs": {n},\n  "moves": [\n    "'
+                + '",\n    "'.join(codes))
+    return ("\n" if fmt == "stream" else " ").join(codes)
 
 
 class TestSolve:
@@ -81,11 +96,12 @@ class TestSolve:
         assert err == ""
 
     @pytest.mark.parametrize("engine", list(ENGINES))
-    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("n", [1, 2, 10, 13])
     def test_json_record_is_the_indented_json_dumps(self, capsys, engine, n):
-        # the moves array is joined by hand; every byte must be json's
+        # the moves array is joined by hand, chunk by chunk; every byte must
+        # be json's. bfs needs --unsafe-no-cap at 13 discs.
         code, out, _ = run_cli(capsys, "solve", "--n", str(n), "--engine", engine,
-                               "--format", "json")
+                               "--format", "json", "--unsafe-no-cap")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert len(json.loads(out)["moves"]) == 2 ** n - 1
@@ -102,11 +118,10 @@ class TestSolve:
         assert streamed.split() == plain.split()
 
     @pytest.mark.parametrize("engine", ["grammar", "pda", "recursive"])
-    def test_stream_is_byte_identical_across_write_chunks(self, capsys, engine):
-        # 8191 moves: two full chunks of streamed lines and a remainder
-        _, streamed, err = run_cli(capsys, "solve", "--n", "13", "--stream", "--engine", engine)
-        _, plain, _ = run_cli(capsys, "solve", "--n", "13")
-        assert streamed == plain.replace(" ", "\n")
+    @pytest.mark.parametrize("fmt", ["text", "stream"])
+    def test_text_is_byte_identical_across_write_chunks(self, capsys, engine, fmt):
+        _, out, err = run_cli(capsys, "solve", "--n", "13", "--engine", engine, *FORMATS[fmt])
+        assert out == written(fmt, WORD_13) + "\n"
         assert " move_count=8191 " in err
         assert err.endswith(" verified=true\n")
 
@@ -224,9 +239,12 @@ class TestSolve:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
-    def test_short_write_of_the_last_chunk_exits_zero_quietly(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_short_write_of_the_last_chunk_exits_zero_quietly(self, capsys, monkeypatch, tmp_path,
+                                                              fmt):
         # A pipe whose reader closes during a large write takes part of it
-        # and reports the short count without an error.
+        # and reports the short count without an error; this one reports
+        # every later write as short too.
         class ShortPipe:
             def __init__(self, room, fd):
                 self.buffer, self.room, self.fd, self.taken = self, room, fd, b""
@@ -242,26 +260,60 @@ class TestSolve:
             def fileno(self):
                 return self.fd
 
-        _, plain, _ = run_cli(capsys, "solve", "--n", "13")
-        stream = plain.replace(" ", "\n").encode()  # 8191 lines: the last chunk holds 3999
+        body = written(fmt, WORD_13).encode()  # the last chunk holds 3999 codes
         with open(tmp_path / "stdout", "wb") as target:
-            pipe = ShortPipe(len(stream) - 100, target.fileno())
+            pipe = ShortPipe(len(body) - 100, target.fileno())
             monkeypatch.setattr(sys, "stdout", pipe)
-            code = main(["solve", "--n", "13", "--stream"])
+            code = main(["solve", "--n", "13", *FORMATS[fmt]])
             monkeypatch.undo()
         assert code == 0
         assert capsys.readouterr().err == ""  # no summary
-        assert pipe.taken == stream[:-100]
+        assert pipe.taken == body[:-100]
 
-    def test_stream_to_a_stdout_without_a_binary_buffer_prints_text(self, capsys):
-        _, plain, _ = run_cli(capsys, "solve", "--n", "13")
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_stdout_without_a_binary_buffer_takes_text(self, capsys, fmt):
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = main(["solve", "--n", "13", "--stream"])  # 8191 lines: a chunk, then the rest
-        err = capsys.readouterr().err
+            code = main(["solve", "--n", "13", *FORMATS[fmt]])
+        text, err = out.getvalue(), capsys.readouterr().err
         assert code == 0
-        assert out.getvalue() == plain.replace(" ", "\n")
-        assert err.startswith("engine=grammar n_discs=13 move_count=8191 ")
-        assert err.endswith(" verified=true\n")
+        assert text.startswith(written(fmt, WORD_13))
+        if fmt == "json":
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert err == ""
+        else:
+            assert text == written(fmt, WORD_13) + "\n"
+            assert err.startswith("engine=grammar n_discs=13 move_count=8191 ")
+            assert err.endswith(" verified=true\n")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_an_engine_failing_after_its_first_chunk_leaves_that_chunk(self, capsys,
+                                                                      monkeypatch, fmt):
+        # No Hanoi engine fails once it has handed over moves: this one does.
+        def fail_after_one_chunk(n, unsafe, sink):
+            sink(WORD_13[:_CHUNK])
+            raise EngineFailure("stopped after one chunk")
+
+        monkeypatch.setitem(ENGINES, "grammar", fail_after_one_chunk)
+        code, out, err = run_cli(capsys, "solve", "--n", "13", *FORMATS[fmt])
+        assert (code, err) == (3, "hanoilang: stopped after one chunk\n")
+        assert out == written(fmt, WORD_13[:_CHUNK])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_memory_does_not_grow_with_the_word(self, monkeypatch, fmt):
+        # Holding the 17-disc word's 131,071 codes peaks above 2 MB, and
+        # its joined JSON record above 4 MB; chunk by chunk, about 0.5 MB.
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        with open(os.devnull, "w") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            tracemalloc.start()
+            try:
+                code = main(["solve", "--n", "17", *FORMATS[fmt]])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+        assert code == 0
+        assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("engine, n", [
@@ -382,6 +434,11 @@ def run_shell(redirect, *argv):
     return proc
 
 
+def write_error(code):
+    """The one stderr line of a command whose stdout failed with errno code."""
+    return f"hanoilang: cannot write output: {OSError(code, os.strerror(code))}\n"
+
+
 class TestClosedStreams:
     def test_closed_stdin_is_a_read_error(self):
         proc = run_shell("<&-", "verify", "--n", "3", "-")
@@ -413,6 +470,36 @@ class TestClosedStreams:
         closed, null = run_shell("2>&-", *argv), run_shell("2>/dev/null", *argv)
         assert (closed.returncode, closed.stdout) == (null.returncode, null.stdout)
         assert run_shell("2>&- >&-", *argv).returncode == null.returncode
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "3"),
+        ("solve", "--n", "3", "--stream"),
+        ("solve", "--n", "3", "--format", "json"),
+        ("verify", "--n", "3", "-"),
+        ("compare", "--n", "3"),
+        ("trace", "--n", "2", "--engine", "pda"),
+    ], ids=" ".join)
+    def test_a_full_stdout_is_reported(self, argv):
+        proc = run_shell(">/dev/full", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", write_error(errno.ENOSPC))
+        # with stderr gone too, there is nowhere to report to
+        assert run_shell(">/dev/full 2>&-", *argv).returncode == 2
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_write_past_the_file_size_limit_is_reported(self, tmp_path, fmt):
+        # The write that reaches the limit ends short without an error, as
+        # at a closed pipe; writing the rest fails with EFBIG (the
+        # interpreter ignores SIGXFSZ).
+        resource = pytest.importorskip("resource")
+        limit = 8192
+        with open(tmp_path / "stdout", "wb") as target:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hanoilang", "solve", "--n", "13", *FORMATS[fmt]],
+                stdout=target, stderr=subprocess.PIPE, text=True, env=SUBPROCESS_ENV, timeout=60,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+        assert (proc.returncode, proc.stderr) == (2, write_error(errno.EFBIG))
+        assert (tmp_path / "stdout").read_bytes() == written(fmt, WORD_13).encode()[:limit]
 
 
 class TestVerify:
