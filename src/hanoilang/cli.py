@@ -16,8 +16,8 @@ modes put a summary line on stderr, so stdout diffs against golden files.
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
 engine divergence), 2 usage error (bad arguments, unreadable or
 unparseable input, unwritable output, enumerate/trace caps), 3 engine
-failure (step limit, solve/bfs caps, a size past the interpreter's index
-or recursion limits). A reader that closes stdout early ends the output
+failure (step limit, solve/bfs caps, a size past the interpreter's
+index limit). A reader that closes stdout early ends the output
 quietly with exit 0. A closed stdout or stderr takes output as /dev/null
 would, and a closed stdin makes `verify -` exit 2.
 """
@@ -34,13 +34,12 @@ from types import SimpleNamespace
 from .constructions import (
     BFS_MAX_DISCS,
     CapExceeded,
-    HanoiInstance,
     bfs_optimal,
     build_hanoi_grammar,
     build_hanoi_pda,
     grammar_step_limit,
     pda_step_limit,
-    recursive_solve,
+    recursive_chunks,
 )
 from .grammar import (
     NoApplicableProduction,
@@ -54,9 +53,9 @@ from .grammar import (
 from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
 from .pda import RunOutcome, _run, step as pda_step
 
-# Disc-count caps. Above 24 discs a word is gigabytes: of output, and for
-# compare and the recursive and bfs engines of memory too; enumeration and
-# traces blow up far sooner. --unsafe-no-cap lifts all of them.
+# Disc-count caps. Above 24 discs a word is over 100 MB of output, and
+# doubles with each disc; enumeration and traces blow up far sooner.
+# --unsafe-no-cap lifts all of them.
 SOLVE_MATERIALIZED_MAX = 24
 ENUMERATE_MAX = 4
 TRACE_MAX = 6
@@ -75,8 +74,17 @@ class EngineFailure(RuntimeError):
     """An engine could not produce a sequence (limits, caps, bad run)."""
 
 
+def _note(line: str) -> None:
+    """Write a line to stderr. A stderr that fails takes it, and every
+    later line, as /dev/null would, and leaves the exit code alone."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:  # the unwritten rest goes to /dev/null at the closing flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _complain(message: str) -> None:
-    print(f"hanoilang: {message}", file=sys.stderr)
+    _note(f"hanoilang: {message}")
 
 
 def _summary_line(record: dict) -> str:
@@ -89,12 +97,6 @@ def _summary_line(record: dict) -> str:
 
 
 _code = attrgetter("code")
-
-
-def _hand_over(moves, sink) -> None:
-    """Pass a materialized word to sink as codes, one chunk at a time."""
-    for start in range(0, len(moves), _CHUNK):
-        sink(list(map(_code, moves[start:start + _CHUNK])))
 
 
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
@@ -111,11 +113,7 @@ def _pda_engine(n: int, unsafe: bool, sink) -> None:
 
 
 def _recursive_engine(n: int, unsafe: bool, sink) -> None:
-    try:
-        moves = recursive_solve(HanoiInstance(n))
-    except RecursionError as exc:  # the recursion nests n + 1 calls deep
-        raise EngineFailure(f"recursive solver at {n} discs: {exc}") from exc
-    _hand_over(moves, sink)
+    recursive_chunks(n, sink)
 
 
 def _bfs_engine(n: int, unsafe: bool, sink) -> None:
@@ -126,7 +124,9 @@ def _bfs_engine(n: int, unsafe: bool, sink) -> None:
     except (OverflowError, MemoryError) as exc:  # no list of 3^n positions
         reason = str(exc) or "out of memory"
         raise EngineFailure(f"breadth-first search at {n} discs: {reason}") from exc
-    _hand_over(result.sequence, sink)
+    codes = list(map(_code, result.sequence))
+    for start in range(0, len(codes), _CHUNK):
+        sink(codes[start:start + _CHUNK])
 
 
 # Each engine hands the N-disc word to sink as non-empty lists of move
@@ -201,7 +201,7 @@ def cmd_solve(args) -> int:
         print('"\n  ]' + json.dumps(record, indent=2).split("null", 1)[1])
         return EXIT_OK
     print()
-    print(_summary_line(record), file=sys.stderr)
+    _note(_summary_line(record))
     return EXIT_OK
 
 
@@ -262,6 +262,46 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.legal and report.final_solved else EXIT_FAILURE
 
 
+class _Departure:
+    """A sink that counts an engine's codes and compares each chunk with
+    the optimal word through board's windows. off is the index where the
+    codes first leave the word, by a different code, or by running past
+    its end or, once finish has run, short of it; None if they never
+    leave. tail holds the codes from off on: only a failing engine has
+    any."""
+
+    __slots__ = ("board", "count", "off", "tail")
+
+    def __init__(self, board: Board):
+        self.board, self.count, self.off, self.tail = board, 0, None, []
+
+    def __call__(self, chunk: list) -> None:
+        start = self.count
+        self.count += len(chunk)
+        if self.off is None:
+            expected = self.board._expected(start, len(chunk))
+            if chunk == expected:
+                return
+            cut = next((i for i, (code, move) in enumerate(zip(chunk, expected))
+                        if code != move), len(expected))
+            self.off, chunk = start + cut, chunk[cut:]
+        self.tail += chunk
+
+    def finish(self) -> None:
+        if self.off is None and self.count < 2 ** self.board.n_discs - 1:
+            self.off = self.count
+
+    def divergence(self, other: "_Departure") -> int | None:
+        """The first index where the two engines' words differ, or None."""
+        if self.off != other.off:  # up to the nearer off, both are the word
+            return min(off for off in (self.off, other.off) if off is not None)
+        if self.off is None or self.tail == other.tail:
+            return None
+        pairs = enumerate(zip(self.tail, other.tail), self.off)
+        return next((i for i, (a, b) in pairs if a != b),
+                    self.off + min(len(self.tail), len(other.tail)))
+
+
 def cmd_compare(args) -> int:
     if args.n > SOLVE_MATERIALIZED_MAX and not args.unsafe_no_cap:
         _complain(
@@ -273,33 +313,30 @@ def cmd_compare(args) -> int:
     if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
         engines.remove("bfs")
         print(f"bfs: skipped (capped at {BFS_MAX_DISCS} discs)")
-    sequences, lines = {}, {}
+    board = Board(args.n)
+    runs, lines = {}, {}
     # bfs runs first: where its 3^n positions cannot be held it fails at
-    # once, before any other engine fills a list of 2^n moves.
+    # once, before any other engine runs for 2^n moves.
     for engine in sorted(engines, key=lambda engine: engine != "bfs"):
-        sequences[engine] = []
+        run = runs[engine] = _Departure(board)
         started = time.perf_counter()
         try:
-            ENGINES[engine](args.n, args.unsafe_no_cap, sequences[engine].extend)
+            ENGINES[engine](args.n, args.unsafe_no_cap, run)
         except EngineFailure as exc:
             _complain(f"engine {engine} failed: {exc}")
             return EXIT_ENGINE
+        run.finish()
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        lines[engine] = f"{engine}: {len(sequences[engine])} moves in {elapsed_ms:.3f} ms"
+        lines[engine] = f"{engine}: {run.count} moves in {elapsed_ms:.3f} ms"
     for engine in engines:
         print(lines[engine])
-    reference = engines[0]
+    reference = runs[engines[0]]
     for engine in engines[1:]:
-        expected, got = sequences[reference], sequences[engine]
-        if expected == got:
-            continue
-        index = next(
-            (i for i, (a, b) in enumerate(zip(expected, got)) if a != b),
-            min(len(expected), len(got)),
-        )
-        print(f"divergence: {reference} vs {engine} at index {index}")
-        return EXIT_FAILURE
-    print(f"agreement: {len(engines)} engines, {len(sequences[reference])} moves")
+        index = reference.divergence(runs[engine])
+        if index is not None:
+            print(f"divergence: {engines[0]} vs {engine} at index {index}")
+            return EXIT_FAILURE
+    print(f"agreement: {len(engines)} engines, {reference.count} moves")
     return EXIT_OK
 
 

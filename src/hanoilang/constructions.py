@@ -19,7 +19,7 @@ of n discs from peg i to peg j.
 
 from collections import namedtuple
 
-from .grammar import Grammar, Production, nonterminal, terminal
+from .grammar import _CHUNK, Grammar, Production, nonterminal, terminal
 from .hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol
 from .pda import Pda, StackSymbol, pda_from_grammar
 
@@ -105,23 +105,48 @@ def build_hanoi_pda(n_discs: int) -> Pda:
     return pda_from_grammar(build_hanoi_grammar(n_discs), STACK_BOTTOM)
 
 
-def recursive_solve(instance: HanoiInstance) -> tuple[MoveSymbol, ...]:
-    """Classic textbook recursion, used as an independent reference.
+def recursive_chunks(n_discs: int, sink) -> None:
+    """The textbook recursion, as codes handed to sink in lists of _CHUNK
+    to _CHUNK + 3, the last one shorter: moving n discs from src to dst moves
+    n-1 discs onto the spare peg, carries the largest disc across, then
+    moves the n-1 discs on top of it.
 
-    Move n-1 discs onto the spare peg, carry the largest disc across,
-    then move the n-1 discs on top of it.
+    The recursion runs on an explicit stack, so it nests no calls and
+    holds no word: it goes down the first subtask at once, keeps the
+    middle move with the second on the stack, and writes a two-disc
+    task's three moves directly.
     """
+    if n_discs < 1:
+        raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
+    code = [[None] * 4 for _ in range(4)]  # code[src][dst], pegs 1..3
+    for i, j in PEG_PAIRS:
+        code[i][j] = MoveSymbol.of(i, j).code
+    stack, chunk = [], []
+    n, src, dst = n_discs, 1, 3
+    while True:
+        while n > 2:
+            aux = 6 - src - dst
+            stack.append((code[src][dst], n - 1, aux, dst))
+            n, dst = n - 1, aux
+        aux = 6 - src - dst
+        if n == 1:  # only a one-disc tower gets here
+            chunk.append(code[src][dst])
+        else:
+            chunk += (code[src][aux], code[src][dst], code[aux][dst])
+        if not stack:
+            break
+        move, n, src, dst = stack.pop()
+        chunk.append(move)
+        if len(chunk) >= _CHUNK:
+            sink(chunk)
+            chunk = []
+    sink(chunk)
+
+
+def recursive_solve(instance: HanoiInstance) -> tuple[MoveSymbol, ...]:
+    """recursive_chunks' word as moves, used as an independent reference."""
     moves: list[MoveSymbol] = []
-
-    def go(n: int, src: int, dst: int) -> None:
-        if n == 0:
-            return
-        aux = spare_peg(src, dst)
-        go(n - 1, src, aux)
-        moves.append(MoveSymbol.of(src, dst))
-        go(n - 1, aux, dst)
-
-    go(instance.n_discs, 1, 3)
+    recursive_chunks(instance.n_discs, lambda chunk: moves.extend(map(MoveSymbol.parse, chunk)))
     return tuple(moves)
 
 
@@ -179,33 +204,35 @@ def _legal_moves(n_discs: int):
     return base, [None if empty in t else by_tops(t) for t in tops], legal_moves
 
 
-def _breadth_first(n_discs: int, source: int) -> tuple:
-    """Distances from source to each of the 3^N positions, the number of
-    shortest paths to each, and the legal_moves of _legal_moves. Counted
-    layer by layer: a position's count is the sum of the counts of its
-    neighbours one step nearer source."""
-    size = 3 ** n_discs
-    dist = [-1] * size  # first, so a size that cannot be held fails at once
-    ways = [0] * size
-    base, table, legal_moves = _legal_moves(n_discs)
-    dist[source] = 0
-    ways[source] = 1
-    layer, step = [source], 0
+def _breadth_first(moves: tuple, source: int, near: bytearray):
+    """Yield the layers of a search from source over the move relation
+    moves of _legal_moves: for distance 0, 1, ..., the positions at that
+    distance, and a dict of their shortest-path counts that are not 1. A
+    position's count is the sum of the counts of its neighbours one layer
+    nearer source. Each reached position is marked in near with its
+    distance mod 3, plus 1; 0 is unreached. Neighbours differ in distance
+    by at most one, so the marks tell the next layer from the current and
+    the previous ones."""
+    base, table, legal_moves = moves
+    mark = near[source] = 1
+    layer, ways = [source], {}
     while layer:
-        step += 1
-        following = []
+        yield layer, ways
+        mark = mark % 3 + 1
+        following, counts = [], {}
         for position in layer:
-            w = ways[position]
+            w = ways.get(position, 1) if ways else 1
             for _, delta in table[position % base] or legal_moves(position):
                 succ = position + delta
-                if dist[succ] < 0:
-                    dist[succ] = step
-                    ways[succ] = w
+                seen = near[succ]
+                if not seen:
+                    near[succ] = mark
                     following.append(succ)
-                elif dist[succ] == step:
-                    ways[succ] += w
-        layer = following
-    return dist, ways, legal_moves
+                    if w != 1:
+                        counts[succ] = w
+                elif seen == mark:
+                    counts[succ] = counts.get(succ, 1) + w
+        layer, ways = following, counts
 
 
 def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResult:
@@ -217,8 +244,8 @@ def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResul
     reconstruction the lexicographically smallest (from, to) move that
     stays on a shortest path is taken.
 
-    The state space is 3^N positions, so callers are capped at
-    max_discs (pass None to lift the cap at their own risk).
+    The state space is 3^N positions, one byte each, so callers are
+    capped at max_discs (pass None to lift the cap at their own risk).
     """
     if n_discs < 1:
         raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
@@ -227,25 +254,32 @@ def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResul
             f"breadth-first search over 3^{n_discs} positions exceeds the "
             f"{max_discs}-disc cap"
         )
+    near = bytearray(3 ** n_discs)  # first, so a size that cannot be held fails at once
     start, goal = 0, 3 ** n_discs - 1
+    moves = _legal_moves(n_discs)
+    legal_moves = moves[2]
 
     # One search from the goal: disc moves are reversible, so the move graph
     # is undirected and its goal->start path count is the start->goal count.
-    to_goal, ways, legal_moves = _breadth_first(n_discs, goal)
+    for _, ways in _breadth_first(moves, goal, near):
+        if near[start]:  # start's layer: no nearer position is left to find
+            count = ways.get(start, 1)
+            break
 
     # Reconstruct one shortest path greedily; legal_moves() lists moves
     # in lexicographic order, so the first on-shortest-path move wins.
     sequence = []
     position = start
     while position != goal:
+        nearer = (near[position] + 1) % 3 + 1
         for mv, delta in legal_moves(position):
-            if to_goal[position + delta] == to_goal[position] - 1:
+            if near[position + delta] == nearer:
                 sequence.append(mv)
                 position += delta
                 break
         else:
             raise AssertionError("shortest-path reconstruction lost its way")
-    return BfsResult(tuple(sequence), ways[start])
+    return BfsResult(tuple(sequence), count)
 
 
 def grammar_step_limit(n_discs: int) -> int:

@@ -207,16 +207,25 @@ class TestSolve:
         assert out == ""
         assert err == f"hanoilang: {message}\n"  # one line, no traceback
 
-    # Both fail before any allocation: 3^41 positions cannot be indexed, and
-    # the recursion goes deeper than the interpreter allows.
-    @pytest.mark.parametrize("argv", [
-        ("--n", "41", "--engine", "bfs"),
-        ("--n", "1100", "--engine", "recursive", "--stream"),
-    ])
-    def test_engine_beyond_the_interpreter_exits_three(self, capsys, argv):
-        code, out, err = run_cli(capsys, "solve", "--unsafe-no-cap", *argv)
+    # It fails before any allocation: 3^41 positions cannot be indexed.
+    def test_engine_beyond_the_interpreter_exits_three(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--unsafe-no-cap", "--n", "41", "--engine", "bfs")
         assert (code, out) == (3, "")
         assert err.startswith("hanoilang: ") and err.count("\n") == 1
+
+    def test_the_recursive_engine_streams_past_the_interpreters_recursion(self):
+        # 1100 discs nest deeper than sys.getrecursionlimit() allows calls
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hanoilang", "solve", "--n", "1100", "--engine", "recursive",
+             "--stream", "--unsafe-no-cap"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV,
+        )
+        moves = [proc.stdout.readline() for _ in range(100)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert moves == [f"{move_at(1100, k).code}\n".encode() for k in range(1, 101)]
 
     def test_bfs_past_the_largest_list_exits_three(self, capsys):
         # CPython refuses [-1] * 3**39 from its size arithmetic, without
@@ -501,6 +510,25 @@ class TestClosedStreams:
         assert (proc.returncode, proc.stderr) == (2, write_error(errno.EFBIG))
         assert (tmp_path / "stdout").read_bytes() == written(fmt, WORD_13).encode()[:limit]
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (("solve", "--n", "3"), 0, "p13 p12 p32 p13 p21 p23 p13\n", "engine=gra"),
+        (("verify", "--n", "3", "no-such-file"), 2, "", "hanoilang:"),
+        (("compare", "--n", "25"), 3, "", "hanoilang:"),
+        (("compare", "--n", "30", "--unsafe-no-cap"), 3, "", "hanoilang:"),
+    ], ids=["solve", "verify", "compare-cap", "compare-bfs"])
+    def test_a_stderr_failing_during_the_run_leaves_the_exit_code(self, tmp_path, argv, code,
+                                                                  out, err):
+        # The file-size limit cuts stderr after its first 10 bytes; the
+        # rest goes nowhere, without a traceback.
+        resource = pytest.importorskip("resource")
+        with open(tmp_path / "stderr", "wb") as target:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hanoilang", *argv], stdout=subprocess.PIPE, stderr=target,
+                text=True, env=SUBPROCESS_ENV, timeout=60,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (10, 10)))
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert (tmp_path / "stderr").read_text() == err
+
 
 class TestVerify:
     def test_good_word_from_file(self, capsys, tmp_path):
@@ -672,8 +700,8 @@ class TestCompare:
         assert "agreement: 3 engines, 4095 moves" in out
 
     def test_divergence_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr("hanoilang.cli.recursive_solve",
-                            lambda instance: recursive_solve(instance)[::-1])
+        reversed_word = [mv.code for mv in recursive_solve(HanoiInstance(3))][::-1]
+        monkeypatch.setitem(ENGINES, "recursive", lambda n, unsafe, sink: sink(reversed_word))
         code, out, _ = run_cli(capsys, "compare", "--n", "3")
         assert code == 1
         assert "divergence: grammar vs recursive at index 1" in out
@@ -711,6 +739,116 @@ class TestCompare:
         assert code == 0
         assert calls[0] == "bfs" and sorted(calls) == sorted(ENGINES)
         assert [line.split(":")[0] for line in out.splitlines()] == [*ENGINES, "agreement"]
+
+
+def closed_word(n):
+    return [move_at(n, k).code for k in range(1, 2 ** n)]
+
+
+def altered(codes, *indices):
+    """codes with the move at each index swapped for another one."""
+    codes = list(codes)
+    for index in indices:
+        codes[index] = "p12" if codes[index] == "p13" else "p13"
+    return codes
+
+
+def handing_over(codes):
+    """A stub engine that hands codes over in lists of _CHUNK."""
+    def engine(n, unsafe, sink):
+        for start in range(0, len(codes), _CHUNK):
+            sink(codes[start:start + _CHUNK])
+    return engine
+
+
+ALL_14 = "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\npda: 16383 moves in ms\n" \
+    "recursive: 16383 moves in ms\n"
+ALL_10 = "grammar: 1023 moves in ms\npda: 1023 moves in ms\nrecursive: 1023 moves in ms\n" \
+    "bfs: 1023 moves in ms\n"
+
+
+class TestCompareDivergence:
+    """compare with stub engines: stdout, with timings masked, and exit
+    code as the version that held every word printed them. Chunks start
+    at multiples of 4,096."""
+
+    @pytest.mark.parametrize("n, stubs, expected", [
+        pytest.param(14, {"pda": lambda w: altered(w, 0)},
+                     ALL_14 + "divergence: grammar vs pda at index 0\n", id="first move"),
+        pytest.param(14, {"pda": lambda w: altered(w, 4095)},
+                     ALL_14 + "divergence: grammar vs pda at index 4095\n", id="end of a chunk"),
+        pytest.param(14, {"pda": lambda w: altered(w, 4096)},
+                     ALL_14 + "divergence: grammar vs pda at index 4096\n", id="chunk seam 4096"),
+        pytest.param(14, {"recursive": lambda w: altered(w, 8192)},
+                     ALL_14 + "divergence: grammar vs recursive at index 8192\n",
+                     id="chunk seam 8192"),
+        pytest.param(14, {"pda": lambda w: altered(w, 16382)},
+                     ALL_14 + "divergence: grammar vs pda at index 16382\n", id="last move"),
+        pytest.param(14, {"pda": lambda w: w[:-1]},
+                     "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\n"
+                     "pda: 16382 moves in ms\nrecursive: 16383 moves in ms\n"
+                     "divergence: grammar vs pda at index 16382\n", id="short by one"),
+        pytest.param(14, {"pda": lambda w: w + ["p12"]},
+                     "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\n"
+                     "pda: 16384 moves in ms\nrecursive: 16383 moves in ms\n"
+                     "divergence: grammar vs pda at index 16383\n", id="long by one"),
+        pytest.param(14, {"recursive": lambda w: []},
+                     "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\n"
+                     "pda: 16383 moves in ms\nrecursive: 0 moves in ms\n"
+                     "divergence: grammar vs recursive at index 0\n", id="no moves"),
+        pytest.param(14, {"grammar": lambda w: altered(w, 5000), "pda": lambda w: altered(w, 5000)},
+                     ALL_14 + "divergence: grammar vs recursive at index 5000\n",
+                     id="reference and pda wrong the same way"),
+        pytest.param(14, {"pda": lambda w: altered(w, 5000),
+                          "recursive": lambda w: altered(w, 5000)},
+                     ALL_14 + "divergence: grammar vs pda at index 5000\n",
+                     id="pda and recursive wrong the same way"),
+        pytest.param(14, {"grammar": lambda w: w[:-1], "pda": lambda w: w[:-1]},
+                     "bfs: skipped (capped at 10 discs)\ngrammar: 16382 moves in ms\n"
+                     "pda: 16382 moves in ms\nrecursive: 16383 moves in ms\n"
+                     "divergence: grammar vs recursive at index 16382\n",
+                     id="reference and pda short the same way"),
+        pytest.param(14, {"grammar": lambda w: altered(w, 5000),
+                          "pda": lambda w: w[:5000] + ["p31"] + w[5001:]},
+                     ALL_14 + "divergence: grammar vs pda at index 5000\n",
+                     id="reference and pda wrong differently at one index"),
+        pytest.param(14, {"grammar": lambda w: altered(w, 5000),
+                          "pda": lambda w: altered(w, 5000, 9000)},
+                     ALL_14 + "divergence: grammar vs pda at index 9000\n",
+                     id="reference and pda apart two chunks later"),
+        pytest.param(14, {"grammar": lambda w: w + ["p12"], "pda": lambda w: w[:-1]},
+                     "bfs: skipped (capped at 10 discs)\ngrammar: 16384 moves in ms\n"
+                     "pda: 16382 moves in ms\nrecursive: 16383 moves in ms\n"
+                     "divergence: grammar vs pda at index 16382\n",
+                     id="reference long and pda short"),
+        pytest.param(10, {"bfs": lambda w: altered(w, 7)},
+                     ALL_10 + "divergence: grammar vs bfs at index 7\n", id="bfs"),
+        pytest.param(10, {"bfs": lambda w: w[:-1]},
+                     "grammar: 1023 moves in ms\npda: 1023 moves in ms\n"
+                     "recursive: 1023 moves in ms\nbfs: 1022 moves in ms\n"
+                     "divergence: grammar vs bfs at index 1022\n", id="bfs short by one"),
+        pytest.param(10, {"bfs": lambda w: altered(w, 700), "grammar": lambda w: altered(w, 700)},
+                     ALL_10 + "divergence: grammar vs pda at index 700\n",
+                     id="bfs and reference wrong the same way"),
+    ])
+    def test_output_and_exit_code(self, capsys, monkeypatch, n, stubs, expected):
+        word = closed_word(n)
+        for engine, codes in stubs.items():
+            monkeypatch.setitem(ENGINES, engine, handing_over(codes(word)))
+        code, out, err = run_cli(capsys, "compare", "--n", str(n))
+        assert (code, re.sub(r"in [0-9.]+ ms", "in ms", out), err) == (1, expected, "")
+
+    def test_agreement_holds_no_word(self, capsys):
+        # Three lists of the 16-disc word's 65,535 codes peak near 3 MB;
+        # chunk by chunk, about 0.5 MB, most of it the grammar's run cache.
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "compare", "--n", "16")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out.splitlines()[-1]) == (0, "agreement: 3 engines, 65535 moves")
+        assert peak < 1_000_000
 
 
 class TestEnumerate:

@@ -1,5 +1,7 @@
 """Hanoi grammar/automaton builders, reference solvers, and cross-checks."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hanoilang.constructions import (
     build_hanoi_pda,
     grammar_step_limit,
     pda_step_limit,
+    recursive_chunks,
     recursive_solve,
     spare_peg,
 )
@@ -324,6 +327,51 @@ class TestRecursiveSolve:
         moves = recursive_solve(HanoiInstance(12))
         assert len({id(m) for m in moves}) <= 6
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 14])
+    def test_chunks_are_the_closed_form_word(self, n):
+        chunks = []
+        recursive_chunks(n, chunks.append)
+        assert [code for chunk in chunks for code in chunk] == [
+            move_at(n, k).code for k in range(1, 2 ** n)]
+        assert all(4096 <= len(chunk) <= 4099 for chunk in chunks[:-1])
+        assert 0 < len(chunks[-1]) <= 4099
+
+    def test_rejects_zero_discs(self):
+        with pytest.raises(InvalidDiscCount):
+            recursive_chunks(0, print)
+
+    def test_a_tower_deeper_than_the_interpreters_recursion_runs(self):
+        # The stack holds one frame per disc, not one call: 5,000 discs
+        # nest far past sys.getrecursionlimit().
+        class Enough(Exception):
+            pass
+
+        def first_chunk(chunk):
+            first.extend(chunk)
+            raise Enough
+
+        first = []
+        with pytest.raises(Enough):
+            recursive_chunks(5000, first_chunk)
+        assert first == [move_at(5000, k).code for k in range(1, len(first) + 1)]
+
+    def test_chunks_hold_no_word(self):
+        # The 18-disc word's 262,143 codes take over 2 MB in one list.
+        count = 0
+
+        def counting(chunk):
+            nonlocal count
+            count += len(chunk)
+
+        tracemalloc.start()
+        try:
+            recursive_chunks(18, counting)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2 ** 18 - 1
+        assert peak < 200_000
+
 
 class TestBfsOptimal:
     def test_single_disc(self):
@@ -357,6 +405,17 @@ class TestBfsOptimal:
     def test_matches_the_checked_reference(self, n):
         assert bfs_optimal(n) == reference_bfs(n)
 
+    def test_holds_one_byte_per_position(self):
+        # Two lists of 3^10 entries peak at 1.1 MB; 59,049 bytes and the
+        # current and next layers stay near 0.3 MB.
+        tracemalloc.start()
+        try:
+            bfs_optimal(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
     @pytest.mark.parametrize("n", [9, 10])
     def test_matches_the_closed_form_where_the_high_digits_decide(self, n):
         """At 9 and 10 discs a peg left unseen by the low six digits takes
@@ -383,6 +442,19 @@ def successors(moves, position):
     them: from the table of low digits, else from legal_moves."""
     base, table, legal_moves = moves
     return [(mv, position + delta) for mv, delta in table[position % base] or legal_moves(position)]
+
+
+def searched(n, source):
+    """Distances and shortest-path counts of every position from source,
+    rebuilt from _breadth_first's layers, and the marks it leaves."""
+    size = 3 ** n
+    dist, ways, near = [-1] * size, [0] * size, bytearray(size)
+    for distance, (layer, counts) in enumerate(_breadth_first(_legal_moves(n), source, near)):
+        for position in layer:
+            assert dist[position] == -1  # in one layer only
+            dist[position], ways[position] = distance, counts.get(position, 1)
+        assert set(counts) <= set(layer) and 1 not in counts.values()
+    return dist, ways, near
 
 
 class TestIntegerPositions:
@@ -440,10 +512,11 @@ class TestIntegerPositions:
         sources = range(size) if n <= 4 else range(0, size, size // 20)
         most = 0
         for source in sources:
-            dist, ways, _ = _breadth_first(n, source)
+            dist, ways, near = searched(n, source)
             ref_dist, ref_ways = reference_path_counts(states[source])
             assert dict(zip(states, dist)) == ref_dist
             assert dict(zip(states, ways)) == ref_ways
+            assert near == bytes(d % 3 + 1 for d in dist)
             most = max(most, *ways)
         assert most == (1 if n == 1 else 2)
 
@@ -456,11 +529,11 @@ class TestIntegerPositions:
         ways[goal]. Sources as in the test above, so counts of 2 occur."""
         size = 3 ** n
         sources = range(size) if n <= 4 else range(0, size, size // 20)
-        searched = {s: _breadth_first(n, s)[:2] for s in sources}
+        search = {s: searched(n, s)[:2] for s in sources}
         most = 0
-        for s, (dist, ways) in searched.items():
+        for s, (dist, ways) in search.items():
             for t in sources:
-                assert (dist[t], ways[t]) == (searched[t][0][s], searched[t][1][s])
+                assert (dist[t], ways[t]) == (search[t][0][s], search[t][1][s])
                 most = max(most, ways[t])
         assert most == (1 if n == 1 else 2)
 
