@@ -16,8 +16,8 @@ modes put a summary line on stderr, so stdout diffs against golden files.
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
 engine divergence), 2 usage error (bad arguments, unreadable or
 unparseable input, unwritable output, enumerate/trace caps), 3 engine
-failure (step limit, solve/bfs caps, a size past the interpreter's
-index limit). A reader that closes stdout early ends the output
+failure (step limit, bfs cap, a size past the interpreter's index limit,
+out of memory). A reader that closes stdout early ends the output
 quietly with exit 0. A closed stdout or stderr takes output as /dev/null
 would, and a closed stdin makes `verify -` exit 2.
 """
@@ -53,10 +53,10 @@ from .grammar import (
 from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
 from .pda import RunOutcome, _run, step as pda_step
 
-# Disc-count caps. Above 24 discs a word is over 100 MB of output, and
-# doubles with each disc; enumeration and traces blow up far sooner.
-# --unsafe-no-cap lifts all of them.
-SOLVE_MATERIALIZED_MAX = 24
+# Disc-count caps on what grows exponentially in memory or output: the
+# words of an enumeration, the lines of a trace, and (in constructions)
+# the positions of the breadth-first search. solve and compare stream and
+# have none. --unsafe-no-cap lifts all of them.
 ENUMERATE_MAX = 4
 TRACE_MAX = 6
 
@@ -141,6 +141,20 @@ ENGINES = {
 }
 
 
+def _run_engine(engine: str, args, sink) -> str | None:
+    """Run one engine into sink: None once it has handed over its word,
+    else why it could not."""
+    try:
+        ENGINES[engine](args.n, args.unsafe_no_cap, sink)
+        return None
+    except EngineFailure as exc:
+        return str(exc)
+    except MemoryError:
+        # The caller reports it once out of the handler, whose traceback
+        # holds the engine's frames and what filled the memory with them.
+        return f"out of memory at {args.n} discs"
+
+
 def _write(text: str) -> None:
     """Write text to stdout in one write: to its binary buffer, unless it
     has none, as an io.StringIO. A write larger than that buffer's own
@@ -159,15 +173,6 @@ def cmd_solve(args) -> int:
     if args.stream and args.format == "json":
         _complain("--stream produces line output and cannot be combined with --format json")
         return EXIT_USAGE
-    # The grammar and pda engines stream without holding the word.
-    exempt = args.unsafe_no_cap or (args.stream and args.engine in ("grammar", "pda"))
-    if args.n > SOLVE_MATERIALIZED_MAX and not exempt:
-        _complain(
-            f"materializing {args.n} discs means 2^{args.n} - 1 moves; "
-            f"capped at {SOLVE_MATERIALIZED_MAX} (see --unsafe-no-cap, "
-            "or --stream with the grammar or pda engine)"
-        )
-        return EXIT_ENGINE
     # Every format is an opening, the codes joined by a separator, and a
     # closing. JSON's give json.dumps(record, indent=2)'s bytes without its
     # indented encoder, which runs in pure Python, over 3x slower per move.
@@ -189,10 +194,8 @@ def cmd_solve(args) -> int:
         opening = separator  # the opening went out with the first chunk
 
     started = time.perf_counter()
-    try:
-        ENGINES[args.engine](args.n, args.unsafe_no_cap, sink)
-    except EngineFailure as exc:
-        _complain(str(exc))
+    if (failure := _run_engine(args.engine, args, sink)) is not None:
+        _complain(failure)
         return EXIT_ENGINE
     elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     record.update(move_count=count, elapsed_ms=elapsed_ms, verified=legal and board.solved())
@@ -303,12 +306,6 @@ class _Departure:
 
 
 def cmd_compare(args) -> int:
-    if args.n > SOLVE_MATERIALIZED_MAX and not args.unsafe_no_cap:
-        _complain(
-            f"comparing materialized words is capped at {SOLVE_MATERIALIZED_MAX} "
-            "discs (see --unsafe-no-cap)"
-        )
-        return EXIT_ENGINE
     engines = list(ENGINES)
     if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
         engines.remove("bfs")
@@ -320,10 +317,8 @@ def cmd_compare(args) -> int:
     for engine in sorted(engines, key=lambda engine: engine != "bfs"):
         run = runs[engine] = _Departure(board)
         started = time.perf_counter()
-        try:
-            ENGINES[engine](args.n, args.unsafe_no_cap, run)
-        except EngineFailure as exc:
-            _complain(f"engine {engine} failed: {exc}")
+        if (failure := _run_engine(engine, args, run)) is not None:
+            _complain(f"engine {engine} failed: {failure}")
             return EXIT_ENGINE
         run.finish()
         elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -154,20 +154,7 @@ class TestSolve:
         assert code == 2
         assert "at least 1" in err
 
-    def test_materialization_cap(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--n", "25")
-        assert code == 3
-        assert "capped" in err
-
-    def test_stream_exempts_only_the_grammar_and_pda_engines(self, capsys):
-        # the recursive and bfs engines build their whole word before the
-        # first move comes out, so the cap stays in force for them
-        code, _, err = run_cli(capsys, "solve", "--n", "25", "--engine", "recursive", "--stream")
-        assert code == 3
-        assert "capped" in err
-        assert "--stream with the grammar or pda engine" in err
-
-    def test_stream_pda_above_the_cap_prints_its_first_move(self):
+    def test_a_25_disc_pda_stream_prints_its_first_move(self):
         solve = subprocess.Popen(
             [sys.executable, "-m", "hanoilang", "solve", "--n", "25", "--engine", "pda",
              "--stream"],
@@ -217,7 +204,7 @@ class TestSolve:
         # 1100 discs nest deeper than sys.getrecursionlimit() allows calls
         proc = subprocess.Popen(
             [sys.executable, "-m", "hanoilang", "solve", "--n", "1100", "--engine", "recursive",
-             "--stream", "--unsafe-no-cap"],
+             "--stream"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV,
         )
         moves = [proc.stdout.readline() for _ in range(100)]
@@ -323,6 +310,63 @@ class TestSolve:
                 monkeypatch.undo()
         assert code == 0
         assert peak < 1_000_000
+
+
+def peak_rss_mb(argv, head=None):
+    """Exit code, the first head bytes of stdout (closed after them),
+    stderr and peak RSS (from os.wait4) of one CLI call; without head,
+    all of stdout goes to /dev/null."""
+    with open(os.devnull, "wb") as null:
+        proc = subprocess.Popen([sys.executable, "-m", "hanoilang", *argv], env=SUBPROCESS_ENV,
+                                stdout=null if head is None else subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        out = b""
+        if head is not None:
+            out = proc.stdout.read(head)
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out, err, usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("engine", ["grammar", "pda", "recursive"])
+def test_solve_streams_past_24_discs_in_the_memory_of_20(engine, fmt):
+    # No cap stops solve: 30 discs write their first moves, and a reader
+    # closing after them ends the run as usual, as flat as 20 discs' run.
+    argv = ["solve", "--engine", engine, *FORMATS[fmt], "--n"]
+    code, _, _, peak_20 = peak_rss_mb([*argv, "20"])
+    assert code == 0
+    code, out, err, peak_30 = peak_rss_mb([*argv, "30"], head=1 << 14)
+    assert (code, err) == (0, b"")
+    codes = re.findall(r"p[1-3]{2}", out.decode())
+    assert len(codes) > 1000
+    assert codes == [move_at(30, k).code for k in range(1, len(codes) + 1)]
+    assert peak_30 < peak_20 + 1
+
+
+# Past what a 100 MB address space holds: the grammar's and automaton's
+# tables at 10^6 discs, and the recursion's stack of tasks at 10^7.
+@pytest.mark.parametrize("argv, out, err", [
+    (("solve", "--n", "1000000", "--stream"), "",
+     "hanoilang: out of memory at 1000000 discs\n"),
+    (("solve", "--n", "1000000", "--engine", "pda", "--format", "json"), "",
+     "hanoilang: out of memory at 1000000 discs\n"),
+    (("solve", "--n", "10000000", "--engine", "recursive"), "",
+     "hanoilang: out of memory at 10000000 discs\n"),
+    (("compare", "--n", "1000000"), "bfs: skipped (capped at 10 discs)\n",
+     "hanoilang: engine grammar failed: out of memory at 1000000 discs\n"),
+], ids=["grammar", "pda", "recursive", "compare"])
+def test_an_engine_out_of_memory_exits_three_in_one_line(argv, out, err):
+    resource = pytest.importorskip("resource")
+    limit = 100 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "hanoilang", *argv], capture_output=True, text=True,
+        env=SUBPROCESS_ENV, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, err)
 
 
 @pytest.mark.parametrize("engine, n", [
@@ -458,7 +502,7 @@ class TestClosedStreams:
         ("solve", "--n", "3"),
         ("solve", "--n", "3", "--stream"),
         ("solve", "--n", "3", "--format", "json"),
-        ("solve", "--n", "30"),
+        ("solve", "--n", "11", "--engine", "bfs"),
         ("verify", "--n", "3", "-"),
         ("verify", "--n", "3", "no-such-file"),
         ("compare", "--n", "3"),
@@ -471,7 +515,7 @@ class TestClosedStreams:
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--n", "3"),
-        ("solve", "--n", "30"),
+        ("solve", "--n", "11", "--engine", "bfs"),
         ("verify", "--n", "3", "no-such-file"),
         ("trace", "--n", "2", "--limit", "0"),
     ], ids=" ".join)
@@ -513,9 +557,9 @@ class TestClosedStreams:
     @pytest.mark.parametrize("argv, code, out, err", [
         (("solve", "--n", "3"), 0, "p13 p12 p32 p13 p21 p23 p13\n", "engine=gra"),
         (("verify", "--n", "3", "no-such-file"), 2, "", "hanoilang:"),
-        (("compare", "--n", "25"), 3, "", "hanoilang:"),
+        (("solve", "--n", "11", "--engine", "bfs"), 3, "", "hanoilang:"),
         (("compare", "--n", "30", "--unsafe-no-cap"), 3, "", "hanoilang:"),
-    ], ids=["solve", "verify", "compare-cap", "compare-bfs"])
+    ], ids=["solve", "verify", "solve-bfs-cap", "compare-bfs"])
     def test_a_stderr_failing_during_the_run_leaves_the_exit_code(self, tmp_path, argv, code,
                                                                   out, err):
         # The file-size limit cuts stderr after its first 10 bytes; the
@@ -722,6 +766,24 @@ class TestCompare:
         assert (code, out) == (3, "")
         assert err.startswith(f"hanoilang: engine bfs failed: breadth-first search at {n} discs: ")
         assert err.count("\n") == 1
+
+    def test_no_cap_stops_it_past_24_discs(self, capsys, monkeypatch):
+        # Stubs hand over the 25-disc word's first three chunks: a full run
+        # takes seconds, and is checked once in CI.
+        codes = [move_at(25, k).code for k in range(1, 3 * _CHUNK + 1)]
+
+        def first_chunks(n, unsafe, sink):
+            for start in range(0, len(codes), _CHUNK):
+                sink(codes[start:start + _CHUNK])
+
+        for engine in ("grammar", "pda", "recursive"):
+            monkeypatch.setitem(ENGINES, engine, first_chunks)
+        code, out, err = run_cli(capsys, "compare", "--n", "25")
+        assert (code, err) == (0, "")
+        assert re.sub(r"[0-9.]+ ms", "ms", out) == (
+            "bfs: skipped (capped at 10 discs)\ngrammar: 12288 moves in ms\n"
+            "pda: 12288 moves in ms\nrecursive: 12288 moves in ms\n"
+            "agreement: 3 engines, 12288 moves\n")
 
     def test_bfs_runs_first_and_lines_keep_the_engine_order(self, capsys, monkeypatch):
         word = [mv.code for mv in recursive_solve(HanoiInstance(3))]

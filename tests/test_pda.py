@@ -301,12 +301,12 @@ def test_a_run_that_never_ends_runs_in_fixed_memory():
     pda = make_pda({Z: ((M1, Z),), M1: ((),)})
     tracemalloc.start()
     try:
-        run = _run(pda, lambda items: None, 10 ** 6)
+        run = _run(pda, lambda items: None, 10 ** 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert run == (10 ** 6, RunOutcome.STEP_LIMIT)
-    assert peak < 1 << 20  # one object kept per step would hold over 8 MB
+    assert run == (10 ** 5, RunOutcome.STEP_LIMIT)
+    assert peak < 1 << 18  # one pointer kept per step would hold 0.8 MB
 
 
 # Hand-built runs that end each way, including paths random machines rarely
