@@ -100,10 +100,7 @@ _code = attrgetter("code")
 
 
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
-    try:
-        _derive(build_hanoi_grammar(n), sink, grammar_step_limit(n), _code)
-    except (StepLimitExceeded, NoApplicableProduction) as exc:
-        raise EngineFailure(str(exc)) from exc
+    _derive(build_hanoi_grammar(n), sink, grammar_step_limit(n), _code)
 
 
 def _pda_engine(n: int, unsafe: bool, sink) -> None:
@@ -119,8 +116,6 @@ def _recursive_engine(n: int, unsafe: bool, sink) -> None:
 def _bfs_engine(n: int, unsafe: bool, sink) -> None:
     try:
         result = bfs_optimal(n, max_discs=None if unsafe else BFS_MAX_DISCS)
-    except CapExceeded as exc:
-        raise EngineFailure(str(exc)) from exc
     except (OverflowError, MemoryError) as exc:  # no list of 3^n positions
         reason = str(exc) or "out of memory"
         raise EngineFailure(f"breadth-first search at {n} discs: {reason}") from exc
@@ -130,8 +125,8 @@ def _bfs_engine(n: int, unsafe: bool, sink) -> None:
 
 
 # Each engine hands the N-disc word to sink as non-empty lists of move
-# codes, in order and at most 2 * _CHUNK - 1 long each, or raises
-# EngineFailure; sink may keep a list. --unsafe-no-cap reaches the engine
+# codes, in order and at most 2 * _CHUNK - 1 long each, or raises one of
+# ENGINE_ERRORS; sink may keep a list. --unsafe-no-cap reaches the engine
 # as `unsafe`.
 ENGINES = {
     "grammar": _grammar_engine,
@@ -139,6 +134,9 @@ ENGINES = {
     "recursive": _recursive_engine,
     "bfs": _bfs_engine,
 }
+# Built once here: a tuple written in the except clause is built each time
+# the clause is checked, which an engine out of memory can leave no room for.
+ENGINE_ERRORS = (EngineFailure, StepLimitExceeded, NoApplicableProduction, CapExceeded)
 
 
 def _run_engine(engine: str, args, sink) -> str | None:
@@ -147,7 +145,7 @@ def _run_engine(engine: str, args, sink) -> str | None:
     try:
         ENGINES[engine](args.n, args.unsafe_no_cap, sink)
         return None
-    except EngineFailure as exc:
+    except ENGINE_ERRORS as exc:
         return str(exc)
     except MemoryError:
         # The caller reports it once out of the handler, whose traceback
@@ -266,28 +264,26 @@ def cmd_verify(args) -> int:
 
 
 class _Departure:
-    """A sink that counts an engine's codes and compares each chunk with
-    the optimal word through board's windows. off is the index where the
-    codes first leave the word, by a different code, or by running past
-    its end or, once finish has run, short of it; None if they never
-    leave. tail holds the codes from off on: only a failing engine has
-    any."""
+    """A sink that counts an engine's codes and replays them on its own
+    Board, whose departure is where they first leave the optimal word.
+    off is that index, by a different code or by running past the word's
+    end, or, once finish has run, the count of codes short of it; None if
+    they never leave. tail holds the codes from off on: only a failing
+    engine has any."""
 
     __slots__ = ("board", "count", "off", "tail")
 
-    def __init__(self, board: Board):
-        self.board, self.count, self.off, self.tail = board, 0, None, []
+    def __init__(self, n: int):
+        self.board, self.count, self.off, self.tail = Board(n), 0, None, []
 
     def __call__(self, chunk: list) -> None:
         start = self.count
         self.count += len(chunk)
         if self.off is None:
-            expected = self.board._expected(start, len(chunk))
-            if chunk == expected:
+            self.board.run(chunk)
+            if (off := self.board.departure) is None:
                 return
-            cut = next((i for i, (code, move) in enumerate(zip(chunk, expected))
-                        if code != move), len(expected))
-            self.off, chunk = start + cut, chunk[cut:]
+            self.off, chunk = off, chunk[off - start:]
         self.tail += chunk
 
     def finish(self) -> None:
@@ -310,12 +306,11 @@ def cmd_compare(args) -> int:
     if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
         engines.remove("bfs")
         print(f"bfs: skipped (capped at {BFS_MAX_DISCS} discs)")
-    board = Board(args.n)
     runs, lines = {}, {}
     # bfs runs first: where its 3^n positions cannot be held it fails at
     # once, before any other engine runs for 2^n moves.
     for engine in sorted(engines, key=lambda engine: engine != "bfs"):
-        run = runs[engine] = _Departure(board)
+        run = runs[engine] = _Departure(args.n)
         started = time.perf_counter()
         if (failure := _run_engine(engine, args, run)) is not None:
             _complain(f"engine {engine} failed: {failure}")

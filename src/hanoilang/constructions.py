@@ -106,33 +106,32 @@ def build_hanoi_pda(n_discs: int) -> Pda:
 
 
 def recursive_chunks(n_discs: int, sink) -> None:
-    """The textbook recursion, as codes handed to sink in lists of _CHUNK
-    to _CHUNK + 3, the last one shorter: moving n discs from src to dst moves
-    n-1 discs onto the spare peg, carries the largest disc across, then
-    moves the n-1 discs on top of it.
+    """The textbook recursion, as codes handed to sink in lists of exactly
+    _CHUNK, the last one shorter: moving n discs from src to dst moves n-1
+    discs onto the spare peg, carries the largest disc across, then moves
+    the n-1 discs on top of it.
 
-    The recursion runs on an explicit stack, so it nests no calls and
-    holds no word: it goes down the first subtask at once, keeps the
-    middle move with the second on the stack, and writes a two-disc
-    task's three moves directly.
+    The words of the six min(n, 10)-disc tasks are built first by that
+    rule, and taller tasks run on an explicit stack, so the recursion
+    nests no calls and holds no word. A 10-disc word and the middle move
+    after it make 1,024 codes, so every fourth middle move ends a chunk.
     """
     if n_discs < 1:
         raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
-    code = [[None] * 4 for _ in range(4)]  # code[src][dst], pegs 1..3
-    for i, j in PEG_PAIRS:
-        code[i][j] = MoveSymbol.of(i, j).code
+    code = {(i, j): MoveSymbol.of(i, j).code for i, j in PEG_PAIRS}
+    low = min(n_discs, 10)
+    words = {pair: [code[pair]] for pair in PEG_PAIRS}
+    for _ in range(low - 1):
+        words = {(i, j): words[i, 6 - i - j] + [code[i, j]] + words[6 - i - j, j]
+                 for i, j in PEG_PAIRS}
     stack, chunk = [], []
     n, src, dst = n_discs, 1, 3
     while True:
-        while n > 2:
+        while n > low:
             aux = 6 - src - dst
-            stack.append((code[src][dst], n - 1, aux, dst))
+            stack.append((code[src, dst], n - 1, aux, dst))
             n, dst = n - 1, aux
-        aux = 6 - src - dst
-        if n == 1:  # only a one-disc tower gets here
-            chunk.append(code[src][dst])
-        else:
-            chunk += (code[src][aux], code[src][dst], code[aux][dst])
+        chunk += words[src, dst]
         if not stack:
             break
         move, n, src, dst = stack.pop()

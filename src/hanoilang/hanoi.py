@@ -196,10 +196,11 @@ class Board:
     64 discs, not by n. table maps each of the six move codes to its
     (source list, target list). optimal_prefix counts the moves played
     while every one has followed the optimal word, and is None from the
-    first that did not.
+    first that did not; departure is None until then, and then that
+    move's index.
     """
 
-    __slots__ = ("n_discs", "pegs", "table", "optimal_prefix", "_period")
+    __slots__ = ("n_discs", "pegs", "table", "optimal_prefix", "departure", "_period")
 
     def __init__(self, n_discs: int):
         if n_discs < 1:
@@ -210,7 +211,7 @@ class Board:
             mv.code: (self.pegs[mv.src - 1], self.pegs[mv.dst - 1])
             for mv in _CANONICAL_MOVES.values()
         }
-        self.optimal_prefix = 0
+        self.optimal_prefix, self.departure = 0, None
         self._period = _period(n_discs, min(n_discs, _PERIOD_DISCS))
 
     def _expected(self, start: int, count: int) -> list:
@@ -251,8 +252,8 @@ class Board:
                 return len(codes), None
             start = next((i for i, (code, move) in enumerate(zip(codes, expected))
                           if code != move), len(expected))
-            self.optimal_prefix = None
-            _lay_out(self.pegs, self.n_discs, played + start, top)
+            self.optimal_prefix, self.departure = None, played + start
+            _lay_out(self.pegs, self.n_discs, self.departure, top)
             codes = codes[start:]
         table = self.table
         index = start - 1

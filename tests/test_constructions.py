@@ -333,8 +333,8 @@ class TestRecursiveSolve:
         recursive_chunks(n, chunks.append)
         assert [code for chunk in chunks for code in chunk] == [
             move_at(n, k).code for k in range(1, 2 ** n)]
-        assert all(4096 <= len(chunk) <= 4099 for chunk in chunks[:-1])
-        assert 0 < len(chunks[-1]) <= 4099
+        assert all(len(chunk) == 4096 for chunk in chunks[:-1])
+        assert 0 < len(chunks[-1]) < 4096
 
     def test_rejects_zero_discs(self):
         with pytest.raises(InvalidDiscCount):
@@ -455,6 +455,16 @@ def searched(n, source):
             dist[position], ways[position] = distance, counts.get(position, 1)
         assert set(counts) <= set(layer) and 1 not in counts.values()
     return dist, ways, near
+
+
+def test_a_count_above_one_passes_to_a_newly_found_position():
+    # 0 -> {1, 2} -> 3 -> 4: 3 is reached two ways, and 4, found from 3
+    # alone, inherits its count of 2
+    graph = {0: (1, 2), 1: (3,), 2: (3,), 3: (4,), 4: ()}
+    moves = (1, [None], lambda position: [(None, succ - position) for succ in graph[position]])
+    layers = [(list(layer), dict(ways))
+              for layer, ways in _breadth_first(moves, 0, bytearray(5))]
+    assert layers == [([0], {}), ([1, 2], {}), ([3], {3: 2}), ([4], {4: 2})]
 
 
 class TestIntegerPositions:

@@ -211,9 +211,9 @@ def test_a_derivation_that_never_ends_runs_in_fixed_memory():
     # gets a word, and the visit that looks for one must keep nothing
     n0, a = nonterminal("N0"), terminal("a")
     grammar = Grammar({a}, {n0}, n0, [Production(n0, (a, n0))])
-    peak, result = derivation_peak(grammar, 200_000)
-    assert result == (StepLimitExceeded, "derivation exceeded 200000 rewrites")
-    assert peak < 1 << 20  # one object kept per rewrite would hold over 20 MB
+    peak, result = derivation_peak(grammar, 10 ** 5)
+    assert result == (StepLimitExceeded, "derivation exceeded 100000 rewrites")
+    assert peak < 1 << 18  # one pointer kept per rewrite would hold 0.8 MB
 
 
 def test_the_cache_of_small_words_stays_bounded():

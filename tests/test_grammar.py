@@ -160,6 +160,8 @@ class TestEnumerateLanguage:
     def test_insufficient_bound_finds_nothing(self):
         g = make_grammar([Production(S, (A,)), Production(A, (a,))])
         assert enumerate_language(g, max_derivation_length=1) == set()
+        with pytest.raises(ValueError, match="bound must be >= 1, got 0"):
+            enumerate_language(g, max_derivation_length=0)
 
     def test_infinite_language_truncated_by_bound(self):
         # S -> a S | a  generates a+, bounded enumeration sees a prefix of it

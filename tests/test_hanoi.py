@@ -30,6 +30,7 @@ from oracle import (
     DiscCountMismatch,
     EmptySource,
     HanoiState,
+    IllegalMove,
     LargerOnSmaller,
     apply_move,
     checked_replay,
@@ -441,6 +442,45 @@ def replay_in_chunks(n_discs, chunks, fault):
         if reason is not None:
             break
     return tuple(board.report(played, reason))
+
+
+def checked_departure(n_discs, codes):
+    """The index of the first code that does not take the checked model
+    from the optimal word's position to the next one, or None."""
+    for k, code in enumerate(codes):
+        if k + 1 >= 2 ** n_discs:  # past the word's end
+            return k
+        try:
+            if apply_move(optimal_position(n_discs, k), MoveSymbol.parse(code)) \
+                    == optimal_position(n_discs, k + 1):
+                continue
+        except IllegalMove:
+            pass
+        return k
+    return None
+
+
+def substituted(codes, *indices):
+    codes = list(codes)
+    for at in indices:
+        codes[at] = "p12" if codes[at] != "p12" else "p13"
+    return codes
+
+
+@pytest.mark.parametrize("edit, departure", [
+    pytest.param(list, None, id="whole word"),
+    pytest.param(lambda w: substituted(w, 4096), 4096, id="at a chunk seam"),
+    pytest.param(lambda w: substituted(w, 4095), 4095, id="before a chunk seam"),
+    pytest.param(lambda w: substituted(w, 5000, 300), 300, id="the first of two"),
+    pytest.param(lambda w: [*w, "p12"], 8191, id="long by one"),
+    pytest.param(lambda w: list(w[:-1]), None, id="short by one"),
+])
+def test_board_departure_is_where_the_checked_model_leaves_the_word(edit, departure):
+    codes, board = edit(optimal_codes(13)), Board(13)
+    for start in range(0, len(codes), 4096):
+        board.run(codes[start:start + 4096])
+        assert board.departure in (None, departure)
+    assert board.departure == checked_departure(13, codes) == departure
 
 
 @settings(max_examples=250, deadline=None)

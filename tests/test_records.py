@@ -189,7 +189,7 @@ def test_grammar_and_pda_take_keywords_and_cannot_be_assigned():
 
 def test_grammar_compares_by_fields_and_pda_by_identity():
     assert grammar() == grammar() and hash(grammar()) == hash(grammar())
-    assert grammar() != grammar(rhs=(a, a))
+    assert grammar() != grammar(rhs=(a, a)) and grammar() != (a,)
     m = pda()
     assert m == m and m != pda()
 
