@@ -11,37 +11,27 @@ generic Grammar and Pda types and their exceptions, is imported from its
 own module.
 """
 
-from .constructions import (
-    HanoiInstance,
-    bfs_optimal,
-    build_hanoi_grammar,
-    build_hanoi_pda,
-    grammar_step_limit,
-    pda_step_limit,
-    recursive_solve,
-)
-from .grammar import derive_full, derive_step, derive_streaming, enumerate_language
-from .hanoi import MoveSymbol, validate_sequence
-from .pda import StackSymbol, is_deterministic, pda_from_grammar, run_to_empty_stack
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "HanoiInstance",
-    "MoveSymbol",
-    "StackSymbol",
-    "bfs_optimal",
-    "build_hanoi_grammar",
-    "build_hanoi_pda",
-    "derive_full",
-    "derive_step",
-    "derive_streaming",
-    "enumerate_language",
-    "grammar_step_limit",
-    "is_deterministic",
-    "pda_from_grammar",
-    "pda_step_limit",
-    "recursive_solve",
-    "run_to_empty_stack",
-    "validate_sequence",
-]
+# The module each name of __all__ comes from. A name is imported on first
+# access (PEP 562), so a call of the CLI loads only the modules it runs.
+_SOURCES = {
+    "constructions": ("HanoiInstance", "bfs_optimal", "build_hanoi_grammar", "build_hanoi_pda",
+                      "grammar_step_limit", "pda_step_limit", "recursive_solve"),
+    "grammar": ("derive_full", "derive_step", "derive_streaming", "enumerate_language"),
+    "hanoi": ("MoveSymbol", "validate_sequence"),
+    "pda": ("StackSymbol", "is_deterministic", "pda_from_grammar", "run_to_empty_stack"),
+}
+
+__all__ = sorted(name for names in _SOURCES.values() for name in names)
+
+
+def __getattr__(name: str):
+    """A name of __all__, or a submodule, imported on first access."""
+    source = next((module for module, names in _SOURCES.items() if name in names), name)
+    if source not in (*_SOURCES, "cli"):  # neither a name of __all__ nor a submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f".{source}", __name__)
+    globals()[name] = value = module if source == name else getattr(module, name)
+    return value

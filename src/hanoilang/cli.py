@@ -31,27 +31,9 @@ from itertools import islice, pairwise
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .constructions import (
-    BFS_MAX_DISCS,
-    CapExceeded,
-    bfs_optimal,
-    build_hanoi_grammar,
-    build_hanoi_pda,
-    grammar_step_limit,
-    pda_step_limit,
-    recursive_chunks,
-)
-from .grammar import (
-    NoApplicableProduction,
-    StepLimitExceeded,
-    _CHUNK,
-    _derive,
-    derive_step,
-    enumerate_language,
-    format_form,
-)
+# The grammar, automaton and constructions modules are imported by the
+# functions that run them, so verify loads none of them.
 from .hanoi import QUOTE_CHARS, Board, MoveParseError, MoveSymbol, quote_token
-from .pda import RunOutcome, _run, step as pda_step
 
 # Disc-count caps on what grows exponentially in memory or output: the
 # words of an enumeration, the lines of a trace, and (in constructions)
@@ -100,20 +82,27 @@ _code = attrgetter("code")
 
 
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
+    from .constructions import build_hanoi_grammar, grammar_step_limit
+    from .grammar import _derive
     _derive(build_hanoi_grammar(n), sink, grammar_step_limit(n), _code)
 
 
 def _pda_engine(n: int, unsafe: bool, sink) -> None:
+    from .constructions import build_hanoi_pda, pda_step_limit
+    from .pda import RunOutcome, _run
     _, outcome = _run(build_hanoi_pda(n), sink, pda_step_limit(n), _code)
     if outcome is not RunOutcome.EMPTY_STACK_HALT:
         raise EngineFailure(f"automaton run ended {outcome.value}")
 
 
 def _recursive_engine(n: int, unsafe: bool, sink) -> None:
+    from .constructions import recursive_chunks
     recursive_chunks(n, sink)
 
 
 def _bfs_engine(n: int, unsafe: bool, sink) -> None:
+    from .constructions import BFS_MAX_DISCS, bfs_optimal
+    from .grammar import _CHUNK
     try:
         result = bfs_optimal(n, max_discs=None if unsafe else BFS_MAX_DISCS)
     except (OverflowError, MemoryError) as exc:  # no list of 3^n positions
@@ -125,27 +114,30 @@ def _bfs_engine(n: int, unsafe: bool, sink) -> None:
 
 
 # Each engine hands the N-disc word to sink as non-empty lists of move
-# codes, in order and at most 2 * _CHUNK - 1 long each, or raises one of
-# ENGINE_ERRORS; sink may keep a list. --unsafe-no-cap reaches the engine
-# as `unsafe`.
+# codes, in order and at most 2 * grammar._CHUNK - 1 long each, or raises
+# one of the errors _run_engine catches; sink may keep a list.
+# --unsafe-no-cap reaches the engine as `unsafe`.
 ENGINES = {
     "grammar": _grammar_engine,
     "pda": _pda_engine,
     "recursive": _recursive_engine,
     "bfs": _bfs_engine,
 }
-# Built once here: a tuple written in the except clause is built each time
-# the clause is checked, which an engine out of memory can leave no room for.
-ENGINE_ERRORS = (EngineFailure, StepLimitExceeded, NoApplicableProduction, CapExceeded)
 
 
 def _run_engine(engine: str, args, sink) -> str | None:
     """Run one engine into sink: None once it has handed over its word,
     else why it could not."""
+    from .constructions import CapExceeded
+    from .grammar import NoApplicableProduction, StepLimitExceeded
+    # Built before the engine runs: a tuple written in the except clause is
+    # built each time the clause is checked, which an engine out of memory
+    # can leave no room for.
+    errors = (EngineFailure, StepLimitExceeded, NoApplicableProduction, CapExceeded)
     try:
         ENGINES[engine](args.n, args.unsafe_no_cap, sink)
         return None
-    except ENGINE_ERRORS as exc:
+    except errors as exc:
         return str(exc)
     except MemoryError:
         # The caller reports it once out of the handler, whose traceback
@@ -302,6 +294,7 @@ class _Departure:
 
 
 def cmd_compare(args) -> int:
+    from .constructions import BFS_MAX_DISCS
     engines = list(ENGINES)
     if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
         engines.remove("bfs")
@@ -331,6 +324,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .constructions import build_hanoi_grammar
+    from .grammar import enumerate_language
     if args.n > ENUMERATE_MAX and not args.unsafe_no_cap:
         _complain(
             f"enumeration explores every rewrite order and is capped at "
@@ -350,6 +345,8 @@ def cmd_enumerate(args) -> int:
 
 
 def _grammar_forms(n: int):
+    from .constructions import build_hanoi_grammar
+    from .grammar import derive_step
     grammar = build_hanoi_grammar(n)
     form = (grammar.start,)
     while form is not None:
@@ -358,6 +355,8 @@ def _grammar_forms(n: int):
 
 
 def _pda_stacks(n: int):
+    from .constructions import build_hanoi_pda
+    from .pda import step as pda_step
     machine = build_hanoi_pda(n)
     stack = (machine.start_stack,)
     yield stack
@@ -367,6 +366,7 @@ def _pda_stacks(n: int):
 
 
 def cmd_trace(args) -> int:
+    from .grammar import format_form
     if args.limit is not None and args.limit < 1:
         _complain(f"--limit must be at least 1, got {args.limit}")
         return EXIT_USAGE
@@ -516,5 +516,19 @@ def main(argv=None) -> int:
         return EXIT_OK if isinstance(exc, BrokenPipeError) else EXIT_USAGE
 
 
+def run() -> None:
+    """The entry point: main, then both streams flushed, then os._exit,
+    which skips the interpreter's teardown of every module it loaded. A
+    flush that fails leaves through sys.exit instead, whose shutdown
+    flushes again and reports that failure as a plain exit would."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -132,7 +133,7 @@ class TestSolve:
             sink([translate(MoveSymbol.parse(code)) for code in ("p12", "p13", "p13", "p23")])
             return 3, 4
 
-        monkeypatch.setattr("hanoilang.cli._derive", derive_illegal)
+        monkeypatch.setattr("hanoilang.grammar._derive", derive_illegal)
         code, out, err = run_cli(capsys, "solve", "--n", "2", "--stream")
         assert code == 0
         assert out == "p12\np13\np13\np23\n"
@@ -187,7 +188,7 @@ class TestSolve:
         for stream in (False, True)
     ])
     def test_engine_failure_exits_three(self, capsys, monkeypatch, engine, limit, message, stream):
-        monkeypatch.setattr(f"hanoilang.cli.{limit}", lambda n: 1)
+        monkeypatch.setattr(f"hanoilang.constructions.{limit}", lambda n: 1)
         argv = ["solve", "--n", "3", "--engine", engine] + ["--stream"] * stream
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
@@ -293,6 +294,25 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "--n", "13", *FORMATS[fmt])
         assert (code, err) == (3, "hanoilang: stopped after one chunk\n")
         assert out == written(fmt, WORD_13[:_CHUNK])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_an_illegal_move_in_an_earlier_chunk_leaves_the_word_unverified(self, capsys,
+                                                                            monkeypatch, fmt):
+        # p21 finds peg 2 empty and the board ignores it; the whole word
+        # that follows, in later chunks, then leaves the board solved.
+        def illegal_then_the_word(n, unsafe, sink):
+            sink(["p21"])
+            handing_over(WORD_13)(n, unsafe, sink)
+
+        monkeypatch.setitem(ENGINES, "grammar", illegal_then_the_word)
+        code, out, err = run_cli(capsys, "solve", "--n", "13", *FORMATS[fmt])
+        assert code == 0
+        assert out.startswith(written(fmt, ["p21", *WORD_13]))
+        if fmt == "json":
+            assert (json.loads(out)["move_count"], json.loads(out)["verified"]) == (8192, False)
+        else:
+            assert " move_count=8192 " in err
+            assert err.endswith(" verified=false\n")
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_memory_does_not_grow_with_the_word(self, monkeypatch, fmt):
@@ -475,6 +495,109 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         record = json.loads(proc.stdout)
         assert (record["move_count"], record["moves"][0], record["verified"]) == (7, "p13", True)
+
+    def test_verify_loads_neither_the_grammar_nor_the_automaton(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hanoilang", "verify", "--n", "1", "-"],
+            input="p13\n", capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60)
+        assert (proc.returncode, proc.stdout.splitlines()[0]) == (0, "legal: true"), proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {"hanoilang", "hanoilang.cli", "hanoilang.hanoi"} <= loaded
+        assert not loaded & {"hanoilang.constructions", "hanoilang.grammar", "hanoilang.pda"}
+
+
+class Recorder(io.StringIO):
+    """A text stream without a binary buffer that logs its flushes in
+    events, and fails them with BrokenPipeError if told to."""
+
+    def __init__(self, name, events, fail=False):
+        super().__init__()
+        self.name, self.events, self.fail = name, events, fail
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.fail:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def run_entry_point(monkeypatch, argv, events, fail=()):
+    """Run `python -m hanoilang argv` in this process, with os._exit and the
+    standard streams logging to events; the streams named in fail fail
+    every flush."""
+    monkeypatch.setattr(sys, "argv", ["hanoilang", *argv])
+    for name in ("stdout", "stderr"):
+        monkeypatch.setattr(sys, name, Recorder(name, events, fail=name in fail))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+    runpy.run_module("hanoilang", run_name="__main__")
+
+
+def masked(text):
+    """text with the timings that the CLI prints cut out."""
+    return re.sub(r'(elapsed_ms"?[=:] ?)[0-9.]+| in [0-9.]+ ms', r"\1", text)
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("argv, stdin, code", [
+        (("solve", "--n", "2"), "", 0),
+        (("verify", "--n", "2", "-"), "p13", 1),
+        (("solve", "--n", "0"), "", 2),
+        (("solve", "--n", "11", "--engine", "bfs"), "", 3),
+    ], ids=["0-solve", "1-verify-unsolved", "2-usage", "3-bfs-cap"])
+    def test_the_module_flushes_both_streams_then_exits_with_mains_code(self, monkeypatch,
+                                                                        argv, stdin, code):
+        events = []
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        run_entry_point(monkeypatch, argv, events)
+        assert events[-3:] == [("flush", "stdout"), ("flush", "stderr"), ("exit", code)]
+        assert events.count(("exit", code)) == 1
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_a_failing_flush_leaves_through_sys_exit_with_the_same_code(self, monkeypatch,
+                                                                        stream, code):
+        events = []
+        monkeypatch.setattr("hanoilang.cli.main", lambda: code)
+        with pytest.raises(SystemExit) as leaving:
+            run_entry_point(monkeypatch, [], events, fail=(stream,))
+        assert leaving.value.code == code
+        assert ("flush", stream) in events
+        assert not [event for event in events if event[0] == "exit"]
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "12"),
+        ("solve", "--n", "12", "--stream"),
+        ("solve", "--n", "12", "--format", "json"),
+        ("solve", "--n", "12", "--engine", "pda", "--format", "json"),
+        ("verify", "--n", "12", "WORD"),
+        ("verify", "--n", "12", "WORD", "--format", "json"),
+        ("verify", "--n", "12", "PART"),
+        ("compare", "--n", "8"),
+        ("enumerate", "--n", "3"),
+        ("trace", "--n", "3", "--engine", "pda"),
+        ("trace", "--n", "3", "--format", "json"),
+        ("--help",),
+        ("solve", "--help"),
+    ], ids=" ".join)
+    def test_a_call_writes_to_a_file_what_main_writes(self, capsys, monkeypatch, tmp_path, argv):
+        # Into a regular file, without PYTHONUNBUFFERED, stdout is fully
+        # buffered: what the last write left in the buffer reaches the file
+        # only at the closing flush.
+        env = {name: value for name, value in SUBPROCESS_ENV.items()
+               if name != "PYTHONUNBUFFERED"}
+        word = [move_at(12, k).code for k in range(1, 2 ** 12)]
+        (tmp_path / "word").write_text(" ".join(word))
+        (tmp_path / "part").write_text(" ".join(word[:1000]))
+        argv = [str(tmp_path / arg.lower()) if arg in ("WORD", "PART") else arg for arg in argv]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse's help width
+        code, out, err = run_cli(capsys, *argv)
+        with open(tmp_path / "stdout", "wb") as target:
+            proc = subprocess.run([sys.executable, "-m", "hanoilang", *argv], stdout=target,
+                                  stderr=subprocess.PIPE, env=dict(env, COLUMNS="80"),
+                                  timeout=60)
+        assert proc.returncode == code
+        assert masked((tmp_path / "stdout").read_bytes().decode()) == masked(out)
+        assert masked(proc.stderr.decode()) == masked(err)
 
 
 def run_shell(redirect, *argv):

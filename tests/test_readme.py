@@ -42,6 +42,25 @@ def test_every_export_resolves_and_is_documented():
         assert re.search(rf"\b{name}\b", README), f"{name} is exported but not in README.md"
 
 
+def test_a_bare_import_loads_nothing_until_a_name_or_submodule_is_asked_for():
+    # In a fresh interpreter: this one has long since loaded every module.
+    probe = """
+import sys, hanoilang
+print(*sorted(name for name in sys.modules if name.startswith("hanoilang")))
+print(*(getattr(hanoilang, name).__module__ for name in hanoilang.__all__))
+print(*(getattr(hanoilang, name).__name__ for name in sys.argv[1:]))
+"""
+    submodules = ["cli", *UNEXPORTED]
+    proc = subprocess.run([sys.executable, "-c", probe, *submodules], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "hanoilang",
+        " ".join(getattr(hanoilang, name).__module__ for name in hanoilang.__all__),
+        " ".join(f"hanoilang.{module}" for module in submodules),
+    ]
+
+
 @pytest.mark.parametrize("module", sorted(UNEXPORTED))
 def test_names_left_out_of_the_package_import_from_their_module(module):
     namespace = importlib.import_module(f"hanoilang.{module}")
