@@ -4,7 +4,7 @@ Subcommands:
 
 * solve      -- produce the optimal move sequence with a chosen engine
 * verify     -- replay a move sequence and judge legality and completion
-* compare    -- run every engine and check they emit identical sequences
+* compare    -- run every engine and check that each emits the optimal word
 * enumerate  -- list every word the N-disc grammar can generate
 * trace      -- show each derivation step or each automaton configuration
 
@@ -14,12 +14,13 @@ record {engine, n_discs, moves, move_count, elapsed_ms, verified}. Text
 modes put a summary line on stderr, so stdout diffs against golden files.
 
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
-engine divergence), 2 usage error (bad arguments, unreadable or
-unparseable input, unwritable output, enumerate/trace caps), 3 engine
-failure (step limit, bfs cap, a size past the interpreter's index limit,
-out of memory). A reader that closes stdout early ends the output
-quietly with exit 0. A closed stdout or stderr takes output as /dev/null
-would, and a closed stdin makes `verify -` exit 2.
+an engine leaving the optimal word), 2 usage error (bad arguments,
+unreadable or unparseable input, unwritable output, enumerate/trace
+caps), 3 engine failure (step limit, bfs cap, a size past the
+interpreter's index limit, out of memory). A reader that closes stdout
+early ends the output quietly with exit 0. A closed stdout or stderr
+takes output as /dev/null would, and a closed stdin makes `verify -`
+exit 2.
 """
 
 import errno
@@ -189,11 +190,11 @@ def cmd_solve(args) -> int:
         return EXIT_ENGINE
     elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     record.update(move_count=count, elapsed_ms=elapsed_ms, verified=legal and board.solved())
-    # print writes the closing: at a terminal it flushes before the summary
     if args.format == "json":
         print('"\n  ]' + json.dumps(record, indent=2).split("null", 1)[1])
         return EXIT_OK
-    print()
+    # A stdout that fails only at its closing flush fails here, before the summary.
+    print(flush=True)
     _note(_summary_line(record))
     return EXIT_OK
 
@@ -255,71 +256,44 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.legal and report.final_solved else EXIT_FAILURE
 
 
-class _Departure:
-    """A sink that counts an engine's codes and replays them on its own
-    Board, whose departure is where they first leave the optimal word.
-    off is that index, by a different code or by running past the word's
-    end, or, once finish has run, the count of codes short of it; None if
-    they never leave. tail holds the codes from off on: only a failing
-    engine has any."""
-
-    __slots__ = ("board", "count", "off", "tail")
-
-    def __init__(self, n: int):
-        self.board, self.count, self.off, self.tail = Board(n), 0, None, []
-
-    def __call__(self, chunk: list) -> None:
-        start = self.count
-        self.count += len(chunk)
-        if self.off is None:
-            self.board.run(chunk)
-            if (off := self.board.departure) is None:
-                return
-            self.off, chunk = off, chunk[off - start:]
-        self.tail += chunk
-
-    def finish(self) -> None:
-        if self.off is None and self.count < 2 ** self.board.n_discs - 1:
-            self.off = self.count
-
-    def divergence(self, other: "_Departure") -> int | None:
-        """The first index where the two engines' words differ, or None."""
-        if self.off != other.off:  # up to the nearer off, both are the word
-            return min(off for off in (self.off, other.off) if off is not None)
-        if self.off is None or self.tail == other.tail:
-            return None
-        pairs = enumerate(zip(self.tail, other.tail), self.off)
-        return next((i for i, (a, b) in pairs if a != b),
-                    self.off + min(len(self.tail), len(other.tail)))
-
-
 def cmd_compare(args) -> int:
     from .constructions import BFS_MAX_DISCS
     engines = list(ENGINES)
     if args.n > BFS_MAX_DISCS and not args.unsafe_no_cap:
         engines.remove("bfs")
         print(f"bfs: skipped (capped at {BFS_MAX_DISCS} discs)")
-    runs, lines = {}, {}
+    word = 2 ** args.n - 1
+    lines, departures = {}, {}
     # bfs runs first: where its 3^n positions cannot be held it fails at
     # once, before any other engine runs for 2^n moves.
     for engine in sorted(engines, key=lambda engine: engine != "bfs"):
-        run = runs[engine] = _Departure(args.n)
+        # Each engine's codes are counted and replayed on a board of its
+        # own until they first leave the optimal word; none is kept.
+        board, count = Board(args.n), 0
+
+        def sink(chunk: list) -> None:
+            nonlocal count
+            count += len(chunk)
+            if board.departure is None:
+                board.run(chunk)
+
         started = time.perf_counter()
-        if (failure := _run_engine(engine, args, run)) is not None:
+        if (failure := _run_engine(engine, args, sink)) is not None:
             _complain(f"engine {engine} failed: {failure}")
             return EXIT_ENGINE
-        run.finish()
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        lines[engine] = f"{engine}: {run.count} moves in {elapsed_ms:.3f} ms"
+        lines[engine] = f"{engine}: {count} moves in {elapsed_ms:.3f} ms"
+        if (index := board.departure) is not None:
+            departures[engine] = f"{'past the end ' if index == word else ''}at index {index}"
+        elif count < word:
+            departures[engine] = f"short at index {count}"
     for engine in engines:
         print(lines[engine])
-    reference = runs[engines[0]]
-    for engine in engines[1:]:
-        index = reference.divergence(runs[engine])
-        if index is not None:
-            print(f"divergence: {engines[0]} vs {engine} at index {index}")
-            return EXIT_FAILURE
-    print(f"agreement: {len(engines)} engines, {reference.count} moves")
+    for engine in filter(departures.__contains__, engines):
+        print(f"departure: {engine} {departures[engine]}")
+    if departures:
+        return EXIT_FAILURE
+    print(f"agreement: {len(engines)} engines, {word} moves")
     return EXIT_OK
 
 
@@ -479,6 +453,19 @@ def _plain_args(argv):
         name.lstrip("-").replace("-", "_"): value for name, value in given.items()})
 
 
+def _dispatch(argv) -> int:
+    """Read argv and run its command; argparse's exit code for --help or
+    a usage error, which it has already written."""
+    try:
+        args = _plain_args(argv) or build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if args.n < 1:  # every subcommand takes --n
+        _complain(f"--n must be at least 1, got {args.n}")
+        return EXIT_USAGE
+    return args.func(args)
+
+
 def main(argv=None) -> int:
     unwritable = None
     for fd, name in ((1, "stdout"), (2, "stderr")):
@@ -494,16 +481,8 @@ def main(argv=None) -> int:
     if unwritable is not None:
         _complain(f"cannot write output: {unwritable}")
         return EXIT_USAGE
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _plain_args(argv) or build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.n < 1:  # every subcommand takes --n
-        _complain(f"--n must be at least 1, got {args.n}")
-        return EXIT_USAGE
-    try:
-        code = args.func(args)
+        code = _dispatch(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # an early close shows here when the output fit the buffer
         return code
     except OSError as exc:

@@ -2,8 +2,9 @@
 
 HanoiState validates its invariants on every construction, and apply_move
 raises on an illegal move instead of returning a label; checked_replay
-replays a word on them, and optimal_position places the discs of the
-optimal word by the recursion, not by the closed form. reference_bfs is
+replays a word on them, checked_departure finds where a word first leaves
+the optimal one, and optimal_position places the discs of the optimal
+word by the recursion, not by the closed form. reference_bfs is
 the breadth-first oracle on these states; hanoilang.constructions.bfs_optimal
 runs the same search on integer-coded positions and must agree with it.
 digit_legal_moves reads a position's top discs digit by digit, where
@@ -129,6 +130,22 @@ def checked_replay(n_discs: int, moves, start: int = 0) -> tuple:
         except (EmptySource, LargerOnSmaller) as err:
             return (False, i, labels[type(err)], False, i + 1)
     return (True, None, None, is_solved(state, n_discs), start + len(moves))
+
+
+def checked_departure(n_discs, codes):
+    """The index of the first code that does not take the checked model
+    from the optimal word's position to the next one, or None."""
+    for k, code in enumerate(codes):
+        if k + 1 >= 2 ** n_discs:  # past the word's end
+            return k
+        try:
+            if apply_move(optimal_position(n_discs, k), MoveSymbol.parse(code)) \
+                    == optimal_position(n_discs, k + 1):
+                continue
+        except IllegalMove:
+            pass
+        return k
+    return None
 
 
 ALL_MOVES = [MoveSymbol.of(i, j) for i, j in PEG_PAIRS]

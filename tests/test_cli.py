@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import hanoilang
 from hanoilang.cli import COMMANDS, ENGINES, EngineFailure, _plain_args, build_parser, main
-from hanoilang.constructions import HanoiInstance, recursive_solve
+from hanoilang.constructions import BFS_MAX_DISCS, HanoiInstance, recursive_chunks, recursive_solve
 from hanoilang.grammar import _CHUNK
 from hanoilang.hanoi import MoveParseError, MoveSymbol, move_at, validate_sequence
-from oracle import checked_replay
+from oracle import checked_departure, checked_replay
 
 TWO_DISC_WORD = "p12 p13 p23"
 FIVE_DISC_WORD = (Path(__file__).parent / "data" / "hanoi5_word.txt").read_text()
@@ -615,7 +615,50 @@ def write_error(code):
     return f"hanoilang: cannot write output: {OSError(code, os.strerror(code))}\n"
 
 
+# No PYTHON* variable reaches these children: under PYTHONUNBUFFERED a
+# short output fails at its own write, not only at the closing flush. The
+# package is found from the working directory.
+PLAIN_ENV = {name: value for name, value in os.environ.items() if not name.startswith("PYTHON")}
+
+
+def run_plain(argv, stdout, preexec_fn=None):
+    return subprocess.run([sys.executable, "-m", "hanoilang", *argv], stdin=subprocess.DEVNULL,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=PLAIN_ENV,
+                          cwd=Path(hanoilang.__file__).parents[1], preexec_fn=preexec_fn,
+                          timeout=60)
+
+
 class TestClosedStreams:
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("solve", "--help"),
+        ("solve", "--n", "3"),
+        ("solve", "--n", "3", "--stream"),
+        ("compare", "--n", "3"),
+    ], ids=" ".join)
+    def test_a_pipe_closed_before_the_call_ends_it_quietly(self, argv):
+        # The output fits stdout's buffer, so the pipe fails at the closing
+        # flush: still exit 0, with no summary and no traceback.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_plain(argv, write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("solve", "--n", "3"),
+        ("solve", "--n", "3", "--stream"),
+    ], ids=" ".join)
+    def test_a_stdout_failing_at_the_closing_flush_is_reported_alone(self, tmp_path, argv):
+        resource = pytest.importorskip("resource")
+        with open(tmp_path / "stdout", "wb") as target:
+            proc = run_plain(argv, target, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_FSIZE, (0, 0)))
+        assert (proc.returncode, proc.stderr) == (2, write_error(errno.EFBIG))
+
     def test_closed_stdin_is_a_read_error(self):
         proc = run_shell("<&-", "verify", "--n", "3", "-")
         assert (proc.returncode, proc.stdout) == (2, "")
@@ -871,7 +914,7 @@ class TestCompare:
         monkeypatch.setitem(ENGINES, "recursive", lambda n, unsafe, sink: sink(reversed_word))
         code, out, _ = run_cli(capsys, "compare", "--n", "3")
         assert code == 1
-        assert "divergence: grammar vs recursive at index 1" in out
+        assert out.splitlines()[-1] == "departure: recursive at index 1"
 
     # At 30 discs malloc refuses the 3^30 slots, more bytes than the address
     # space holds; at 38 CPython refuses them from its size arithmetic; at
@@ -892,7 +935,8 @@ class TestCompare:
 
     def test_no_cap_stops_it_past_24_discs(self, capsys, monkeypatch):
         # Stubs hand over the 25-disc word's first three chunks: a full run
-        # takes seconds, and is checked once in CI.
+        # takes seconds, and is checked once in CI. Every engine runs, and
+        # every one is short of the closed form's 2^25 - 1 moves.
         codes = [move_at(25, k).code for k in range(1, 3 * _CHUNK + 1)]
 
         def first_chunks(n, unsafe, sink):
@@ -902,11 +946,12 @@ class TestCompare:
         for engine in ("grammar", "pda", "recursive"):
             monkeypatch.setitem(ENGINES, engine, first_chunks)
         code, out, err = run_cli(capsys, "compare", "--n", "25")
-        assert (code, err) == (0, "")
+        assert (code, err) == (1, "")
         assert re.sub(r"[0-9.]+ ms", "ms", out) == (
             "bfs: skipped (capped at 10 discs)\ngrammar: 12288 moves in ms\n"
             "pda: 12288 moves in ms\nrecursive: 12288 moves in ms\n"
-            "agreement: 3 engines, 12288 moves\n")
+            "departure: grammar short at index 12288\ndeparture: pda short at index 12288\n"
+            "departure: recursive short at index 12288\n")
 
     def test_bfs_runs_first_and_lines_keep_the_engine_order(self, capsys, monkeypatch):
         word = [mv.code for mv in recursive_solve(HanoiInstance(3))]
@@ -954,67 +999,93 @@ ALL_10 = "grammar: 1023 moves in ms\npda: 1023 moves in ms\nrecursive: 1023 move
 
 class TestCompareDivergence:
     """compare with stub engines: stdout, with timings masked, and exit
-    code as the version that held every word printed them. Chunks start
-    at multiples of 4,096."""
+    code. Each engine that leaves the optimal word gets one departure
+    line, in engine order. Chunks start at multiples of 4,096."""
 
     @pytest.mark.parametrize("n, stubs, expected", [
         pytest.param(14, {"pda": lambda w: altered(w, 0)},
-                     ALL_14 + "divergence: grammar vs pda at index 0\n", id="first move"),
+                     ALL_14 + "departure: pda at index 0\n", id="first move"),
         pytest.param(14, {"pda": lambda w: altered(w, 4095)},
-                     ALL_14 + "divergence: grammar vs pda at index 4095\n", id="end of a chunk"),
+                     ALL_14 + "departure: pda at index 4095\n", id="end of a chunk"),
         pytest.param(14, {"pda": lambda w: altered(w, 4096)},
-                     ALL_14 + "divergence: grammar vs pda at index 4096\n", id="chunk seam 4096"),
+                     ALL_14 + "departure: pda at index 4096\n", id="chunk seam 4096"),
         pytest.param(14, {"recursive": lambda w: altered(w, 8192)},
-                     ALL_14 + "divergence: grammar vs recursive at index 8192\n",
-                     id="chunk seam 8192"),
+                     ALL_14 + "departure: recursive at index 8192\n", id="chunk seam 8192"),
         pytest.param(14, {"pda": lambda w: altered(w, 16382)},
-                     ALL_14 + "divergence: grammar vs pda at index 16382\n", id="last move"),
+                     ALL_14 + "departure: pda at index 16382\n", id="last move"),
         pytest.param(14, {"pda": lambda w: w[:-1]},
                      "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\n"
                      "pda: 16382 moves in ms\nrecursive: 16383 moves in ms\n"
-                     "divergence: grammar vs pda at index 16382\n", id="short by one"),
+                     "departure: pda short at index 16382\n", id="short by one"),
         pytest.param(14, {"pda": lambda w: w + ["p12"]},
                      "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\n"
                      "pda: 16384 moves in ms\nrecursive: 16383 moves in ms\n"
-                     "divergence: grammar vs pda at index 16383\n", id="long by one"),
+                     "departure: pda past the end at index 16383\n", id="long by one"),
         pytest.param(14, {"recursive": lambda w: []},
                      "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\n"
                      "pda: 16383 moves in ms\nrecursive: 0 moves in ms\n"
-                     "divergence: grammar vs recursive at index 0\n", id="no moves"),
+                     "departure: recursive short at index 0\n", id="no moves"),
         pytest.param(14, {"grammar": lambda w: altered(w, 5000), "pda": lambda w: altered(w, 5000)},
-                     ALL_14 + "divergence: grammar vs recursive at index 5000\n",
+                     ALL_14 + "departure: grammar at index 5000\ndeparture: pda at index 5000\n",
                      id="reference and pda wrong the same way"),
         pytest.param(14, {"pda": lambda w: altered(w, 5000),
                           "recursive": lambda w: altered(w, 5000)},
-                     ALL_14 + "divergence: grammar vs pda at index 5000\n",
+                     ALL_14 + "departure: pda at index 5000\ndeparture: recursive at index 5000\n",
                      id="pda and recursive wrong the same way"),
         pytest.param(14, {"grammar": lambda w: w[:-1], "pda": lambda w: w[:-1]},
                      "bfs: skipped (capped at 10 discs)\ngrammar: 16382 moves in ms\n"
                      "pda: 16382 moves in ms\nrecursive: 16383 moves in ms\n"
-                     "divergence: grammar vs recursive at index 16382\n",
+                     "departure: grammar short at index 16382\n"
+                     "departure: pda short at index 16382\n",
                      id="reference and pda short the same way"),
         pytest.param(14, {"grammar": lambda w: altered(w, 5000),
                           "pda": lambda w: w[:5000] + ["p31"] + w[5001:]},
-                     ALL_14 + "divergence: grammar vs pda at index 5000\n",
+                     ALL_14 + "departure: grammar at index 5000\ndeparture: pda at index 5000\n",
                      id="reference and pda wrong differently at one index"),
         pytest.param(14, {"grammar": lambda w: altered(w, 5000),
                           "pda": lambda w: altered(w, 5000, 9000)},
-                     ALL_14 + "divergence: grammar vs pda at index 9000\n",
+                     ALL_14 + "departure: grammar at index 5000\ndeparture: pda at index 5000\n",
                      id="reference and pda apart two chunks later"),
         pytest.param(14, {"grammar": lambda w: w + ["p12"], "pda": lambda w: w[:-1]},
                      "bfs: skipped (capped at 10 discs)\ngrammar: 16384 moves in ms\n"
                      "pda: 16382 moves in ms\nrecursive: 16383 moves in ms\n"
-                     "divergence: grammar vs pda at index 16382\n",
+                     "departure: grammar past the end at index 16383\n"
+                     "departure: pda short at index 16382\n",
                      id="reference long and pda short"),
         pytest.param(10, {"bfs": lambda w: altered(w, 7)},
-                     ALL_10 + "divergence: grammar vs bfs at index 7\n", id="bfs"),
+                     ALL_10 + "departure: bfs at index 7\n", id="bfs"),
         pytest.param(10, {"bfs": lambda w: w[:-1]},
                      "grammar: 1023 moves in ms\npda: 1023 moves in ms\n"
                      "recursive: 1023 moves in ms\nbfs: 1022 moves in ms\n"
-                     "divergence: grammar vs bfs at index 1022\n", id="bfs short by one"),
+                     "departure: bfs short at index 1022\n", id="bfs short by one"),
         pytest.param(10, {"bfs": lambda w: altered(w, 700), "grammar": lambda w: altered(w, 700)},
-                     ALL_10 + "divergence: grammar vs pda at index 700\n",
+                     ALL_10 + "departure: grammar at index 700\ndeparture: bfs at index 700\n",
                      id="bfs and reference wrong the same way"),
+        pytest.param(14, {"recursive": lambda w: altered(w, 9000),
+                          "pda": lambda w: altered(w, 300)},
+                     ALL_14 + "departure: pda at index 300\ndeparture: recursive at index 9000\n",
+                     id="two engines leave at different indices"),
+        pytest.param(14, {"grammar": lambda w: w[:4096], "recursive": lambda w: w + ["p21"] * 3},
+                     "bfs: skipped (capped at 10 discs)\ngrammar: 4096 moves in ms\n"
+                     "pda: 16383 moves in ms\nrecursive: 16386 moves in ms\n"
+                     "departure: grammar short at index 4096\n"
+                     "departure: recursive past the end at index 16383\n",
+                     id="one engine short and one long"),
+        pytest.param(14, {"pda": lambda w: altered(w, 5000) + ["p12"]},
+                     "bfs: skipped (capped at 10 discs)\ngrammar: 16383 moves in ms\n"
+                     "pda: 16384 moves in ms\nrecursive: 16383 moves in ms\n"
+                     "departure: pda at index 5000\n", id="wrong before running long"),
+        pytest.param(14, dict.fromkeys(("grammar", "pda", "recursive"), lambda w: altered(w, 4096)),
+                     ALL_14 + "departure: grammar at index 4096\ndeparture: pda at index 4096\n"
+                     "departure: recursive at index 4096\n", id="every engine wrong the same way"),
+        pytest.param(10, dict.fromkeys(ENGINES, lambda w: w[:-1]),
+                     "grammar: 1022 moves in ms\npda: 1022 moves in ms\n"
+                     "recursive: 1022 moves in ms\nbfs: 1022 moves in ms\n"
+                     "departure: grammar short at index 1022\n"
+                     "departure: pda short at index 1022\n"
+                     "departure: recursive short at index 1022\n"
+                     "departure: bfs short at index 1022\n",
+                     id="every engine short the same way"),
     ])
     def test_output_and_exit_code(self, capsys, monkeypatch, n, stubs, expected):
         word = closed_word(n)
@@ -1022,6 +1093,71 @@ class TestCompareDivergence:
             monkeypatch.setitem(ENGINES, engine, handing_over(codes(word)))
         code, out, err = run_cli(capsys, "compare", "--n", str(n))
         assert (code, re.sub(r"in [0-9.]+ ms", "in ms", out), err) == (1, expected, "")
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 13), data=st.data())
+    def test_each_departure_is_where_the_checked_model_leaves_the_word(self, n, data):
+        """One to three engines hand over the word with a code substituted,
+        cut (at its length, not at all) or with codes appended, at random
+        indices that include the chunk seams and the last move. Each
+        departure line, or the agreement line, follows from the oracle and
+        the count handed over."""
+        word = closed_word(n)
+        engines = [engine for engine in ENGINES if engine != "bfs" or n <= BFS_MAX_DISCS]
+        edges = [index for index in (4095, 4096, 8191, len(word) - 1) if index <= len(word)]
+        at = st.sampled_from(edges) | st.integers(0, len(word))
+        words = {}
+        for engine in data.draw(st.lists(st.sampled_from(engines), min_size=1, max_size=3,
+                                         unique=True), label="stubbed"):
+            kind = data.draw(st.sampled_from(["substitute", "cut", "append"]), label=engine)
+            if kind == "append":
+                codes = word + data.draw(st.lists(st.sampled_from(VALID_CODES), min_size=1,
+                                                  max_size=3), label="appended")
+            elif kind == "cut":
+                codes = word[:data.draw(at, label="cut at")]
+            else:
+                index = data.draw(at.filter(lambda index: index < len(word)),
+                                  label="substituted at")
+                others = [code for code in VALID_CODES if code != word[index]]
+                codes = [*word[:index], data.draw(st.sampled_from(others)), *word[index + 1:]]
+            words[engine] = codes
+        expected = ["bfs: skipped (capped at 10 discs)"] if "bfs" not in engines else []
+        departures = []
+        for engine in engines:
+            codes = words.get(engine, word)
+            expected.append(f"{engine}: {len(codes)} moves in ms")
+            if (index := checked_departure(n, codes)) is not None:
+                past = "past the end " if index == len(word) else ""
+                departures.append(f"departure: {engine} {past}at index {index}")
+            elif len(codes) < len(word):
+                departures.append(f"departure: {engine} short at index {len(codes)}")
+        expected += departures or [f"agreement: {len(engines)} engines, {len(word)} moves"]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            for engine, codes in words.items():
+                patch.setitem(ENGINES, engine, handing_over(codes))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["compare", "--n", str(n)])
+        assert (code, err.getvalue()) == (1 if departures else 0, "")
+        assert re.sub(r"in [0-9.]+ ms", "in ms", out.getvalue()).splitlines() == expected
+
+    def test_a_departing_engine_holds_no_word(self, capsys, monkeypatch):
+        # The 18-disc word starts with p12, so the stub leaves it at once
+        # and hands over 262,143 more codes. Kept from its departure on,
+        # they peaked near 2.9 MB; counted and dropped, about 0.5 MB.
+        def wrong_first(n, unsafe, sink):
+            sink(["p13"])
+            recursive_chunks(n, sink)
+
+        monkeypatch.setitem(ENGINES, "pda", wrong_first)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "compare", "--n", "18")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert (code, out.splitlines()[-1]) == (1, "departure: pda at index 0")
 
     def test_agreement_holds_no_word(self, capsys):
         # Three lists of the 16-disc word's 65,535 codes peak near 3 MB;

@@ -30,9 +30,9 @@ from oracle import (
     DiscCountMismatch,
     EmptySource,
     HanoiState,
-    IllegalMove,
     LargerOnSmaller,
     apply_move,
+    checked_departure,
     checked_replay,
     initial_state,
     is_solved,
@@ -442,22 +442,6 @@ def replay_in_chunks(n_discs, chunks, fault):
         if reason is not None:
             break
     return tuple(board.report(played, reason))
-
-
-def checked_departure(n_discs, codes):
-    """The index of the first code that does not take the checked model
-    from the optimal word's position to the next one, or None."""
-    for k, code in enumerate(codes):
-        if k + 1 >= 2 ** n_discs:  # past the word's end
-            return k
-        try:
-            if apply_move(optimal_position(n_discs, k), MoveSymbol.parse(code)) \
-                    == optimal_position(n_discs, k + 1):
-                continue
-        except IllegalMove:
-            pass
-        return k
-    return None
 
 
 def substituted(codes, *indices):
