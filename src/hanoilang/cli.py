@@ -485,10 +485,11 @@ def main(argv=None) -> int:
         code = _dispatch(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # an early close shows here when the output fit the buffer
         return code
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         # A reader that closed stdout early (`solve --stream | head`) ends the
         # output, not the run; commands catch their own read errors, so any
-        # other is stdout's. Devnull on stdout keeps the shutdown flush quiet.
+        # other, or a character stdout's encoding lacks, is stdout's. Devnull
+        # on stdout keeps the shutdown flush quiet.
         if not isinstance(exc, BrokenPipeError):
             _complain(f"cannot write output: {exc}")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -156,63 +156,49 @@ class BfsResult(namedtuple("BfsResult", "sequence shortest_path_count")):
 
 
 def _legal_moves(n_discs: int):
-    """The move relation of the N-disc puzzle on integer positions.
+    """The move relation of the N-disc puzzle on integer positions:
+    legal_moves(position) gives the position's legal moves, each with the
+    delta it adds to the position, in PEG_PAIRS order.
 
     Base-3 digit d-1 of a position is the peg (0..2) of disc d, so the
-    start tower is 0 and the goal tower is 3^N - 1. A position's legal
-    moves depend only on the top disc of each peg, so the rule is applied
-    once per triple of top discs, and moving disc t from peg a to peg b
-    adds (b - a) * 3^(t-1). Returns (base, table, legal_moves):
-    legal_moves(position) is the position's legal moves, each with the
-    delta it adds to the position, in PEG_PAIRS order. table[position %
-    base] is the same tuple where those low digits show all three pegs,
-    else None: legal_moves then takes the unseen pegs' top discs from the
-    higher digits, read once per value of position // base.
+    start tower is 0 and the goal tower is 3^N - 1. Disc 1, on peg p,
+    moves to either other peg. The smallest disc t not on p moves from its
+    peg a to peg 3 - a - p, adding (3 - 2a - p) * 3^(t-1); a tower has no
+    such disc. Where the low six digits are not all one peg, t is among
+    them, so the answer is listed once for each such pattern.
     """
-    empty = n_discs + 1  # the "top disc" of an empty peg: larger than any disc
-    rules, high, merged = {}, {}, {}
+    places = [3 ** d for d in range(1, n_discs)]
+    towers = [tuple((MoveSymbol.of(p + 1, q + 1), q - p) for q in range(3) if q != p)
+              for p in range(3)]
+    rules = {(p, a, place): tuple(sorted(towers[p] + (
+                 (MoveSymbol.of(a + 1, 4 - a - p), (3 - 2 * a - p) * place),)))
+             for p in range(3) for a in range(3) if a != p for place in places}
 
-    def by_tops(top):
-        if top not in rules:
-            rules[top] = tuple((MoveSymbol.of(i, j), (j - i) * 3 ** (top[i - 1] - 1))
-                               for i, j in PEG_PAIRS if top[i - 1] < top[j - 1])
-        return rules[top]
+    def rule(position):
+        p = position % 3
+        for place in places:
+            if (a := position // place % 3) != p:
+                return rules[p, a, place]
+        return towers[p]
 
-    # Top discs of every pattern of the low digits, one digit at a time:
-    # disc d on peg p tops p unless a smaller disc already does.
-    low = min(n_discs, 6)
-    tops = [(empty, empty, empty)]
-    for disc in range(1, low + 1):
-        tops = [t if t[peg] < empty else t[:peg] + (disc,) + t[peg + 1:]
-                for peg in range(3) for t in tops]
-    base = len(tops)
+    base = 3 ** min(n_discs, 6)
+    low = [None if digits in (0, base // 2, base - 1) else rule(digits) for digits in range(base)]
 
     def legal_moves(position: int) -> tuple:
-        rest = position // base
-        if rest not in high:  # top discs among discs low+1..N
-            top, digits = [empty] * 3, rest
-            for disc in range(low + 1, n_discs + 1):
-                digits, peg = divmod(digits, 3)
-                top[peg] = min(top[peg], disc)
-            high[rest] = tuple(top)
-        key = tops[position % base], high[rest]
-        if key not in merged:  # a low top disc hides the high ones below it
-            merged[key] = by_tops(tuple(t if t < empty else h for t, h in zip(*key)))
-        return merged[key]
+        return low[position % base] or rule(position)
 
-    return base, [None if empty in t else by_tops(t) for t in tops], legal_moves
+    return legal_moves
 
 
-def _breadth_first(moves: tuple, source: int, near: bytearray):
+def _breadth_first(legal_moves, source: int, near: bytearray):
     """Yield the layers of a search from source over the move relation
-    moves of _legal_moves: for distance 0, 1, ..., the positions at that
-    distance, and a dict of their shortest-path counts that are not 1. A
-    position's count is the sum of the counts of its neighbours one layer
+    legal_moves of _legal_moves: for distance 0, 1, ..., the positions at
+    that distance, and a dict of their shortest-path counts that are not 1.
+    A position's count is the sum of the counts of its neighbours one layer
     nearer source. Each reached position is marked in near with its
     distance mod 3, plus 1; 0 is unreached. Neighbours differ in distance
     by at most one, so the marks tell the next layer from the current and
     the previous ones."""
-    base, table, legal_moves = moves
     mark = near[source] = 1
     layer, ways = [source], {}
     while layer:
@@ -221,7 +207,7 @@ def _breadth_first(moves: tuple, source: int, near: bytearray):
         following, counts = [], {}
         for position in layer:
             w = ways.get(position, 1) if ways else 1
-            for _, delta in table[position % base] or legal_moves(position):
+            for _, delta in legal_moves(position):
                 succ = position + delta
                 seen = near[succ]
                 if not seen:
@@ -255,12 +241,11 @@ def bfs_optimal(n_discs: int, max_discs: int | None = BFS_MAX_DISCS) -> BfsResul
         )
     near = bytearray(3 ** n_discs)  # first, so a size that cannot be held fails at once
     start, goal = 0, 3 ** n_discs - 1
-    moves = _legal_moves(n_discs)
-    legal_moves = moves[2]
+    legal_moves = _legal_moves(n_discs)
 
     # One search from the goal: disc moves are reversible, so the move graph
     # is undirected and its goal->start path count is the start->goal count.
-    for _, ways in _breadth_first(moves, goal, near):
+    for _, ways in _breadth_first(legal_moves, goal, near):
         if near[start]:  # start's layer: no nearer position is left to find
             count = ways.get(start, 1)
             break

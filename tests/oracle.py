@@ -8,7 +8,7 @@ word by the recursion, not by the closed form. reference_bfs is
 the breadth-first oracle on these states; hanoilang.constructions.bfs_optimal
 runs the same search on integer-coded positions and must agree with it.
 digit_legal_moves reads a position's top discs digit by digit, where
-bfs_optimal looks its moves up by the top discs of its low digits.
+bfs_optimal applies the puzzle's three-move rule.
 """
 
 from collections import deque
@@ -167,8 +167,9 @@ def neighbours(state: HanoiState):
 def digit_legal_moves(n_discs: int):
     """The move relation on integer positions, decoded digit by digit:
     maps a position to its (move, next position) pairs, legal moves only,
-    in PEG_PAIRS order. hanoilang.constructions._legal_moves looks the
-    same moves up from a table of top discs and must agree with it."""
+    in PEG_PAIRS order. hanoilang.constructions._legal_moves gives the
+    same moves by the three-move rule (disc 1 to either other peg, the
+    smallest disc off its peg to the third) and must agree with it."""
     moves = [(mv, mv.src - 1, mv.dst - 1) for mv in ALL_MOVES]
     empty = n_discs + 1  # the "top disc" of an empty peg: larger than any disc
     place = [3 ** d for d in range(n_discs)]

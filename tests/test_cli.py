@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import hanoilang
 from hanoilang.cli import COMMANDS, ENGINES, EngineFailure, _plain_args, build_parser, main
-from hanoilang.constructions import BFS_MAX_DISCS, HanoiInstance, recursive_chunks, recursive_solve
+from hanoilang.constructions import (BFS_MAX_DISCS, BfsResult, HanoiInstance, recursive_chunks,
+                                     recursive_solve)
 from hanoilang.grammar import _CHUNK
 from hanoilang.hanoi import MoveParseError, MoveSymbol, move_at, validate_sequence
 from oracle import checked_departure, checked_replay
@@ -402,6 +403,17 @@ def test_engines_hand_over_lists_the_writer_takes_in_one_write(engine, n):
     assert sum(map(len, chunks)) == 2 ** n - 1
 
 
+def test_the_bfs_engine_hands_over_a_word_past_its_cap_in_bounded_lists(monkeypatch):
+    # A 14-disc word, stubbed in for a search over 3^14 positions: at 10
+    # discs the whole word fits one list, whatever the bound
+    monkeypatch.setattr("hanoilang.constructions.bfs_optimal",
+                        lambda n, max_discs: BfsResult(recursive_solve(HanoiInstance(n)), 1))
+    chunks = []
+    ENGINES["bfs"](14, True, chunks.append)
+    assert all(0 < len(chunk) <= 2 * _CHUNK - 1 for chunk in chunks)
+    assert sum(map(len, chunks)) == 2 ** 14 - 1
+
+
 VALID_CODES = ["p12", "p13", "p21", "p23", "p31", "p32"]
 BAD_TOKENS = ["p14", "x", "p1", "P13", "p131", "p13p12p23", "pp1313",
               # around the 64-character quote limit, and far past it
@@ -704,6 +716,20 @@ class TestClosedStreams:
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", write_error(errno.ENOSPC))
         # with stderr gone too, there is nowhere to report to
         assert run_shell(">/dev/full 2>&-", *argv).returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--n", "1"),
+        ("trace", "--n", "1", "--engine", "pda"),
+        ("trace", "--n", "1", "--engine", "pda", "--format", "json"),
+    ], ids=" ".join)
+    def test_a_character_stdout_cannot_encode_is_reported(self, argv):
+        # The traces hold ⊢, ⟨ and ε, which ASCII lacks
+        proc = subprocess.run([sys.executable, "-m", "hanoilang", *argv], stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(SUBPROCESS_ENV, PYTHONIOENCODING="ascii"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("hanoilang: cannot write output: 'ascii' codec can't encode")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_a_write_past_the_file_size_limit_is_reported(self, tmp_path, fmt):

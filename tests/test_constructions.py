@@ -437,11 +437,10 @@ def positions(draw, n):
     return sum(peg * 3 ** d for d, peg in enumerate(digits))
 
 
-def successors(moves, position):
+def successors(legal_moves, position):
     """The position's (move, next position) pairs, as the search reads
-    them: from the table of low digits, else from legal_moves."""
-    base, table, legal_moves = moves
-    return [(mv, position + delta) for mv, delta in table[position % base] or legal_moves(position)]
+    them from legal_moves."""
+    return [(mv, position + delta) for mv, delta in legal_moves(position)]
 
 
 def searched(n, source):
@@ -461,9 +460,12 @@ def test_a_count_above_one_passes_to_a_newly_found_position():
     # 0 -> {1, 2} -> 3 -> 4: 3 is reached two ways, and 4, found from 3
     # alone, inherits its count of 2
     graph = {0: (1, 2), 1: (3,), 2: (3,), 3: (4,), 4: ()}
-    moves = (1, [None], lambda position: [(None, succ - position) for succ in graph[position]])
+
+    def legal_moves(position):
+        return [(None, succ - position) for succ in graph[position]]
+
     layers = [(list(layer), dict(ways))
-              for layer, ways in _breadth_first(moves, 0, bytearray(5))]
+              for layer, ways in _breadth_first(legal_moves, 0, bytearray(5))]
     assert layers == [([0], {}), ([1, 2], {}), ([3], {3: 2}), ([4], {4: 2})]
 
 
@@ -490,20 +492,34 @@ class TestIntegerPositions:
 
     @settings(max_examples=300)
     @given(data=st.data())
-    def test_table_and_fallback_agree_with_the_digit_by_digit_reading(self, data):
-        """The search's successors and legal_moves' equal the oracle's, at
-        1 to 20 discs, over several positions that share one table and its
-        memos; the table has an entry exactly where the low digits show all
-        three pegs."""
+    def test_legal_moves_agree_with_the_digit_by_digit_reading(self, data):
+        """The search's successors equal the oracle's, at 1 to 20 discs,
+        over several positions that share one relation and its list of low
+        digits."""
         n = data.draw(st.integers(min_value=1, max_value=20))
         moves, expected = _legal_moves(n), digit_legal_moves(n)
-        base, table, legal_moves = moves
         for position in data.draw(st.lists(positions(n), min_size=1, max_size=30)):
             assert successors(moves, position) == expected(position)
-            got = [(mv, position + delta) for mv, delta in legal_moves(position)]
-            assert got == expected(position)
-            low_pegs = {position // 3 ** d % 3 for d in range(min(n, 6))}
-            assert (table[position % base] is None) == (len(low_pegs) < 3)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_legal_moves_agree_with_the_digit_by_digit_reading_everywhere(self, n):
+        moves, expected = _legal_moves(n), digit_legal_moves(n)
+        for position in range(3 ** n):
+            assert successors(moves, position) == expected(position)
+
+    @pytest.mark.parametrize("n, first", [(7, 7), (8, 7), (9, 7), (9, 9)])
+    def test_uniform_low_digits_read_the_higher_ones(self, n, first):
+        """The low six discs all on one peg, and the first disc off it at 7
+        or 9: the relation lists no answer for these low digits, so it reads
+        the higher ones. With no disc off that peg the position is a tower,
+        which the next test takes at 1 to 20 discs."""
+        moves, expected = _legal_moves(n), digit_legal_moves(n)
+        for peg in range(3):
+            for off in {0, 1, 2} - {peg}:
+                pegs = [peg] * (first - 1) + [(off + d) % 3 for d in range(n - first + 1)]
+                position = sum(q * 3 ** d for d, q in enumerate(pegs))
+                assert successors(moves, position) == expected(position)
+                assert len(expected(position)) == 3
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_towers_have_two_moves_of_the_smallest_disc(self, n):
