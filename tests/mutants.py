@@ -6,18 +6,18 @@ there exactly once, its replacement, and the tests to run. For each one
 the script copies src/, tests/, bench/, README.md and pyproject.toml to a
 temporary directory, applies that mutant alone, and runs its tests there
 with pytest -x and a fixed hypothesis seed. The same tests must first
-pass on an unmutated copy. A mutant whose tests pass survives and fails
-the gate; so does a snippet that no longer occurs exactly once, so a
-change to the code updates this list with it, and so does any pytest
-outcome but passed or failed (a test id that no longer exists). Equivalent
-mutants, which change only speed, are left out.
+pass on an unmutated copy, run alone before any mutant. A mutant whose
+tests pass survives and fails the gate; so does a snippet that no longer
+occurs exactly once, so a change to the code updates this list with it,
+and so does any pytest outcome but passed or failed (a test id that no
+longer exists, or a run past TIMEOUT seconds). Equivalent mutants, which
+change only speed, are left out.
 
 Run from the repository's root, stdlib only (pytest not collected):
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
 JOBS = 2  # mutants run at once: about a minute in all on 2 CPUs
+TIMEOUT = 120  # seconds for one pytest run; the unmutated one takes about 40
 
 CLI, HANOI = "cli.py", "hanoi.py"
 GRAMMAR, CONSTRUCTIONS = "grammar.py", "constructions.py"
@@ -103,9 +104,9 @@ def check_snippets() -> list:
 
 
 def run(file: str, snippet: str, replacement: str, tests: tuple) -> tuple:
-    """pytest's exit code, seconds and last line of output for tests, run
-    on a copy in which snippet gives way to replacement in file (no edit
-    for an empty snippet)."""
+    """pytest's exit code (None past TIMEOUT), seconds and last line of
+    output for tests, run on a copy in which snippet gives way to
+    replacement in file (no edit for an empty snippet)."""
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="hanoilang-mutant-") as scratch:
         work = Path(scratch)
@@ -120,39 +121,38 @@ def run(file: str, snippet: str, replacement: str, tests: tuple) -> tuple:
         if snippet:
             target.write_text(target.read_text().replace(snippet, replacement))
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *tests],
-            cwd=work, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--hypothesis-seed=0", *tests],
+                cwd=work, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return None, time.perf_counter() - started, f"no result in {TIMEOUT} s"
     lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
     return proc.returncode, time.perf_counter() - started, lines[-1]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default all)")
-    args = parser.parse_args(argv)
-    if unknown := [name for name in args.names if name not in MUTANTS]:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
+def main() -> int:
     if problems := check_snippets():
         print("\n".join(problems))
         return 1
-    names = args.names or list(MUTANTS)
+    started = time.perf_counter()
     # First the same tests on the unmutated code, which must pass.
-    tests = tuple(dict.fromkeys(test for name in names for test in MUTANTS[name][3]))
-    unmutated = (CLI, "", "", tests)
-    started, killed = time.perf_counter(), 0
+    tests = tuple(dict.fromkeys(test for entry in MUTANTS.values() for test in entry[3]))
+    code, seconds, last = run(CLI, "", "", tests)
+    print(f"{'passes' if code == 0 else 'FAILS':8} {seconds:5.1f} s  unmutated: {last}", flush=True)
+    if code != 0:
+        return 1
+    killed = 0
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        results = pool.map(lambda job: run(*job), [unmutated, *map(MUTANTS.get, names)])
-        for name, (code, seconds, last) in zip([None, *names], results):
-            verdict = ("passes" if code == 0 else "FAILS") if name is None else \
-                {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
-            print(f"{verdict:8} {seconds:5.1f} s  {name or 'unmutated'}: {last}", flush=True)
-            if name is None and code != 0:
-                return 1
+        results = pool.map(lambda job: run(*job), MUTANTS.values())
+        for name, (code, seconds, last) in zip(MUTANTS, results):
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+            print(f"{verdict:8} {seconds:5.1f} s  {name}: {last}", flush=True)
             killed += code == 1
-    print(f"{killed} of {len(names)} mutants killed in {time.perf_counter() - started:.1f} s")
-    return 0 if killed == len(names) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - started:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
