@@ -126,9 +126,21 @@ ENGINES = {
 }
 
 
-def _run_engine(engine: str, args, sink) -> str | None:
-    """Run one engine into sink: None once it has handed over its word,
-    else why it could not."""
+def _run_engine(engine: str, args, write=None) -> tuple:
+    """Run one engine, replaying each list of codes it hands over on a
+    Board of its own and then passing it to write. Returns (failure,
+    board, count, elapsed_ms): failure is None once the engine has handed
+    over its word, else why it could not; count is the codes handed over."""
+    board, count = Board(args.n), 0
+
+    def sink(chunk: list) -> None:
+        nonlocal count
+        count += len(chunk)
+        board.run(chunk)
+        if write is not None:
+            write(chunk)
+
+    started = time.perf_counter()
     from .constructions import CapExceeded
     from .grammar import NoApplicableProduction, StepLimitExceeded
     # Built before the engine runs: a tuple written in the except clause is
@@ -137,13 +149,14 @@ def _run_engine(engine: str, args, sink) -> str | None:
     errors = (EngineFailure, StepLimitExceeded, NoApplicableProduction, CapExceeded)
     try:
         ENGINES[engine](args.n, args.unsafe_no_cap, sink)
-        return None
+        failure = None
     except errors as exc:
-        return str(exc)
+        failure = str(exc)
     except MemoryError:
         # The caller reports it once out of the handler, whose traceback
         # holds the engine's frames and what filled the memory with them.
-        return f"out of memory at {args.n} discs"
+        failure = f"out of memory at {args.n} discs"
+    return failure, board, count, (time.perf_counter() - started) * 1000.0
 
 
 def _write(text: str) -> None:
@@ -173,23 +186,18 @@ def cmd_solve(args) -> int:
         import json
         opening = json.dumps(record, indent=2).split("null")[0] + '[\n    "'
         separator = '",\n    "'
-    board = Board(args.n)
-    count = 0
-    legal = True
 
-    def sink(chunk: list) -> None:
-        nonlocal count, legal, opening
-        legal = legal and board.run(chunk)[1] is None
-        count += len(chunk)
+    def write(chunk: list) -> None:
+        nonlocal opening
         _write(opening + separator.join(chunk))
         opening = separator  # the opening went out with the first chunk
 
-    started = time.perf_counter()
-    if (failure := _run_engine(args.engine, args, sink)) is not None:
+    failure, board, count, elapsed_ms = _run_engine(args.engine, args, write)
+    if failure is not None:
         _complain(failure)
         return EXIT_ENGINE
-    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    record.update(move_count=count, elapsed_ms=elapsed_ms, verified=legal and board.solved())
+    record.update(move_count=count, elapsed_ms=round(elapsed_ms, 3),
+                  verified=board.reason is None and board.solved())
     if args.format == "json":
         print('"\n  ]' + json.dumps(record, indent=2).split("null", 1)[1])
         return EXIT_OK
@@ -221,20 +229,17 @@ def _token_chunks(source: str):
 def cmd_verify(args) -> int:
     board = Board(args.n)
     table = board.table
-    seen = played = 0
-    reason = None
+    seen = 0
     try:
         for tokens in _token_chunks(args.moves):
-            # After an illegal move only a later unparseable token can
-            # change the outcome, so the rest is read but not replayed.
-            if reason is None:
-                try:
-                    count, reason = board.run(tokens)
-                    played += count
-                except KeyError:  # not a move code: reported below
-                    pass
+            # After an illegal move the board takes no more codes: only a
+            # later unparseable token can change the outcome.
+            try:
+                board.run(tokens)
+            except KeyError:  # not a move code: reported below
+                pass
             # Tokens that the board matched with the optimal word are codes.
-            if board.optimal_prefix is None and not all(map(table.__contains__, tokens)):
+            if board.departure is not None and not all(map(table.__contains__, tokens)):
                 try:
                     for index, token in enumerate(tokens, seen):
                         MoveSymbol.parse(token)
@@ -245,7 +250,7 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         _complain(f"cannot read moves from {args.moves!r}: {exc}")
         return EXIT_USAGE
-    report = board.report(played, reason)
+    report = board.report()
     if args.format == "json":
         import json
         print(json.dumps({"n_discs": args.n, **report._asdict()}, indent=2))
@@ -267,21 +272,10 @@ def cmd_compare(args) -> int:
     # bfs runs first: where its 3^n positions cannot be held it fails at
     # once, before any other engine runs for 2^n moves.
     for engine in sorted(engines, key=lambda engine: engine != "bfs"):
-        # Each engine's codes are counted and replayed on a board of its
-        # own until they first leave the optimal word; none is kept.
-        board, count = Board(args.n), 0
-
-        def sink(chunk: list) -> None:
-            nonlocal count
-            count += len(chunk)
-            if board.departure is None:
-                board.run(chunk)
-
-        started = time.perf_counter()
-        if (failure := _run_engine(engine, args, sink)) is not None:
+        failure, board, count, elapsed_ms = _run_engine(engine, args)
+        if failure is not None:
             _complain(f"engine {engine} failed: {failure}")
             return EXIT_ENGINE
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
         lines[engine] = f"{engine}: {count} moves in {elapsed_ms:.3f} ms"
         if (index := board.departure) is not None:
             departures[engine] = f"{'past the end ' if index == word else ''}at index {index}"
@@ -508,7 +502,3 @@ def run() -> None:
     except Exception:
         sys.exit(code)
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

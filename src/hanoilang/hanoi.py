@@ -194,13 +194,13 @@ class Board:
     earlier moves, so no input anyone can read reaches a disc below the
     64th: the verdicts are those of the full tower, in memory bounded by
     64 discs, not by n. table maps each of the six move codes to its
-    (source list, target list). optimal_prefix counts the moves played
-    while every one has followed the optimal word, and is None from the
-    first that did not; departure is None until then, and then that
-    move's index.
+    (source list, target list). played counts the legal moves replayed;
+    reason is None until the first illegal move, and then its label;
+    departure is None while every move has followed the optimal word, and
+    then the index of the first that did not.
     """
 
-    __slots__ = ("n_discs", "pegs", "table", "optimal_prefix", "departure", "_period")
+    __slots__ = ("n_discs", "pegs", "table", "played", "reason", "departure", "_period")
 
     def __init__(self, n_discs: int):
         if n_discs < 1:
@@ -211,7 +211,7 @@ class Board:
             mv.code: (self.pegs[mv.src - 1], self.pegs[mv.dst - 1])
             for mv in _CANONICAL_MOVES.values()
         }
-        self.optimal_prefix, self.departure = 0, None
+        self.played, self.reason, self.departure = 0, None, None
         self._period = _period(n_discs, min(n_discs, _PERIOD_DISCS))
 
     def _expected(self, start: int, count: int) -> list:
@@ -229,53 +229,51 @@ class Board:
             window[k - 1 - start] = move_at(n, k).code
         return window
 
-    def run(self, codes) -> tuple[int, str | None]:
-        """Replay move codes up to the first illegal one.
-
-        Returns (moves played, None), or (index, label) for the first
-        illegal move, labelled "empty-source" or "larger-on-smaller", and
-        leaves the board as it was before that move.
+    def run(self, codes) -> None:
+        """Replay move codes up to the first illegal one, which sets played
+        to its index and reason to its label, "empty-source" or
+        "larger-on-smaller", and leaves the board as it was before that
+        move. From then on the board takes no more codes.
 
         While the board follows the optimal word, the codes are compared
         with its next moves at once, and a match lays the pegs out by the
         closed form. From the first difference on, for good, each move is
         checked on the pegs.
         """
-        start = 0
-        if (played := self.optimal_prefix) is not None:
+        if self.reason is not None:
+            return
+        if self.departure is None:
             codes = codes if isinstance(codes, list) else list(codes)
-            expected = self._expected(played, len(codes))
+            expected = self._expected(self.played, len(codes))
             top = min(self.n_discs, 64)
             if codes == expected:
-                self.optimal_prefix = played = played + len(codes)
-                _lay_out(self.pegs, self.n_discs, played, top)
-                return len(codes), None
+                self.played += len(codes)
+                _lay_out(self.pegs, self.n_discs, self.played, top)
+                return
             start = next((i for i, (code, move) in enumerate(zip(codes, expected))
                           if code != move), len(expected))
-            self.optimal_prefix, self.departure = None, played + start
+            self.played = self.departure = self.played + start
             _lay_out(self.pegs, self.n_discs, self.departure, top)
             codes = codes[start:]
         table = self.table
-        index = start - 1
-        for index, code in enumerate(codes, start):
+        index = self.played - 1
+        for index, code in enumerate(codes, self.played):
             src, dst = table[code]
-            if not src:
-                return index, "empty-source"
-            if dst and dst[-1] < src[-1]:
-                return index, "larger-on-smaller"
+            if not src or dst and dst[-1] < src[-1]:
+                self.played, self.reason = index, "larger-on-smaller" if src else "empty-source"
+                return
             dst.append(src.pop())
-        return index + 1, None
+        self.played = index + 1
 
     def solved(self) -> bool:
         """True when peg 3 holds all n discs."""
         return len(self.pegs[2]) == self.n_discs
 
-    def report(self, played: int, reason: str | None) -> ValidationReport:
-        """The report on a replay that played `played` moves and then
-        stopped at a move labelled `reason`, or ran out of moves."""
-        if reason is None:
-            return ValidationReport(True, None, None, self.solved(), played)
-        return ValidationReport(False, played, reason, False, played + 1)
+    def report(self) -> ValidationReport:
+        """The report on the codes replayed so far."""
+        if self.reason is None:
+            return ValidationReport(True, None, None, self.solved(), self.played)
+        return ValidationReport(False, self.played, self.reason, False, self.played + 1)
 
 
 def validate_sequence(n_discs, moves) -> ValidationReport:
@@ -285,4 +283,5 @@ def validate_sequence(n_discs, moves) -> ValidationReport:
     tells whether the end state has all discs on peg 3.
     """
     board = Board(n_discs)
-    return board.report(*board.run(map(attrgetter("code"), moves)))
+    board.run(map(attrgetter("code"), moves))
+    return board.report()

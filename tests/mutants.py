@@ -41,9 +41,9 @@ VERIFY = "tests/test_cli.py::TestVerify"
 
 # name: (file, snippet, replacement, tests)
 MUTANTS = {
-    "solve-sink-forgets-an-earlier-illegal-chunk": (
-        CLI, "legal = legal and board.run(chunk)[1] is None",
-        "legal = board.run(chunk)[1] is None", (SOLVE,)),
+    "solve-verifies-a-solved-board-after-an-illegal-move": (
+        CLI, "verified=board.reason is None and board.solved()", "verified=board.solved()",
+        (SOLVE,)),
     "solve-summary-before-the-flush-that-can-fail": (
         CLI, "    print(flush=True)\n    _note(", "    print()\n    _note(", (CLOSED,)),
     "main-flushes-only-after-a-nonzero-code": (
@@ -72,16 +72,20 @@ MUTANTS = {
     "compare-past-the-end-by-the-count": (
         CLI, "'past the end ' if index == word else ''", "'past the end ' if count > word else ''",
         COMPARE),
-    "compare-counts-a-chunk-only-while-replaying-it": (
-        CLI, "            count += len(chunk)\n            if board.departure is None:\n",
-        "            if board.departure is None:\n                count += len(chunk)\n", COMPARE),
+    "run-engine-counts-only-the-moves-the-board-played": (
+        CLI, "return failure, board, count,", "return failure, board, board.played,", COMPARE),
+    "board-replays-after-its-first-illegal-move": (
+        HANOI, "        if self.reason is not None:\n            return\n", "",
+        ("tests/test_hanoi.py",)),
     "board-counts-one-move-too-few-on-a-match": (
-        HANOI, "return len(codes), None", "return len(codes) - 1, None", ("tests/test_hanoi.py",)),
+        HANOI, "self.played += len(codes)", "self.played += len(codes) - 1",
+        ("tests/test_hanoi.py",)),
     "board-lays-out-the-chunk-start-not-the-departure": (
         HANOI, "_lay_out(self.pegs, self.n_discs, self.departure, top)",
         "_lay_out(self.pegs, self.n_discs, played, top)", ("tests/test_hanoi.py",)),
     "report-checks-one-move-too-few": (
-        HANOI, "self.solved(), played)", "self.solved(), played - 1)", ("tests/test_hanoi.py",)),
+        HANOI, "self.solved(), self.played)", "self.solved(), self.played - 1)",
+        ("tests/test_hanoi.py",)),
     "unwind-cache-without-a-bound": (
         GRAMMAR, "if size > chunk or size > room:", "if size > chunk:",
         ("tests/test_derivation_core.py",)),

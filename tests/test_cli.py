@@ -129,8 +129,8 @@ class TestSolve:
 
     def test_stream_reports_an_illegal_move_as_unverified(self, capsys, monkeypatch):
         def derive_illegal(grammar, sink, step_limit, translate):
-            # the third move finds peg 1 empty; the board ignores it, and the
-            # last move still ends with both discs on peg 3
+            # the third move finds peg 1 empty, and the board takes no move
+            # after it; without it, the last move would leave both discs on peg 3
             sink([translate(MoveSymbol.parse(code)) for code in ("p12", "p13", "p13", "p23")])
             return 3, 4
 
@@ -297,18 +297,18 @@ class TestSolve:
         assert out == written(fmt, WORD_13[:_CHUNK])
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_an_illegal_move_in_an_earlier_chunk_leaves_the_word_unverified(self, capsys,
-                                                                            monkeypatch, fmt):
-        # p21 finds peg 2 empty and the board ignores it; the whole word
-        # that follows, in later chunks, then leaves the board solved.
-        def illegal_then_the_word(n, unsafe, sink):
-            sink(["p21"])
-            handing_over(WORD_13)(n, unsafe, sink)
-
-        monkeypatch.setitem(ENGINES, "grammar", illegal_then_the_word)
+    @pytest.mark.parametrize("codes", [
+        # p21 finds peg 2 empty, and the board takes none of the whole word
+        # that follows in later chunks.
+        pytest.param(["p21", *WORD_13], id="before the word"),
+        # p12 finds peg 1 empty, and the board stops with the tower solved.
+        pytest.param([*WORD_13, "p12"], id="after the word"),
+    ])
+    def test_an_illegal_move_leaves_the_word_unverified(self, capsys, monkeypatch, codes, fmt):
+        monkeypatch.setitem(ENGINES, "grammar", handing_over(codes))
         code, out, err = run_cli(capsys, "solve", "--n", "13", *FORMATS[fmt])
         assert code == 0
-        assert out.startswith(written(fmt, ["p21", *WORD_13]))
+        assert out.startswith(written(fmt, codes))
         if fmt == "json":
             assert (json.loads(out)["move_count"], json.loads(out)["verified"]) == (8192, False)
         else:

@@ -310,31 +310,56 @@ def test_validate_agrees_with_stepwise_replay(n_discs, data):
 )
 def test_board_run_tracks_apply_move(n_discs, data):
     """Any codes, fed to Board.run in random chunks: the board follows the
-    checked state, and an illegal move returns its index and label and
-    leaves the board unchanged. Above 64 discs the board lays out only the
-    top 64, which no walk of this length can tell from the full tower."""
+    checked state, and an illegal move sets played to its index and reason
+    to its label and leaves the board unchanged; the walk then goes on
+    from a fresh board given the legal moves so far. Above 64 discs the
+    board lays out only the top 64, which no walk of this length can tell
+    from the full tower."""
     board = Board(n_discs)
     state = initial_state(n_discs)
+    legal = []
 
     def laid_out(state):
         return tuple(tuple(d for d in peg if d <= 64) for peg in state.pegs)
 
     for _ in range(data.draw(st.integers(min_value=0, max_value=10))):
         chunk = data.draw(st.lists(st.sampled_from(ALL_MOVES), max_size=6))
-        expected = (len(chunk), None)
-        for i, mv in enumerate(chunk):
+        reason = None
+        for mv in chunk:
             try:
                 state = apply_move(state, mv)
             except EmptySource:
-                expected = (i, "empty-source")
+                reason = "empty-source"
             except LargerOnSmaller:
-                expected = (i, "larger-on-smaller")
+                reason = "larger-on-smaller"
             else:
+                legal.append(mv.code)
                 continue
             break
-        assert board.run(mv.code for mv in chunk) == expected
+        board.run(mv.code for mv in chunk)
+        assert (board.played, board.reason) == (len(legal), reason)
         assert tuple(map(tuple, board.pegs)) == laid_out(state)
         assert board.solved() == is_solved(state, n_discs)
+        if reason is not None:
+            board = Board(n_discs)
+            board.run(legal)
+
+
+def test_a_board_takes_no_codes_after_its_first_illegal_move():
+    """played counts the legal moves, on the optimal word and off it. After
+    the first illegal move, later codes, legal ones too, change nothing."""
+    board = Board(3)
+    for chunk, played in ((["p13"], 1), (["p12", "p32"], 3)):  # the word's first moves
+        board.run(chunk)
+        assert (board.played, board.departure) == (played, None)
+    board.run(["p23", "p12", "p31"])  # the word goes on p13; then disc 3 onto disc 2
+    assert (board.played, board.reason, board.departure) == (4, "larger-on-smaller", 3)
+    pegs, report = tuple(map(tuple, board.pegs)), board.report()
+    assert (pegs, tuple(report)) == (((3,), (2,), (1,)), (False, 4, "larger-on-smaller", False, 5))
+    for codes in (["p31"], ["p12"], CODES):
+        board.run(codes)
+        assert (board.played, board.reason, board.departure) == (4, "larger-on-smaller", 3)
+        assert (tuple(map(tuple, board.pegs)), board.report()) == (pegs, report)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +454,16 @@ def replay_in_chunks(n_discs, chunks, fault):
     against the recursion while it follows the optimal word, which it
     must do up to the fault's index; returns the report's fields."""
     board = Board(n_discs)
-    played, fed, reason = 0, 0, None
+    fed = 0
     for chunk in chunks:
-        count, reason = board.run(chunk)
-        played += count
+        board.run(chunk)
         fed += len(chunk)
         if fed <= fault:  # every code so far is the optimal word's
-            assert board.optimal_prefix == played
-        if board.optimal_prefix is not None:
-            assert board.optimal_prefix == played
-            assert HanoiState(board.pegs) == optimal_position(n_discs, played)
-        if reason is not None:
-            break
-    return tuple(board.report(played, reason))
+            assert board.departure is None
+        if board.departure is None:
+            assert board.played == fed
+            assert HanoiState(board.pegs) == optimal_position(n_discs, board.played)
+    return tuple(board.report())
 
 
 def substituted(codes, *indices):
