@@ -153,8 +153,10 @@ def _run_engine(engine: str, args, write=None) -> tuple:
     except errors as exc:
         failure = str(exc)
     except MemoryError:
-        # The caller reports it once out of the handler, whose traceback
-        # holds the engine's frames and what filled the memory with them.
+        # Worded after the handler: its traceback holds the engine's frames
+        # and what filled the memory, so a string built here can fail too.
+        failure = MemoryError
+    if failure is MemoryError:
         failure = f"out of memory at {args.n} discs"
     return failure, board, count, (time.perf_counter() - started) * 1000.0
 

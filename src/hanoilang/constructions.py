@@ -36,13 +36,6 @@ class CapExceeded(ValueError):
     """A size-capped operation was asked to exceed its cap."""
 
 
-def spare_peg(src: int, dst: int) -> int:
-    """The unique third peg once src and dst are fixed."""
-    if src == dst or not {src, dst} <= {1, 2, 3}:
-        raise ValueError(f"need two distinct pegs out of 1..3, got {src} and {dst}")
-    return 6 - src - dst
-
-
 class HanoiInstance(namedtuple("HanoiInstance", "n_discs")):
     """A puzzle instance: N discs to carry from peg 1 to peg 3."""
 
@@ -77,7 +70,7 @@ def build_hanoi_grammar(n_discs: int) -> Grammar:
     ]
     for n in range(2, n_discs + 1):
         for i, j in PEG_PAIRS:
-            k = spare_peg(i, j)
+            k = 6 - i - j
             productions.append(
                 Production(
                     tasks[i, j, n],

@@ -86,7 +86,7 @@ class Production(namedtuple("Production", "lhs rhs")):
 
 class Grammar:
     """Immutable grammar with an insertion-ordered production index by lhs.
-    Equal to another Grammar with the same four fields."""
+    Equal only to itself, as a Pda is."""
 
     __slots__ = ("terminals", "nonterminals", "start", "productions", "_by_lhs", "_compiled")
 
@@ -133,17 +133,6 @@ class Grammar:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not Grammar:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        return self.terminals, self.nonterminals, self.start, self.productions
 
     def productions_for(self, sym: Symbol) -> tuple:
         """Productions with this lhs, in registration order."""

@@ -38,6 +38,8 @@ SOLVE = "tests/test_cli.py::TestSolve"
 CLOSED = "tests/test_cli.py::TestClosedStreams"
 COMPARE = ("tests/test_cli.py::TestCompare", "tests/test_cli.py::TestCompareDivergence")
 VERIFY = "tests/test_cli.py::TestVerify"
+REFERENCE = "tests/test_reference.py"
+OUT_OF_MEMORY = "tests/test_cli.py::test_an_engine_out_of_memory_exits_three_in_one_line"
 
 # name: (file, snippet, replacement, tests)
 MUTANTS = {
@@ -46,6 +48,8 @@ MUTANTS = {
         (SOLVE,)),
     "solve-summary-before-the-flush-that-can-fail": (
         CLI, "    print(flush=True)\n    _note(", "    print()\n    _note(", (CLOSED,)),
+    "solve-json-separator-indents-three-spaces": (
+        CLI, """separator = '",\\n    "'""", """separator = '",\\n   "'""", (REFERENCE,)),
     "main-flushes-only-after-a-nonzero-code": (
         CLI, "        sys.stdout.flush()  # an early close",
         "        code and sys.stdout.flush()  # an early close", (CLOSED,)),
@@ -74,6 +78,9 @@ MUTANTS = {
         COMPARE),
     "run-engine-counts-only-the-moves-the-board-played": (
         CLI, "return failure, board, count,", "return failure, board, board.played,", COMPARE),
+    "run-engine-formats-out-of-memory-in-its-handler": (
+        CLI, "        failure = MemoryError\n    if failure is MemoryError:\n",
+        "", (OUT_OF_MEMORY,)),
     "board-replays-after-its-first-illegal-move": (
         HANOI, "        if self.reason is not None:\n            return\n", "",
         ("tests/test_hanoi.py",)),

@@ -379,7 +379,12 @@ def test_solve_streams_past_24_discs_in_the_memory_of_20(engine, fmt):
      "hanoilang: out of memory at 10000000 discs\n"),
     (("compare", "--n", "1000000"), "bfs: skipped (capped at 10 discs)\n",
      "hanoilang: engine grammar failed: out of memory at 1000000 discs\n"),
-], ids=["grammar", "pda", "recursive", "compare"])
+    # sizes at which the recursion leaves its handler no memory to word the message in
+    (("solve", "--n", "10000000000000000", "--engine", "recursive"), "",
+     "hanoilang: out of memory at 10000000000000000 discs\n"),
+    (("solve", "--n", "100000000000000000000", "--engine", "recursive", "--format", "json"), "",
+     "hanoilang: out of memory at 100000000000000000000 discs\n"),
+], ids=["grammar", "pda", "recursive", "compare", "recursive-1e16", "recursive-1e20-json"])
 def test_an_engine_out_of_memory_exits_three_in_one_line(argv, out, err):
     resource = pytest.importorskip("resource")
     limit = 100 << 20

@@ -10,7 +10,6 @@ from hanoilang.constructions import (
     BfsResult,
     CapExceeded,
     HanoiInstance,
-    PEG_PAIRS,
     STACK_BOTTOM,
     _breadth_first,
     _legal_moves,
@@ -21,7 +20,6 @@ from hanoilang.constructions import (
     pda_step_limit,
     recursive_chunks,
     recursive_solve,
-    spare_peg,
 )
 from hanoilang.grammar import derive_full, derive_step, derive_streaming
 from hanoilang.hanoi import (
@@ -51,19 +49,6 @@ def grammar_word(n):
 
 def pda_run(n):
     return run_to_empty_stack(build_hanoi_pda(n), (), step_limit=pda_step_limit(n))
-
-
-def test_spare_peg_is_the_third_one():
-    for i, j in PEG_PAIRS:
-        k = spare_peg(i, j)
-        assert {i, j, k} == {1, 2, 3}
-
-
-def test_spare_peg_rejects_degenerate_pairs():
-    with pytest.raises(ValueError):
-        spare_peg(1, 1)
-    with pytest.raises(ValueError):
-        spare_peg(0, 2)
 
 
 class TestHanoiInstance:

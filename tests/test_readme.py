@@ -18,7 +18,7 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 # Public names that are imported from their module, not from the package.
 UNEXPORTED = {
-    "constructions": ("BFS_MAX_DISCS", "PEG_PAIRS", "BfsResult", "CapExceeded", "spare_peg"),
+    "constructions": ("BFS_MAX_DISCS", "PEG_PAIRS", "BfsResult", "CapExceeded"),
     "grammar": ("Derivation", "Grammar", "GrammarError", "NoApplicableProduction", "Production",
                 "StepLimitExceeded", "Symbol", "format_form", "nonterminal", "terminal"),
     "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport",
