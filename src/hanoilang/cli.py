@@ -27,7 +27,7 @@ import errno
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import islice, pairwise
 from operator import attrgetter
 from types import SimpleNamespace
@@ -126,19 +126,20 @@ ENGINES = {
 }
 
 
-def _run_engine(engine: str, args, write=None) -> tuple:
-    """Run one engine, replaying each list of codes it hands over on a
-    Board of its own and then passing it to write. Returns (failure,
-    board, count, elapsed_ms): failure is None once the engine has handed
-    over its word, else why it could not; count is the codes handed over."""
+def _run_engine(engine: str, args, write=None, separator=" ") -> tuple:
+    """Run one engine, joining each list of codes it hands over by
+    separator once: that text is judged on a Board of its own, and then
+    the list and its text are passed to write. Returns (failure, board,
+    count, elapsed_ms): failure is None once the engine has handed over its
+    word, else why it could not; count is the codes handed over."""
     board, count = Board(args.n), 0
 
     def sink(chunk: list) -> None:
         nonlocal count
         count += len(chunk)
-        board.run(chunk)
+        board.run(text := separator.join(chunk))
         if write is not None:
-            write(chunk)
+            write(chunk, text)
 
     started = time.perf_counter()
     from .constructions import CapExceeded
@@ -183,18 +184,18 @@ def cmd_solve(args) -> int:
     # closing. JSON's give json.dumps(record, indent=2)'s bytes without its
     # indented encoder, which runs in pure Python, over 3x slower per move.
     record = {"engine": args.engine, "n_discs": args.n, "moves": None}
-    opening, separator = "", "\n" if args.stream else " "
+    opening, joiner = "", "\n" if args.stream else " "  # the board's separator
+    separator = '",\n    "' if args.format == "json" else joiner  # joined apart: faster
     if args.format == "json":
         import json
         opening = json.dumps(record, indent=2).split("null")[0] + '[\n    "'
-        separator = '",\n    "'
 
-    def write(chunk: list) -> None:
+    def write(chunk: list, text: str) -> None:
         nonlocal opening
-        _write(opening + separator.join(chunk))
+        _write(opening + (text if separator == joiner else separator.join(chunk)))
         opening = separator  # the opening went out with the first chunk
 
-    failure, board, count, elapsed_ms = _run_engine(args.engine, args, write)
+    failure, board, count, elapsed_ms = _run_engine(args.engine, args, write, joiner)
     if failure is not None:
         _complain(failure)
         return EXIT_ENGINE
@@ -209,39 +210,49 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _token_chunks(source: str):
-    """Yield the whitespace-separated tokens of a file, or of stdin for
-    '-', one list per chunk of VERIFY_CHUNK_CHARS characters read. A token
-    that a chunk boundary cuts is carried into the next list, cut to its
-    first QUOTE_CHARS + 1 characters: no longer token is a move, and that
-    prefix is all its quote needs."""
+def _reads(source: str):
+    """Yield a file's text, or stdin's for '-', read VERIFY_CHUNK_CHARS
+    characters at a time and cut after the last whitespace: the token that
+    a read cuts is carried on, cut to its first QUOTE_CHARS + 1 characters.
+    No longer token is a move, and that prefix is all its quote needs."""
     if source == "-" and sys.stdin is None:  # stdin was closed
         raise OSError("stdin is closed")
     with open(source, encoding="utf-8") if source != "-" else nullcontext(sys.stdin) as handle:
         carry = ""
         while chunk := handle.read(VERIFY_CHUNK_CHARS):
             text = carry + chunk
-            tokens = text.split()
-            carry = "" if text[-1].isspace() else tokens.pop()[:QUOTE_CHARS + 1]
-            yield tokens
+            cut = len(text) if text[-1].isspace() else len(text) - len(text.rsplit(None, 1)[-1])
+            carry = text[cut:][:QUOTE_CHARS + 1]
+            yield text[:cut]
         if carry:
-            yield [carry]
+            yield carry
+
+
+# One bit for each peg digit's byte, and all three for any other byte.
+_PEG_BITS = bytes(1 << b"123".find(byte) if byte in b"123" else 7 for byte in range(256))
 
 
 def cmd_verify(args) -> int:
-    board = Board(args.n)
-    table = board.table
-    seen = 0
+    board, seen = Board(args.n), 0  # seen: the tokens before text
     try:
-        for tokens in _token_chunks(args.moves):
-            # After an illegal move the board takes no more codes: only a
-            # later unparseable token can change the outcome.
-            try:
-                board.run(tokens)
-            except KeyError:  # not a move code: reported below
-                pass
-            # Tokens that the board matched with the optimal word are codes.
-            if board.departure is not None and not all(map(table.__contains__, tokens)):
+        for text in _reads(args.moves):
+            if board.reason is None:
+                seen = board.played  # the board has taken every token so far
+                with suppress(KeyError):  # not a move code: reported below
+                    board.run(text)
+                    if board.reason is None:
+                        continue
+            # After an illegal move the board takes no more text: only an
+            # unparseable token can change the outcome. Text of 'p', two peg
+            # digits of different bits and an ASCII whitespace, repeated, has none.
+            data, count = text.encode(), len(text) // 4
+            src, dst = (int.from_bytes(data[i::4].translate(_PEG_BITS), "big") for i in (1, 2))
+            if len(data) == 4 * count and data[0::4] == b"p" * count and data[3::4].isspace() \
+                    and not src & dst:
+                seen += count
+                continue
+            tokens = text.split()
+            if not all(map(board.table.__contains__, tokens)):
                 try:
                     for index, token in enumerate(tokens, seen):
                         MoveSymbol.parse(token)

@@ -5,7 +5,9 @@ the smallest. A move is legal when its source peg is nonempty and it
 never places a larger disc on a smaller one.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
+from functools import cache
 from operator import attrgetter
 
 PEGS = (1, 2, 3)
@@ -130,7 +132,7 @@ class ValidationReport(namedtuple(
 
 # Disc d moves along a fixed 3-cycle of the pegs, 0-based: 0 -> 2 -> 1 -> 0
 # when n - d is even, 0 -> 1 -> 2 -> 0 when it is odd. A Board checks the
-# word against the period of the moves of its _PERIOD_DISCS smallest discs.
+# word's text against the period of the moves of its _PERIOD_DISCS smallest discs.
 _CYCLES = ((0, 2, 1), (0, 1, 2))
 _PERIOD_DISCS = 12
 
@@ -169,95 +171,106 @@ def state_at(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     return tuple(map(tuple, pegs))
 
 
-def _period(n: int, m: int) -> list:
-    """Codes of moves 1..3 * 2^m of the optimal n-disc word, m <= n, where
-    discs 1..m move, and None at every 2^m-th, where a larger disc does.
-    The moves of discs 1..m repeat with this period: doubled from disc 1,
-    the list gets disc d's three moves, one per turn, at moves
-    2^(d-1) * (2 * turn + 1)."""
-    word = [None] * 3
+@cache
+def _period_text(m: int, odd: int, sep: str) -> str:
+    """Moves 1..3 * 2^m of the optimal word of any n >= m discs, n % 2 ==
+    odd, as text: each code followed by sep, and '???' for every 2^m-th, a
+    larger disc's. Discs 1..m repeat their moves with this period: doubled
+    from disc 1, the list gets disc d's at moves 2^(d-1) * (2 * turn + 1)."""
+    word = ["???"] * 3
     for disc in range(1, m + 1):
         word *= 2
-        cycle = _CYCLES[(n - disc) & 1]
+        cycle = _CYCLES[(odd - disc) & 1]
         for turn in range(3):
             move = _CANONICAL_MOVES[cycle[turn] + 1, cycle[(turn + 1) % 3] + 1]
             word[((2 * turn + 1) << (disc - 1)) - 1] = move.code
-    return word
+    return sep.join(word) + sep
 
 
 class Board:
     """A mutable board for fast replay, checked by the two puzzle rules in
     place; tests compare it with a replay that validates every position.
 
-    pegs[i] holds peg i+1's discs bottom to top. Only the top min(n, 64)
-    discs are laid out on peg 1. Disc d cannot move before 2^(d-1) - 1
-    earlier moves, so no input anyone can read reaches a disc below the
-    64th: the verdicts are those of the full tower, in memory bounded by
-    64 discs, not by n. table maps each of the six move codes to its
-    (source list, target list). played counts the legal moves replayed;
-    reason is None until the first illegal move, and then its label;
-    departure is None while every move has followed the optimal word, and
-    then the index of the first that did not.
+    Only the top min(n, 64) discs are laid out on peg 1. Disc d cannot
+    move before 2^(d-1) - 1 earlier moves, so no input anyone can read
+    reaches a disc below the 64th: the verdicts are those of the full
+    tower, in memory bounded by 64 discs, not by n. table maps each of the
+    six move codes to its (source list, target list). played counts the
+    legal moves replayed; reason is None until the first illegal move, and
+    then its label; departure is None while the text has followed the
+    optimal word's, and then the index of the first cell that did not.
     """
 
-    __slots__ = ("n_discs", "pegs", "table", "played", "reason", "departure", "_period")
+    __slots__ = ("n_discs", "_pegs", "table", "played", "reason", "departure")
 
     def __init__(self, n_discs: int):
         if n_discs < 1:
             raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
         self.n_discs = n_discs
-        self.pegs = (list(range(min(n_discs, 64), 0, -1)), [], [])
+        self._pegs = (list(range(min(n_discs, 64), 0, -1)), [], [])
         self.table = {
-            mv.code: (self.pegs[mv.src - 1], self.pegs[mv.dst - 1])
+            mv.code: (self._pegs[mv.src - 1], self._pegs[mv.dst - 1])
             for mv in _CANONICAL_MOVES.values()
         }
         self.played, self.reason, self.departure = 0, None, None
-        self._period = _period(n_discs, min(n_discs, _PERIOD_DISCS))
 
-    def _expected(self, start: int, count: int) -> list:
-        """Codes start..start + count - 1 (0-based) of the optimal word, cut
-        at its end, or at move 2^64 - 1, which no input reaches: slices of
-        the period of discs 1..m, m = min(n, 12), with every 2^m-th move,
-        a larger disc's, patched in by move_at."""
-        n, period = self.n_discs, self._period
-        size, block = len(period), len(period) // 3
-        stop = min(start + count, (1 << min(n, 64)) - 1)
-        window = []
-        for at in range(start - start % size, stop, size):
-            window += period[max(start - at, 0):stop - at]
-        for k in range((start // block + 1) * block, stop + 1, block):
-            window[k - 1 - start] = move_at(n, k).code
-        return window
+    @property
+    def pegs(self) -> tuple:
+        """pegs[i] holds peg i+1's discs bottom to top. While the board
+        follows the optimal word, they are laid out when asked."""
+        if self.departure is None:
+            _lay_out(self._pegs, self.n_discs, self.played, min(self.n_discs, 64))
+        return self._pegs
 
-    def run(self, codes) -> None:
-        """Replay move codes up to the first illegal one, which sets played
-        to its index and reason to its label, "empty-source" or
-        "larger-on-smaller", and leaves the board as it was before that
-        move. From then on the board takes no more codes.
+    def _word(self, start: int, size: int, sep: str):
+        """size characters of the optimal word's text from character start,
+        cells of a code and sep, cut at its end, or at move 2^64 - 1, which
+        no input reaches: slices of the period's text, and move_at's code
+        at each 2^m-th cell."""
+        n = self.n_discs
+        period = _period_text(min(n, _PERIOD_DISCS), n & 1, sep)
+        block = len(period) // 3
+        stop = min(start + size, 4 * ((1 << min(n, 64)) - 1))
+        while start < stop:
+            at = start % len(period)
+            piece = period[at:at + block - 4 - at % block] or move_at(n, start // 4 + 1).code + sep
+            yield piece[:stop - start]
+            start += len(piece)
 
-        While the board follows the optimal word, the codes are compared
-        with its next moves at once, and a match lays the pegs out by the
-        closed form. From the first difference on, for good, each move is
-        checked on the pegs.
-        """
+    def run(self, text: str) -> None:
+        """Replay text, move codes each followed by one whitespace
+        character (the last one's may be missing), up to the first illegal
+        move, which sets played to its index and reason to its label,
+        "empty-source" or "larger-on-smaller", and leaves the board as it
+        was before that move. From then on the board takes no more text.
+
+        While the board follows the optimal word, text is compared slice
+        by slice with that word's text for its separator, text[3], a space
+        or a newline; the first differing character, divided by 4, is the
+        departure. From there on, for good, text is split and each move
+        checked on the pegs, and a token that is no code raises KeyError."""
         if self.reason is not None:
             return
         if self.departure is None:
-            codes = codes if isinstance(codes, list) else list(codes)
-            expected = self._expected(self.played, len(codes))
-            top = min(self.n_discs, 64)
-            if codes == expected:
-                self.played += len(codes)
-                _lay_out(self.pegs, self.n_discs, self.played, top)
+            sep, done = text[3:4] or " ", 0
+            for piece in self._word(4 * self.played, len(text), sep) if sep in " \n" else ():
+                if text[done:done + len(piece)] != piece:  # the first difference, by bisection
+                    done += bisect_left(range(len(piece)), True,
+                                        key=lambda i: text[done:done + i + 1] != piece[:i + 1])
+                    break
+                done += len(piece)
+            else:
+                done += done == len(text)  # a missing last separator too
+            cells = done // 4
+            self.played += cells
+            if 4 * cells >= len(text):
                 return
-            start = next((i for i, (code, move) in enumerate(zip(codes, expected))
-                          if code != move), len(expected))
-            self.played = self.departure = self.played + start
-            _lay_out(self.pegs, self.n_discs, self.departure, top)
-            codes = codes[start:]
+            self.departure = self.played
+            _lay_out(self._pegs, self.n_discs, self.departure, min(self.n_discs, 64))
+            text = text[4 * cells:]
         table = self.table
         index = self.played - 1
-        for index, code in enumerate(codes, self.played):
+        for index, code in enumerate(text.split(), self.played):
             src, dst = table[code]
             if not src or dst and dst[-1] < src[-1]:
                 self.played, self.reason = index, "larger-on-smaller" if src else "empty-source"
@@ -283,5 +296,5 @@ def validate_sequence(n_discs, moves) -> ValidationReport:
     tells whether the end state has all discs on peg 3.
     """
     board = Board(n_discs)
-    board.run(map(attrgetter("code"), moves))
+    board.run(" ".join(map(attrgetter("code"), moves)))
     return board.report()

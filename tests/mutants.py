@@ -57,10 +57,14 @@ MUTANTS = {
         CLI, "except (OSError, UnicodeEncodeError) as exc:", "except OSError as exc:", (CLOSED,)),
     "write-takes-every-short-write-for-a-closed-pipe": (
         CLI, "if binary.write(data[done:]) < len(data) - done:", "if True:", (SOLVE, CLOSED)),
-    "token-chunks-carry-one-character-too-few": (
-        CLI, "tokens.pop()[:QUOTE_CHARS + 1]", "tokens.pop()[:QUOTE_CHARS]", (VERIFY,)),
-    "token-chunks-drop-the-last-carried-token": (
-        CLI, "        if carry:\n            yield [carry]\n", "", (VERIFY,)),
+    "reads-carry-one-character-too-few": (
+        CLI, "text[cut:][:QUOTE_CHARS + 1]", "text[cut:][:QUOTE_CHARS]", (VERIFY,)),
+    "reads-drop-the-last-carried-token": (
+        CLI, "        if carry:\n            yield carry\n", "", (VERIFY,)),
+    "verify-takes-a-tail-with-a-repeated-peg-digit": (
+        CLI, "and not src & dst:", "and True:", (VERIFY,)),
+    "verify-takes-a-tail-with-any-separator": (
+        CLI, "data[3::4].isspace()", "data[3::4]", (VERIFY,)),
     "bfs-engine-hands-over-chunks-three-times-too-long": (
         CLI, "    for start in range(0, len(codes), _CHUNK):\n"
         "        sink(codes[start:start + _CHUNK])",
@@ -84,12 +88,20 @@ MUTANTS = {
     "board-replays-after-its-first-illegal-move": (
         HANOI, "        if self.reason is not None:\n            return\n", "",
         ("tests/test_hanoi.py",)),
-    "board-counts-one-move-too-few-on-a-match": (
-        HANOI, "self.played += len(codes)", "self.played += len(codes) - 1",
-        ("tests/test_hanoi.py",)),
-    "board-lays-out-the-chunk-start-not-the-departure": (
-        HANOI, "_lay_out(self.pegs, self.n_discs, self.departure, top)",
-        "_lay_out(self.pegs, self.n_discs, played, top)", ("tests/test_hanoi.py",)),
+    "board-counts-one-cell-too-few": (
+        HANOI, "self.played += cells", "self.played += cells - 1", ("tests/test_hanoi.py",)),
+    "board-lays-out-the-text-start-not-the-departure": (
+        HANOI, "_lay_out(self._pegs, self.n_discs, self.departure,",
+        "_lay_out(self._pegs, self.n_discs, self.departure - cells,", ("tests/test_hanoi.py",)),
+    "board-leaves-the-4096th-cells-unchecked": (
+        HANOI, "if text[done:done + len(piece)] != piece:",
+        "if text[done:done + len(piece)] != piece and len(piece) > 4:",
+        ("tests/test_hanoi.py", VERIFY)),
+    "board-departs-one-cell-early": (
+        HANOI, "self.departure = self.played\n", "self.departure = self.played - 1\n",
+        ("tests/test_hanoi.py", *COMPARE)),
+    "board-takes-any-character-as-a-separator": (
+        HANOI, 'if sep in " \\n" else ()', "if sep else ()", (VERIFY,)),
     "report-checks-one-move-too-few": (
         HANOI, "self.solved(), self.played)", "self.solved(), self.played - 1)",
         ("tests/test_hanoi.py",)),

@@ -10,6 +10,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -316,6 +317,26 @@ class TestSolve:
             assert err.endswith(" verified=false\n")
 
     @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("index", [4095, 4096])
+    def test_an_engine_leaving_at_a_4096th_move_or_a_chunk_seam_gets_the_oracle_verdict(
+            self, capsys, monkeypatch, index, fmt):
+        """Move 4,096 (index 4,095), a disc above the 12th's, ends the
+        first list the stub hands over, and index 4,096 starts the second.
+        The word is written as handed over, and verified as the oracle's
+        checked replay from ten moves before the fault finds it."""
+        codes = altered(WORD_13, index)
+        monkeypatch.setitem(ENGINES, "grammar", handing_over(codes))
+        code, out, err = run_cli(capsys, "solve", "--n", "13", *FORMATS[fmt])
+        report = checked_replay(13, list(map(MoveSymbol.parse, codes[index - 10:])), index - 10)
+        verified = json.dumps(report[0] and report[3])
+        assert code == 0
+        assert out.startswith(written(fmt, codes))
+        if fmt == "json":
+            assert out.endswith(f'"verified": {verified}\n}}\n')
+        else:
+            assert err.endswith(f" verified={verified}\n")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_memory_does_not_grow_with_the_word(self, monkeypatch, fmt):
         # Holding the 17-disc word's 131,071 codes peaks above 2 MB, and
         # its joined JSON record above 4 MB; chunk by chunk, about 0.5 MB.
@@ -442,25 +463,50 @@ def parse_error(index, token):
 def whole_text_verdict(n, text, fmt):
     """What `verify --format fmt` must print for text: the exit code,
     stdout and stderr of parsing every token first and then replaying the
-    parsed list with validate_sequence. The text form lists the report's
-    set fields in order, one `field: value` line each."""
+    parsed list with validate_sequence."""
     moves = []
     for index, token in enumerate(text.split()):
         try:
             moves.append(MoveSymbol.parse(token))
         except MoveParseError:
             return 2, "", parse_error(index, token)
-    report = validate_sequence(n, moves)
-    exit_code = 0 if report.legal and report.final_solved else 1
+    return report_verdict(n, validate_sequence(n, moves), fmt)
+
+
+def report_verdict(n, report, fmt):
+    """What `verify --format fmt` must print for a ValidationReport's
+    fields, in order: the exit code, stdout and stderr. The text form lists
+    the set fields, one `field: value` line each."""
+    fields = dict(zip(("legal", "failing_index", "failure_reason", "final_solved",
+                       "moves_checked"), report))
+    exit_code = 0 if fields["legal"] and fields["final_solved"] else 1
     if fmt == "json":
-        return exit_code, json.dumps({"n_discs": n, **report._asdict()}, indent=2) + "\n", ""
-    lines = [f"legal: {json.dumps(report.legal)}"]
-    if not report.legal:
-        lines += [f"failing_index: {report.failing_index}",
-                  f"failure_reason: {report.failure_reason}"]
-    lines += [f"final_solved: {json.dumps(report.final_solved)}",
-              f"moves_checked: {report.moves_checked}"]
-    return exit_code, "".join(line + "\n" for line in lines), ""
+        return exit_code, json.dumps({"n_discs": n, **fields}, indent=2) + "\n", ""
+    lines = (f"{field}: {json.dumps(value) if isinstance(value, bool) else value}\n"
+             for field, value in fields.items() if value is not None)
+    return exit_code, "".join(lines), ""
+
+
+@cache
+def optimal_word(n):
+    """The optimal n-disc word's codes, by the recursion."""
+    return tuple(mv.code for mv in recursive_solve(HanoiInstance(n)))
+
+
+# verify's read size, and the separators the seam tests put between codes:
+# one character, or two for CRLF, which stdin does not translate.
+READ_CHARS = 8192
+SEPARATORS = (" ", "\n", "\t", "\u3000", "\r\n")
+
+
+def verify_in_process(n, text, fmt="json"):
+    """main's exit code, stdout and stderr for `verify --n n -` on text."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", io.StringIO(text))  # as stdin: no newline translated
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--n", str(n), "-", "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
 
 
 # Runs cli.main in a fresh interpreter and reports, as its last stderr
@@ -895,6 +941,81 @@ class TestVerify:
         assert code == 1
         assert tuple(report.values())[1:] == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_fault_at_a_4096th_cell_or_a_read_seam_gets_the_oracle_report(self, data):
+        """verify at its own read size, on a word of 13 to 16 discs with
+        one fault next to a 4,096th cell (where a disc above the 12th
+        moves), next to a read seam, or anywhere; the codes are joined by
+        one separator, or mixed ones around the fault and the seams, with
+        or without the last one. Every report field, or the bad token's
+        index, follows from the oracle's checked replay from 100 moves
+        before the fault, and the word stops 200 moves after it."""
+        n = data.draw(st.integers(13, 16), label="n")
+        word = list(optimal_word(n))
+        separator = data.draw(st.sampled_from(SEPARATORS), label="separator")
+        width = 3 + len(separator)
+        cell = 4096 * data.draw(st.integers(1, len(word) // 4096), label="block")
+        seam = READ_CHARS * data.draw(st.integers(1, len(word) * width // READ_CHARS)) // width
+        near = [i for i in (cell - 1, cell, cell + 1, seam - 1, seam, seam + 1) if i < len(word)]
+        at = data.draw(st.sampled_from(near) | st.integers(0, len(word) - 1), label="at")
+        kind = data.draw(st.sampled_from(["none", "substitution", "insertion", "deletion",
+                                          "bad token"]), label="fault")
+        token = data.draw(st.sampled_from(BAD_TOKENS if kind == "bad token" else
+                                          [c for c in VALID_CODES if c != word[at]]), label="code")
+        if kind == "substitution":
+            word[at] = token
+        elif kind in ("insertion", "bad token"):
+            word.insert(at, token)
+        elif kind == "deletion":
+            del word[at]
+        start = len(word) if kind == "none" else max(0, at - 100)
+        word = word[:at + 200] if kind != "none" else word
+        separators = [separator] * len(word)
+        mixed = data.draw(st.dictionaries(
+            st.sampled_from([i for i in (*near, at - 2, at - 1, at, at + 1) if 0 <= i < len(word)]),
+            st.sampled_from(SEPARATORS), max_size=4), label="other separators")
+        for index, other in mixed.items():
+            separators[index] = other
+        text = "".join(map(str.__add__, word, separators))
+        if data.draw(st.booleans(), label="no last separator"):
+            text = text[:-len(separators[-1])]
+        fmt = data.draw(st.sampled_from(["text", "json"]), label="format")
+        if kind == "bad token":
+            expected = (2, "", parse_error(at, token))
+        else:
+            report = checked_replay(n, list(map(MoveSymbol.parse, word[start:])), start)
+            expected = report_verdict(n, report, fmt)
+        assert verify_in_process(n, text, fmt) == expected
+
+    @pytest.mark.parametrize("at", [4094, 4095, 4096, 2047, 2048, 8191])
+    @pytest.mark.parametrize("separator", ["\r\n", "\n", "\t"])
+    def test_a_file_gets_the_oracle_report_with_its_newlines_translated(
+            self, capsys, tmp_path, separator, at):
+        """open() reads a CRLF file as newlines, which the board judges as
+        text; a substituted move at or next to a 4,096th cell or a read
+        seam gets the oracle's report."""
+        word = altered(optimal_word(14), at)
+        path = tmp_path / "moves.txt"
+        path.write_bytes(separator.join(word).encode() + b"\r\n")
+        code, out, err = run_cli(capsys, "verify", "--n", "14", str(path), "--format", "json")
+        start = at - 100
+        report = checked_replay(14, list(map(MoveSymbol.parse, word[start:at + 300])), start)
+        assert report[0] is False  # the oracle stops within 200 moves of the fault
+        assert (code, out, err) == report_verdict(14, report, "json")
+
+    @pytest.mark.parametrize("text, index, token", [
+        pytest.param("p12,p13,p23,\n", 0, "p12,p13,p23,", id="commas between codes"),
+        pytest.param("p12xp13xp23\n", 0, "p12xp13xp23", id="a letter between codes"),
+        # After the illegal second move the board takes no more text; the
+        # later cells are each a code and one whitespace byte but one.
+        pytest.param("p13 p13 p12 p11 p23\n", 3, "p11", id="a repeated peg after a fault"),
+        pytest.param("p13 p13 p12xp13 p12\n", 2, "p12xp13", id="a letter after a fault"),
+        pytest.param("p13 p13 p12 p31 p1 \n", 4, "p1", id="a short code after a fault"),
+    ])
+    def test_a_text_that_looks_like_cells_but_is_no_codes_exits_two(self, text, index, token):
+        assert verify_in_process(2, text, "text") == (2, "", parse_error(index, token))
+
     def test_a_long_token_is_quoted_short_in_bounded_memory(self, capsys, monkeypatch):
         token = "p" * 1_000_000
         monkeypatch.setattr("sys.stdin", io.StringIO(f"p13 {token} p12"))
@@ -1171,6 +1292,24 @@ class TestCompareDivergence:
                 code = main(["compare", "--n", str(n)])
         assert (code, err.getvalue()) == (1 if departures else 0, "")
         assert re.sub(r"in [0-9.]+ ms", "in ms", out.getvalue()).splitlines() == expected
+
+    @pytest.mark.parametrize("size", [_CHUNK, 1000])
+    @pytest.mark.parametrize("index", [999, 1000, 4095, 4096, 8191])
+    def test_an_engine_leaving_at_a_4096th_move_or_a_chunk_seam_departs_there(
+            self, capsys, monkeypatch, index, size):
+        """The stub hands its word over in lists of size, so a chunk seam
+        falls at each multiple of size; move 4,096 (index 4,095) and its
+        multiples are moves of a disc above the 12th."""
+        codes = altered(closed_word(14), index)
+
+        def engine(n, unsafe, sink):
+            for start in range(0, len(codes), size):
+                sink(codes[start:start + size])
+
+        monkeypatch.setitem(ENGINES, "pda", engine)
+        code, out, err = run_cli(capsys, "compare", "--n", "14")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == f"departure: pda at index {checked_departure(14, codes)}"
 
     def test_a_departing_engine_holds_no_word(self, capsys, monkeypatch):
         # The 18-disc word starts with p12, so the stub leaves it at once

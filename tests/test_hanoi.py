@@ -336,27 +336,27 @@ def test_board_run_tracks_apply_move(n_discs, data):
                 legal.append(mv.code)
                 continue
             break
-        board.run(mv.code for mv in chunk)
+        board.run(" ".join(mv.code for mv in chunk))
         assert (board.played, board.reason) == (len(legal), reason)
         assert tuple(map(tuple, board.pegs)) == laid_out(state)
         assert board.solved() == is_solved(state, n_discs)
         if reason is not None:
             board = Board(n_discs)
-            board.run(legal)
+            board.run(" ".join(legal))
 
 
 def test_a_board_takes_no_codes_after_its_first_illegal_move():
     """played counts the legal moves, on the optimal word and off it. After
     the first illegal move, later codes, legal ones too, change nothing."""
     board = Board(3)
-    for chunk, played in ((["p13"], 1), (["p12", "p32"], 3)):  # the word's first moves
+    for chunk, played in (("p13", 1), ("p12 p32", 3)):  # the word's first moves
         board.run(chunk)
         assert (board.played, board.departure) == (played, None)
-    board.run(["p23", "p12", "p31"])  # the word goes on p13; then disc 3 onto disc 2
+    board.run("p23 p12 p31")  # the word goes on p13; then disc 3 onto disc 2
     assert (board.played, board.reason, board.departure) == (4, "larger-on-smaller", 3)
     pegs, report = tuple(map(tuple, board.pegs)), board.report()
     assert (pegs, tuple(report)) == (((3,), (2,), (1,)), (False, 4, "larger-on-smaller", False, 5))
-    for codes in (["p31"], ["p12"], CODES):
+    for codes in ("p31", "p12", " ".join(CODES)):
         board.run(codes)
         assert (board.played, board.reason, board.departure) == (4, "larger-on-smaller", 3)
         assert (tuple(map(tuple, board.pegs)), board.report()) == (pegs, report)
@@ -456,7 +456,7 @@ def replay_in_chunks(n_discs, chunks, fault):
     board = Board(n_discs)
     fed = 0
     for chunk in chunks:
-        board.run(chunk)
+        board.run(" ".join(chunk))
         fed += len(chunk)
         if fed <= fault:  # every code so far is the optimal word's
             assert board.departure is None
@@ -484,7 +484,7 @@ def substituted(codes, *indices):
 def test_board_departure_is_where_the_checked_model_leaves_the_word(edit, departure):
     codes, board = edit(optimal_codes(13)), Board(13)
     for start in range(0, len(codes), 4096):
-        board.run(codes[start:start + 4096])
+        board.run(" ".join(codes[start:start + 4096]))
         assert board.departure in (None, departure)
     assert board.departure == checked_departure(13, codes) == departure
 
@@ -514,7 +514,7 @@ def test_board_on_a_faulted_20_disc_word_agrees_with_the_checked_replay(data):
 @settings(deadline=None)
 @given(n_discs=st.integers(1, 70), data=st.data())
 def test_the_word_the_board_compares_with_is_the_closed_form(n_discs, data):
-    """Board._expected against move_at, on windows that start near the
+    """Board._word against move_at, on windows that start near the
     block edges, the ends of the 3 * 4,096-move period, or the word's
     end (or move 2^64 - 1, where the board stops), and may span a
     period."""
@@ -523,4 +523,4 @@ def test_the_word_the_board_compares_with_is_the_closed_form(n_discs, data):
     start = data.draw(st.sampled_from(edges) | st.integers(0, last - 1), label="start")
     count = data.draw(st.integers(0, 13000), label="count")
     expected = [move_at(n_discs, k + 1).code for k in range(start, min(start + count, last))]
-    assert Board(n_discs)._expected(start, count) == expected
+    assert "".join(Board(n_discs)._word(4 * start, 4 * count, " ")).split() == expected
