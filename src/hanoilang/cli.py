@@ -29,7 +29,6 @@ import sys
 import time
 from contextlib import nullcontext, suppress
 from itertools import islice, pairwise
-from operator import attrgetter
 from types import SimpleNamespace
 
 # The grammar, automaton and constructions modules are imported by the
@@ -79,19 +78,16 @@ def _summary_line(record: dict) -> str:
     )
 
 
-_code = attrgetter("code")
-
-
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
     from .constructions import build_hanoi_grammar, grammar_step_limit
     from .grammar import _derive
-    _derive(build_hanoi_grammar(n), sink, grammar_step_limit(n), _code)
+    _derive(build_hanoi_grammar(n), sink, grammar_step_limit(n))
 
 
 def _pda_engine(n: int, unsafe: bool, sink) -> None:
     from .constructions import build_hanoi_pda, pda_step_limit
     from .pda import RunOutcome, _run
-    _, outcome = _run(build_hanoi_pda(n), sink, pda_step_limit(n), _code)
+    _, outcome = _run(build_hanoi_pda(n), sink, pda_step_limit(n))
     if outcome is not RunOutcome.EMPTY_STACK_HALT:
         raise EngineFailure(f"automaton run ended {outcome.value}")
 
@@ -109,14 +105,15 @@ def _bfs_engine(n: int, unsafe: bool, sink) -> None:
     except (OverflowError, MemoryError) as exc:  # no list of 3^n positions
         reason = str(exc) or "out of memory"
         raise EngineFailure(f"breadth-first search at {n} discs: {reason}") from exc
-    codes = list(map(_code, result.sequence))
+    codes = list(result.sequence)
     for start in range(0, len(codes), _CHUNK):
         sink(codes[start:start + _CHUNK])
 
 
-# Each engine hands the N-disc word to sink as non-empty lists of move
-# codes, in order and at most 2 * grammar._CHUNK - 1 long each, or raises
-# one of the errors _run_engine catches; sink may keep a list.
+# Each engine hands the N-disc word to sink as non-empty lists of moves,
+# which are their codes, in order and at most 2 * grammar._CHUNK - 1 long
+# each, or raises one of the errors _run_engine catches; sink may keep a
+# list.
 # --unsafe-no-cap reaches the engine as `unsafe`.
 ENGINES = {
     "grammar": _grammar_engine,
@@ -320,7 +317,7 @@ def cmd_enumerate(args) -> int:
     grammar = build_hanoi_grammar(args.n)
     words = enumerate_language(grammar, max_derivation_length=bound)
     for word in sorted(words):
-        print(" ".join(mv.code for mv in word))
+        print(" ".join(word))
     print(f"cardinality: {len(words)}")
     return EXIT_OK
 
@@ -391,8 +388,8 @@ COMMANDS = {
         "--stream": dict(action="store_true",
                          help="print one move per line as they are produced")}),
     "verify": (cmd_verify, "replay a move sequence and judge it", {
-        **_COMMON, "moves": dict(metavar="FILE",
-                                 help="whitespace-separated move codes; '-' for stdin"),
+        "--n": _COMMON["--n"],
+        "moves": dict(metavar="FILE", help="whitespace-separated move codes; '-' for stdin"),
         **_FORMAT}),
     "compare": (cmd_compare, "run all engines and check they agree", _COMMON),
     "enumerate": (cmd_enumerate, "list every generated word within a step bound", {

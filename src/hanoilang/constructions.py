@@ -99,7 +99,7 @@ def build_hanoi_pda(n_discs: int) -> Pda:
 
 
 def recursive_chunks(n_discs: int, sink) -> None:
-    """The textbook recursion, as codes handed to sink in lists of exactly
+    """The textbook recursion, as moves handed to sink in lists of exactly
     _CHUNK, the last one shorter: moving n discs from src to dst moves n-1
     discs onto the spare peg, carries the largest disc across, then moves
     the n-1 discs on top of it.
@@ -107,11 +107,11 @@ def recursive_chunks(n_discs: int, sink) -> None:
     The words of the six min(n, 10)-disc tasks are built first by that
     rule, and taller tasks run on an explicit stack, so the recursion
     nests no calls and holds no word. A 10-disc word and the middle move
-    after it make 1,024 codes, so every fourth middle move ends a chunk.
+    after it make 1,024 moves, so every fourth middle move ends a chunk.
     """
     if n_discs < 1:
         raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
-    code = {(i, j): MoveSymbol.of(i, j).code for i, j in PEG_PAIRS}
+    code = {(i, j): MoveSymbol.of(i, j) for i, j in PEG_PAIRS}
     low = min(n_discs, 10)
     words = {pair: [code[pair]] for pair in PEG_PAIRS}
     for _ in range(low - 1):
@@ -136,9 +136,9 @@ def recursive_chunks(n_discs: int, sink) -> None:
 
 
 def recursive_solve(instance: HanoiInstance) -> tuple[MoveSymbol, ...]:
-    """recursive_chunks' word as moves, used as an independent reference."""
+    """recursive_chunks' word, used as an independent reference."""
     moves: list[MoveSymbol] = []
-    recursive_chunks(instance.n_discs, lambda chunk: moves.extend(map(MoveSymbol.parse, chunk)))
+    recursive_chunks(instance.n_discs, moves.extend)
     return tuple(moves)
 
 

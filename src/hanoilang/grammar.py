@@ -147,20 +147,19 @@ _CHUNK = 4096
 _CACHE_CHUNKS = 16
 
 
-def _unwind(table, sink: Callable[[list], None], step_limit: int,
-            translate: Callable[[object], object] | None = None) -> tuple[int, int, int | None]:
+def _unwind(table, sink: Callable[[list], None], step_limit: int) -> tuple[int, int, int | None]:
     """The one loop of the derivation and of the automaton's runner.
 
     table is (start symbol, moves, effects). A stack of symbol ids, the
     start symbol alone at first, is unwound from its top: the move
     moves[top] is the pushed ids, reversed for a list stack, or None,
     and taking it pops top, costs and reports what effects[top] gives, as
-    (() or (payload,), steps). The reported payloads, each mapped once
-    through translate, go to sink in lists of _CHUNK to 2 * _CHUNK - 1
-    items, the last one shorter, also when the run stops; sink may keep a
-    list. Returns (steps, payloads handed over, stop): stop is None when
-    the stack emptied, else the symbol whose move is None or costs more
-    steps than are left.
+    (() or (payload,), steps). The reported payloads, the table's own
+    objects, go to sink in lists of _CHUNK to 2 * _CHUNK - 1 items, the
+    last one shorter, also when the run stops; sink may keep a list.
+    Returns (steps, payloads handed over, stop): stop is None when the
+    stack emptied, else the symbol whose move is None or costs more steps
+    than are left.
 
     The machine reads no input and has one state, so a symbol on top
     always unwinds to the same payloads in the same steps. At a visit
@@ -172,8 +171,6 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int,
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
     start, moves, effects = table
-    if translate is not None:
-        effects = [(tuple(map(translate, items)), cost) for items, cost in effects]
     chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
     # runs[id] is None while unknown, the recorded (payloads, steps), or
     # False once it will not be recorded. An attempt that meets an unknown
@@ -258,22 +255,22 @@ def derive_step(grammar: Grammar, form) -> SententialForm | None:
     return None
 
 
-def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int,
-            translate: Callable[[object], object] | None = None) -> tuple[int, int]:
+def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int) -> tuple[int, int]:
     """The leftmost derivation, run by _unwind on the grammar's table.
 
     Rewrites with the first production, as derive_step does, and hands the
-    terminal payloads to sink as _unwind does. The items derived so far
-    are handed over before a StepLimitExceeded, which takes precedence, or
-    a NoApplicableProduction, so sink has then seen what derive_step
-    emits up to the failing rewrite. Returns (steps, emitted).
+    terminals' payloads, as the grammar holds them, to sink as _unwind
+    does. The items derived so far are handed over before a
+    StepLimitExceeded, which takes precedence, or a
+    NoApplicableProduction, so sink has then seen what derive_step emits
+    up to the failing rewrite. Returns (steps, emitted).
 
     A nonterminal always derives the same word in the same number of
     rewrites, so the words of small nonterminals are recorded bottom-up
     from those of their right-hand sides and replayed (see _unwind).
     """
     table, symbols = grammar._compiled
-    steps, emitted, stop = _unwind(table, sink, step_limit, translate)
+    steps, emitted, stop = _unwind(table, sink, step_limit)
     if stop is None:
         return steps, emitted
     if steps >= step_limit:

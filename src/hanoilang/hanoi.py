@@ -8,7 +8,6 @@ never places a larger disc on a smaller one.
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cache
-from operator import attrgetter
 
 PEGS = (1, 2, 3)
 # A bad token is quoted by at most this many characters, so a message about
@@ -31,13 +30,11 @@ def quote_token(token: str) -> str:
     return f"{token[:QUOTE_CHARS]!r}..."
 
 
-class MoveSymbol(namedtuple("MoveSymbol", "src dst code")):
-    """One disc transfer, "take the top disc of peg src and put it on dst".
-
-    Built from src and dst; code, the "pij" text form, is kept as a third
-    field because it is read once per move on the hot paths. Ordering is
-    lexicographic on (src, dst), which is also the order the breadth-first
-    oracle tries moves in.
+class MoveSymbol(str):
+    """One disc transfer, "take the top disc of peg src and put it on dst",
+    which is its "pij" text: a move equals, hashes and orders as that
+    text, so ordering is lexicographic on (src, dst), which is also the
+    order the breadth-first oracle tries moves in.
     """
 
     __slots__ = ()
@@ -47,23 +44,17 @@ class MoveSymbol(namedtuple("MoveSymbol", "src dst code")):
             raise ValueError(f"pegs must be in 1..3, got {src}->{dst}")
         if src == dst:
             raise ValueError("a move must use two distinct pegs")
-        return super().__new__(cls, src, dst, f"p{src}{dst}")
+        return super().__new__(cls, f"p{src}{dst}")
 
-    @classmethod
-    def _make(cls, fields):  # _replace too; code must name the move of src and dst
-        src, dst, code = fields
-        if (move := cls(src, dst)).code != code:
-            raise ValueError(f"code {code!r} does not name the move {move.code}")
-        return move
+    src = property(lambda self: int(self[1]))
+    dst = property(lambda self: int(self[2]))
+    code = property(str.__str__, doc="The text as a plain str.")
 
     def __getnewargs__(self):
         return self.src, self.dst
 
     def __repr__(self) -> str:
         return f"MoveSymbol(src={self.src}, dst={self.dst})"
-
-    def __str__(self) -> str:
-        return self.code
 
     @classmethod
     def of(cls, src: int, dst: int) -> "MoveSymbol":
@@ -296,5 +287,5 @@ def validate_sequence(n_discs, moves) -> ValidationReport:
     tells whether the end state has all discs on peg 3.
     """
     board = Board(n_discs)
-    board.run(" ".join(map(attrgetter("code"), moves)))
+    board.run(" ".join(moves))
     return board.report()

@@ -187,21 +187,20 @@ def run_to_empty_stack(pda: Pda, input_word, *, step_limit: int) -> RunTrace:
     return RunTrace(steps=steps, emitted=tuple(emitted), outcome=outcome)
 
 
-def _run(pda: Pda, sink: Callable[[list], None], step_limit: int,
-         translate: Callable[[object], object] | None = None) -> tuple[int, RunOutcome]:
+def _run(pda: Pda, sink: Callable[[list], None], step_limit: int) -> tuple[int, RunOutcome]:
     """The deterministic run on the empty input word, by grammar._unwind
     on the compiled table, which hands the payloads that observable tops
-    report to sink as it does, however the run ends. A stack symbol's
-    recorded run is replayed when the steps left cover it. A top without
-    a move is STUCK, which takes precedence over STEP_LIMIT. Returns
-    (transitions taken, outcome).
+    report, as the automaton holds them, to sink as it does, however the
+    run ends. A stack symbol's recorded run is replayed when the steps
+    left cover it. A top without a move is STUCK, which takes precedence
+    over STEP_LIMIT. Returns (transitions taken, outcome).
     """
     report = is_deterministic(pda)
     if not report:
         raise NondeterministicPda(
             f"runner needs a deterministic automaton; witness {report.witness}: {report.reason}"
         )
-    steps, _, stop = _unwind(pda._compiled, sink, step_limit, translate)
+    steps, _, stop = _unwind(pda._compiled, sink, step_limit)
     if stop is None:
         return steps, RunOutcome.EMPTY_STACK_HALT
     moves = pda._compiled[1]

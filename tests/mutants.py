@@ -34,6 +34,7 @@ TIMEOUT = 120  # seconds for one pytest run; the unmutated one takes about 40
 
 CLI, HANOI = "cli.py", "hanoi.py"
 GRAMMAR, CONSTRUCTIONS = "grammar.py", "constructions.py"
+MOVE = "tests/test_hanoi.py::TestMoveSymbol"
 SOLVE = "tests/test_cli.py::TestSolve"
 CLOSED = "tests/test_cli.py::TestClosedStreams"
 COMPARE = ("tests/test_cli.py::TestCompare", "tests/test_cli.py::TestCompareDivergence")
@@ -85,6 +86,16 @@ MUTANTS = {
     "run-engine-formats-out-of-memory-in-its-handler": (
         CLI, "        failure = MemoryError\n    if failure is MemoryError:\n",
         "", (OUT_OF_MEMORY,)),
+    "move-reads-src-from-its-dst-digit": (
+        HANOI, "src = property(lambda self: int(self[1]))",
+        "src = property(lambda self: int(self[2]))", (MOVE,)),
+    "move-text-names-its-pegs-backwards": (
+        HANOI, 'super().__new__(cls, f"p{src}{dst}")', 'super().__new__(cls, f"p{dst}{src}")',
+        (MOVE,)),
+    "move-code-is-the-move-not-a-plain-str": (
+        HANOI, "code = property(str.__str__,", "code = property(lambda self: self,", (MOVE,)),
+    "move-pickles-its-pegs-swapped": (
+        HANOI, "return self.src, self.dst", "return self.dst, self.src", (MOVE,)),
     "board-replays-after-its-first-illegal-move": (
         HANOI, "        if self.reason is not None:\n            return\n", "",
         ("tests/test_hanoi.py",)),

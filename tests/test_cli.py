@@ -129,10 +129,10 @@ class TestSolve:
         assert err.endswith(" verified=true\n")
 
     def test_stream_reports_an_illegal_move_as_unverified(self, capsys, monkeypatch):
-        def derive_illegal(grammar, sink, step_limit, translate):
+        def derive_illegal(grammar, sink, step_limit):
             # the third move finds peg 1 empty, and the board takes no move
             # after it; without it, the last move would leave both discs on peg 3
-            sink([translate(MoveSymbol.parse(code)) for code in ("p12", "p13", "p13", "p23")])
+            sink([MoveSymbol.parse(code) for code in ("p12", "p13", "p13", "p23")])
             return 3, 4
 
         monkeypatch.setattr("hanoilang.grammar._derive", derive_illegal)
@@ -1481,6 +1481,12 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_verify_has_no_cap_to_lift(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--unsafe-no-cap", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: hanoilang ")
+        assert err.endswith("hanoilang: error: unrecognized arguments: --unsafe-no-cap\n")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

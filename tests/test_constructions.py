@@ -261,6 +261,10 @@ class TestEngineAgreement:
         assert pda_run(n).emitted == word
         assert recursive_solve(HanoiInstance(n)) == word
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_a_derived_word_joins_to_the_closed_form_text(self, n):
+        assert " ".join(grammar_word(n)) == " ".join(move_at(n, k).code for k in range(1, 2 ** n))
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_streaming_matches_materialized(self, n):
         collected = []
@@ -311,6 +315,10 @@ class TestRecursiveSolve:
         # allocation per move, which is what makes --unsafe-no-cap viable.
         moves = recursive_solve(HanoiInstance(12))
         assert len({id(m) for m in moves}) <= 6
+
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_returns_the_canonical_moves(self, n):
+        assert all(mv is MoveSymbol.of(mv.src, mv.dst) for mv in recursive_solve(HanoiInstance(n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 14])
     def test_chunks_are_the_closed_form_word(self, n):

@@ -1,9 +1,10 @@
 """Board model: moves, states, legality, replay validation, and the
 closed form of the optimal word."""
 
+import copy
+import pickle
 import tracemalloc
 from functools import cache
-from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -98,9 +99,29 @@ class TestMoveSymbol:
         with pytest.raises(ValueError):
             MoveSymbol.of(src, dst)
 
-    def test_str_is_cached_per_instance(self):
-        mv = MoveSymbol.of(1, 2)
-        assert str(mv) is str(mv)
+    @pytest.mark.parametrize("src, dst", [(mv.src, mv.dst) for mv in ALL_MOVES])
+    def test_a_move_equals_hashes_and_orders_as_its_text(self, src, dst):
+        mv, text = MoveSymbol(src, dst), f"p{src}{dst}"
+        assert mv == text and text == mv and hash(mv) == hash(text)
+        assert (mv.src, mv.dst, mv.code) == (src, dst, text)
+        assert type(mv.code) is str and type(mv.src) is int and type(mv.dst) is int
+        with pytest.raises(AttributeError):
+            mv.src = dst
+        for other in ALL_MOVES:
+            assert (mv < other) == (text < other.code) == ((src, dst) < (other.src, other.dst))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, *(
+        lambda mv, protocol=protocol: pickle.loads(pickle.dumps(mv, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_pickle_and_copy_give_back_an_equal_move(self, clone):
+        for mv in ALL_MOVES:
+            back = clone(mv)
+            assert type(back) is MoveSymbol and back == mv
+            assert (back.src, back.dst) == (mv.src, mv.dst)
+
+    def test_a_move_is_no_tuple(self):
+        assert MoveSymbol(1, 3) != (1, 3)
+        assert not isinstance(MoveSymbol(1, 3), tuple)
 
     def test_code_is_not_part_of_identity(self):
         assert repr(MoveSymbol(1, 3)) == "MoveSymbol(src=1, dst=3)"
@@ -401,8 +422,7 @@ def test_closed_form_rejects_an_index_outside_the_word(call):
 def optimal_codes(n_discs):
     """The optimal word's codes from the grammar, not the closed form."""
     codes = []
-    _derive(build_hanoi_grammar(n_discs), codes.extend, grammar_step_limit(n_discs),
-            attrgetter("code"))
+    _derive(build_hanoi_grammar(n_discs), codes.extend, grammar_step_limit(n_discs))
     return tuple(codes)
 
 

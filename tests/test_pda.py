@@ -276,10 +276,9 @@ def test_chunked_run_hands_over_the_stepwise_payloads(case, chunk, cache_chunks)
     lists = []
     with mock.patch("hanoilang.grammar._CHUNK", chunk), \
             mock.patch("hanoilang.grammar._CACHE_CHUNKS", cache_chunks):
-        run = _run(pda, lists.append, step_limit, str.upper)
+        run = _run(pda, lists.append, step_limit)
     assert run == (expected.steps, expected.outcome)
-    assert [payload for items in lists for payload in items] == [
-        payload.upper() for payload in expected.emitted]
+    assert [payload for items in lists for payload in items] == list(expected.emitted)
     assert all(chunk <= len(items) < 2 * chunk for items in lists[:-1])
     assert all(0 < len(items) < 2 * chunk for items in lists[-1:])
 

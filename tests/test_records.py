@@ -36,7 +36,6 @@ M = StackSymbol("m", observable=True)
 # Each record's class, the arguments of one instance, the same arguments
 # with one field changed, and that field's name.
 RECORDS = [
-    (MoveSymbol, (1, 3), (1, 2), "dst"),
     (HanoiNonterminal, (1, 3, 2), (1, 3, 3), "n"),
     (ValidationReport, (True, None, None, True, 7), (True, None, None, True, 8), "moves_checked"),
     (Symbol, ("terminal", P13), ("nonterminal", P13), "kind"),
@@ -121,10 +120,6 @@ def test_records_take_their_fields_by_keyword_and_default():
     (lambda: Symbol("letter", "a"), GrammarError, "unknown symbol kind 'letter'"),
     (lambda: Production(a, (S,)), GrammarError, "production lhs must be a nonterminal, got a"),
     # namedtuple's own _make, which _replace calls, would skip these checks.
-    (lambda: MoveSymbol._make((0, 3, "p03")), ValueError, "pegs must be in 1..3, got 0->3"),
-    (lambda: MoveSymbol._make((1, 2, "p13")), ValueError, "code 'p13' does not name the move p12"),
-    (lambda: P13._replace(src=2), ValueError, "code 'p13' does not name the move p23"),
-    (lambda: P13._replace(code="p12"), ValueError, "code 'p12' does not name the move p13"),
     (lambda: HanoiNonterminal._make((1, 5, 1)), ValueError, "pegs must be in 1..3, got 1->5"),
     (lambda: HanoiNonterminal(1, 3, 2)._replace(n=-1), ValueError,
      "disc count must be >= 1, got -1"),
