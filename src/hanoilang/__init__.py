@@ -20,7 +20,7 @@ _SOURCES = {
                       "grammar_step_limit", "pda_step_limit", "recursive_solve"),
     "grammar": ("derive_full", "derive_step", "derive_streaming", "enumerate_language"),
     "hanoi": ("MoveSymbol", "validate_sequence"),
-    "pda": ("StackSymbol", "is_deterministic", "pda_from_grammar", "run_to_empty_stack"),
+    "pda": ("is_deterministic", "pda_from_grammar", "run_to_empty_stack"),
 }
 
 __all__ = sorted(name for names in _SOURCES.values() for name in names)

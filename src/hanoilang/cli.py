@@ -69,15 +69,6 @@ def _complain(message: str) -> None:
     _note(f"hanoilang: {message}")
 
 
-def _summary_line(record: dict) -> str:
-    verified = "true" if record["verified"] else "false"
-    return (
-        f"engine={record['engine']} n_discs={record['n_discs']} "
-        f"move_count={record['move_count']} elapsed_ms={record['elapsed_ms']} "
-        f"verified={verified}"
-    )
-
-
 def _grammar_engine(n: int, unsafe: bool, sink) -> None:
     from .constructions import build_hanoi_grammar, grammar_step_limit
     from .grammar import _derive
@@ -178,14 +169,13 @@ def cmd_solve(args) -> int:
         _complain("--stream produces line output and cannot be combined with --format json")
         return EXIT_USAGE
     # Every format is an opening, the codes joined by a separator, and a
-    # closing. JSON's give json.dumps(record, indent=2)'s bytes without its
-    # indented encoder, which runs in pure Python, over 3x slower per move.
-    record = {"engine": args.engine, "n_discs": args.n, "moves": None}
+    # closing. JSON's are json.dumps(record, indent=2)'s bytes, written as
+    # text: its indented encoder runs in pure Python, over 3x slower per
+    # move, and engine names and numbers need no escaping.
     opening, joiner = "", "\n" if args.stream else " "  # the board's separator
     separator = '",\n    "' if args.format == "json" else joiner  # joined apart: faster
     if args.format == "json":
-        import json
-        opening = json.dumps(record, indent=2).split("null")[0] + '[\n    "'
+        opening = f'{{\n  "engine": "{args.engine}",\n  "n_discs": {args.n},\n  "moves": [\n    "'
 
     def write(chunk: list, text: str) -> None:
         nonlocal opening
@@ -196,14 +186,16 @@ def cmd_solve(args) -> int:
     if failure is not None:
         _complain(failure)
         return EXIT_ENGINE
-    record.update(move_count=count, elapsed_ms=round(elapsed_ms, 3),
-                  verified=board.reason is None and board.solved())
+    elapsed_ms = round(elapsed_ms, 3)
+    verified = "true" if board.reason is None and board.solved() else "false"
     if args.format == "json":
-        print('"\n  ]' + json.dumps(record, indent=2).split("null", 1)[1])
+        print(f'"\n  ],\n  "move_count": {count},\n  "elapsed_ms": {elapsed_ms!r},\n'
+              f'  "verified": {verified}\n}}')
         return EXIT_OK
     # A stdout that fails only at its closing flush fails here, before the summary.
     print(flush=True)
-    _note(_summary_line(record))
+    _note(f"engine={args.engine} n_discs={args.n} move_count={count} "
+          f"elapsed_ms={elapsed_ms} verified={verified}")
     return EXIT_OK
 
 

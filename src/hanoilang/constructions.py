@@ -11,17 +11,17 @@ this module constructs:
 * an exhaustive breadth-first oracle, over integer-coded positions, that
   certifies minimality and uniqueness of the shortest solution at small N.
 
-The grammar and automaton share a naming scheme: a terminal/stack symbol
-``p_ij`` is the move of the top disc from peg i to peg j, and a
-nonterminal ``h_ij(n)`` stands for the whole task of relocating a tower
-of n discs from peg i to peg j.
+The grammar and automaton share their symbols: a terminal ``p_ij``, a
+MoveSymbol, is the move of the top disc from peg i to peg j, and a
+nonterminal ``h_ij(n)``, a HanoiNonterminal, stands for the whole task of
+relocating a tower of n discs from peg i to peg j. The automaton module
+is loaded only to build the automaton.
 """
 
 from collections import namedtuple
 
-from .grammar import _CHUNK, Grammar, Production, nonterminal, terminal
+from .grammar import _CHUNK, Grammar, Production
 from .hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol
-from .pda import Pda, StackSymbol, pda_from_grammar
 
 # All ordered peg pairs, lexicographically. Loops below iterate in this
 # order so built artifacts are reproducible symbol-for-symbol.
@@ -29,7 +29,7 @@ PEG_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
 BFS_MAX_DISCS = 10
 
-STACK_BOTTOM = StackSymbol("z0")
+STACK_BOTTOM = "z0"
 
 
 class CapExceeded(ValueError):
@@ -59,9 +59,9 @@ def build_hanoi_grammar(n_discs: int) -> Grammar:
     """
     if n_discs < 1:
         raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
-    moves = {(i, j): terminal(MoveSymbol.of(i, j)) for i, j in PEG_PAIRS}
+    moves = {(i, j): MoveSymbol.of(i, j) for i, j in PEG_PAIRS}
     tasks = {
-        (i, j, n): nonterminal(HanoiNonterminal(i, j, n))
+        (i, j, n): HanoiNonterminal(i, j, n)
         for n in range(1, n_discs + 1)
         for i, j in PEG_PAIRS
     }
@@ -85,7 +85,7 @@ def build_hanoi_grammar(n_discs: int) -> Grammar:
     )
 
 
-def build_hanoi_pda(n_discs: int) -> Pda:
+def build_hanoi_pda(n_discs: int) -> "Pda":
     """One-state automaton that replays the N-disc solution off its stack,
     derived from the N-disc grammar.
 
@@ -95,6 +95,7 @@ def build_hanoi_pda(n_discs: int) -> Pda:
     transition is an epsilon move: a run unwinds z0 into the full move
     sequence and deletes it move by move.
     """
+    from .pda import pda_from_grammar
     return pda_from_grammar(build_hanoi_grammar(n_discs), STACK_BOTTOM)
 
 

@@ -1,9 +1,11 @@
 """Generic context-free grammar types and derivation engines.
 
-Symbols are terminal/nonterminal tags around opaque, hashable payloads;
-the engines never look inside a payload. Derivation is leftmost: when a
-form has several nonterminals, the leftmost one is rewritten, and when a
-nonterminal has several productions, the first registered one is applied.
+A grammar's symbols are any hashable values, and it tells its terminals
+from its nonterminals by the two sets it lists; the engines never look
+inside a symbol, and a derived word is its terminals. Derivation is
+leftmost: when a form has several nonterminals, the leftmost one is
+rewritten, and when a nonterminal has several productions, the first
+registered one is applied.
 derive_full and derive_streaming run _unwind, the one loop that the
 automaton's runner in pda.py shares, on an integer table that each
 Grammar compiles once. It hands terminals over in chunks and replays the
@@ -16,9 +18,6 @@ the leftmost strategy.
 
 from collections import namedtuple
 from collections.abc import Callable
-
-TERMINAL = "terminal"
-NONTERMINAL = "nonterminal"
 
 
 class GrammarError(ValueError):
@@ -33,39 +32,12 @@ class StepLimitExceeded(RuntimeError):
     """Derivation did not finish within the allowed number of rewrites."""
 
 
-class Symbol(namedtuple("Symbol", "kind payload")):
-    """Tagged grammar symbol. Equal iff tag and payload are both equal."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
-
-    def __new__(cls, kind: str, payload: object):
-        if kind not in (TERMINAL, NONTERMINAL):
-            raise GrammarError(f"unknown symbol kind {kind!r}")
-        return super().__new__(cls, kind, payload)
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind == TERMINAL
-
-    def __str__(self) -> str:
-        return str(self.payload)
-
-
-def terminal(payload) -> Symbol:
-    return Symbol(TERMINAL, payload)
-
-
-def nonterminal(payload) -> Symbol:
-    return Symbol(NONTERMINAL, payload)
-
-
 # A sentential form is a plain tuple of symbols; () is the empty word.
-SententialForm = tuple[Symbol, ...]
+SententialForm = tuple
 
 
 def format_form(form) -> str:
-    """Render a form as space-separated payload text; the empty form is 'ε'."""
+    """Render a form as space-separated symbol text; the empty form is 'ε'."""
     return " ".join(str(sym) for sym in form) if form else "ε"
 
 
@@ -75,9 +47,7 @@ class Production(namedtuple("Production", "lhs rhs")):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
 
-    def __new__(cls, lhs: Symbol, rhs):
-        if lhs.is_terminal:
-            raise GrammarError(f"production lhs must be a nonterminal, got {lhs}")
+    def __new__(cls, lhs, rhs):
         return super().__new__(cls, lhs, tuple(rhs))
 
     def __str__(self) -> str:
@@ -90,26 +60,19 @@ class Grammar:
 
     __slots__ = ("terminals", "nonterminals", "start", "productions", "_by_lhs", "_compiled")
 
-    def __init__(self, terminals, nonterminals, start: Symbol, productions):
+    def __init__(self, terminals, nonterminals, start, productions):
         fields = (frozenset(terminals), frozenset(nonterminals), start, tuple(productions))
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
-        for sym in self.terminals:
-            if not sym.is_terminal:
-                raise GrammarError(f"{sym} is tagged nonterminal but listed as terminal")
-        for sym in self.nonterminals:
-            if sym.is_terminal:
-                raise GrammarError(f"{sym} is tagged terminal but listed as nonterminal")
-        shared = {s.payload for s in self.terminals} & {s.payload for s in self.nonterminals}
-        if shared:
+        if shared := self.terminals & self.nonterminals:
             raise GrammarError(
-                "payloads used as both terminal and nonterminal: "
+                "symbols listed as both terminal and nonterminal: "
                 + ", ".join(sorted(map(str, shared)))
             )
         if self.start not in self.nonterminals:
             raise GrammarError(f"start symbol {self.start} is not a listed nonterminal")
         vocabulary = self.terminals | self.nonterminals
-        index: dict[Symbol, list] = {}
+        index: dict = {}
         for prod in self.productions:
             if prod.lhs not in self.nonterminals:
                 raise GrammarError(f"production lhs {prod.lhs} is not a listed nonterminal")
@@ -121,25 +84,25 @@ class Grammar:
             self, "_by_lhs", {lhs: tuple(prods) for lhs, prods in index.items()}
         )
         # The derivation's table for _unwind: each symbol is an id 0..; a
-        # terminal pops and reports its payload in 0 steps, a nonterminal
+        # terminal pops and reports itself in 0 steps, a nonterminal
         # pushes its first production's rhs in 1 step (no move without a
         # production). symbols[id] names a stuck nonterminal.
-        symbols = list(self.nonterminals | self.terminals)
+        symbols, terminals = list(self.nonterminals | self.terminals), self.terminals
         ids = {sym: i for i, sym in enumerate(symbols)}
-        moves = [tuple(ids[s] for s in reversed(index[sym][0].rhs)) if sym in index
-                 else () if sym.is_terminal else None for sym in symbols]
-        effects = [((sym.payload,), 0) if sym.is_terminal else ((), 1) for sym in symbols]
+        moves = [() if sym in terminals else tuple(ids[s] for s in reversed(index[sym][0].rhs))
+                 if sym in index else None for sym in symbols]
+        effects = [((sym,), 0) if sym in terminals else ((), 1) for sym in symbols]
         object.__setattr__(self, "_compiled", ((ids[self.start], moves, effects), symbols))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def productions_for(self, sym: Symbol) -> tuple:
+    def productions_for(self, sym) -> tuple:
         """Productions with this lhs, in registration order."""
         return self._by_lhs.get(sym, ())
 
 
-# The engines hand payloads to a sink in lists of about this many items,
+# The engines hand symbols to a sink in lists of about this many items,
 # and the command line writes in the same size. The cache of recorded runs
 # holds at most _CACHE_CHUNKS * _CHUNK items, so no table makes it grow
 # past that.
@@ -154,17 +117,17 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int) -> tuple[int, 
     start symbol alone at first, is unwound from its top: the move
     moves[top] is the pushed ids, reversed for a list stack, or None,
     and taking it pops top, costs and reports what effects[top] gives, as
-    (() or (payload,), steps). The reported payloads, the table's own
+    (() or (item,), steps). The reported items, the table's own
     objects, go to sink in lists of _CHUNK to 2 * _CHUNK - 1 items, the
     last one shorter, also when the run stops; sink may keep a list.
-    Returns (steps, payloads handed over, stop): stop is None when the
+    Returns (steps, items handed over, stop): stop is None when the
     stack emptied, else the symbol whose move is None or costs more steps
     than are left.
 
     The machine reads no input and has one state, so a symbol on top
-    always unwinds to the same payloads in the same steps. At a visit
+    always unwinds to the same items in the same steps. At a visit
     where the recorded runs of its pushed symbols cover that run, a run
-    of at most _CHUNK payloads is recorded while the cache has room; it
+    of at most _CHUNK items is recorded while the cache has room; it
     is replayed whenever the steps left cover it, and otherwise the
     symbol takes one move.
     """
@@ -172,7 +135,7 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int) -> tuple[int, 
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
     start, moves, effects = table
     chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
-    # runs[id] is None while unknown, the recorded (payloads, steps), or
+    # runs[id] is None while unknown, the recorded (items, steps), or
     # False once it will not be recorded. An attempt that meets an unknown
     # part fails again until another run is decided, so failed[id] keeps
     # the count of decided runs at its last failure.
@@ -233,7 +196,7 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int) -> tuple[int, 
 
 
 class Derivation(namedtuple("Derivation", "word steps")):
-    """A finished leftmost derivation: the terminal word (as payloads,
+    """A finished leftmost derivation: the terminal word (its terminals,
     leftmost first) and the number of direct derivations it took."""
 
     __slots__ = ()
@@ -247,7 +210,7 @@ def derive_step(grammar: Grammar, form) -> SententialForm | None:
     leftmost nonterminal.
     """
     for i, sym in enumerate(form):
-        if not sym.is_terminal:
+        if sym not in grammar.terminals:
             options = grammar.productions_for(sym)
             if not options:
                 raise NoApplicableProduction(f"no production rewrites {sym}")
@@ -259,11 +222,11 @@ def _derive(grammar: Grammar, sink: Callable[[list], None], step_limit: int) -> 
     """The leftmost derivation, run by _unwind on the grammar's table.
 
     Rewrites with the first production, as derive_step does, and hands the
-    terminals' payloads, as the grammar holds them, to sink as _unwind
-    does. The items derived so far are handed over before a
-    StepLimitExceeded, which takes precedence, or a
-    NoApplicableProduction, so sink has then seen what derive_step emits
-    up to the failing rewrite. Returns (steps, emitted).
+    terminals, as the grammar holds them, to sink as _unwind does. The
+    items derived so far are handed over before a StepLimitExceeded, which
+    takes precedence, or a NoApplicableProduction, so sink has then seen
+    what derive_step emits up to the failing rewrite. Returns (steps,
+    emitted).
 
     A nonterminal always derives the same word in the same number of
     rewrites, so the words of small nonterminals are recorded bottom-up
@@ -290,18 +253,18 @@ def derive_full(grammar: Grammar, step_limit: int) -> Derivation:
 
 
 def derive_streaming(grammar: Grammar, sink: Callable[[object], None], step_limit: int) -> int:
-    """Leftmost derivation that hands each terminal payload to sink.
+    """Leftmost derivation that hands each terminal to sink.
 
-    Payloads arrive in chunks of a few thousand, not the moment their
-    terminal becomes leftmost. Memory holds the part of the sentential
+    Terminals arrive in chunks of a few thousand, not the moment each
+    becomes leftmost. Memory holds the part of the sentential
     form not yet rewritten, one chunk, and a cache of small words bounded
     by a fixed number of chunks, not the word. Emits the same sequence as
-    derive_full, and on a failure every payload before the failing
+    derive_full, and on a failure every terminal before the failing
     rewrite. Returns the number of terminals emitted.
     """
-    def hand_over(payloads: list) -> None:
-        for payload in payloads:
-            sink(payload)
+    def hand_over(terminals: list) -> None:
+        for sym in terminals:
+            sink(sym)
 
     return _derive(grammar, hand_over, step_limit)[1]
 
@@ -311,28 +274,28 @@ def enumerate_language(grammar: Grammar, max_derivation_length: int) -> set:
     derivations, exploring all rewrite positions and all productions.
 
     Breadth-first over sentential forms with global deduplication; words
-    are returned as tuples of terminal payloads. Nonterminals without
+    are returned as tuples of terminals. Nonterminals without
     productions simply dead-end their branch.
     """
     if max_derivation_length < 1:
         raise ValueError(f"bound must be >= 1, got {max_derivation_length}")
     start: SententialForm = (grammar.start,)
-    seen = {start}
+    terminals, seen = grammar.terminals, {start}
     frontier = [start]
     words = set()
     for _ in range(max_derivation_length):
         successors = []
         for form in frontier:
             for i, sym in enumerate(form):
-                if sym.is_terminal:
+                if sym in terminals:
                     continue
                 for prod in grammar.productions_for(sym):
                     rewritten = form[:i] + prod.rhs + form[i + 1 :]
                     if rewritten in seen:
                         continue
                     seen.add(rewritten)
-                    if all(s.is_terminal for s in rewritten):
-                        words.add(tuple(s.payload for s in rewritten))
+                    if all(s in terminals for s in rewritten):
+                        words.add(rewritten)
                     else:
                         successors.append(rewritten)
         if not successors:

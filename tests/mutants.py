@@ -33,7 +33,7 @@ JOBS = 2  # mutants run at once: about a minute in all on 2 CPUs
 TIMEOUT = 120  # seconds for one pytest run; the unmutated one takes about 40
 
 CLI, HANOI = "cli.py", "hanoi.py"
-GRAMMAR, CONSTRUCTIONS = "grammar.py", "constructions.py"
+GRAMMAR, PDA, CONSTRUCTIONS = "grammar.py", "pda.py", "constructions.py"
 MOVE = "tests/test_hanoi.py::TestMoveSymbol"
 SOLVE = "tests/test_cli.py::TestSolve"
 CLOSED = "tests/test_cli.py::TestClosedStreams"
@@ -45,8 +45,7 @@ OUT_OF_MEMORY = "tests/test_cli.py::test_an_engine_out_of_memory_exits_three_in_
 # name: (file, snippet, replacement, tests)
 MUTANTS = {
     "solve-verifies-a-solved-board-after-an-illegal-move": (
-        CLI, "verified=board.reason is None and board.solved()", "verified=board.solved()",
-        (SOLVE,)),
+        CLI, "if board.reason is None and board.solved()", "if board.solved()", (SOLVE,)),
     "solve-summary-before-the-flush-that-can-fail": (
         CLI, "    print(flush=True)\n    _note(", "    print()\n    _note(", (CLOSED,)),
     "solve-json-separator-indents-three-spaces": (
@@ -119,6 +118,32 @@ MUTANTS = {
     "unwind-cache-without-a-bound": (
         GRAMMAR, "if size > chunk or size > room:", "if size > chunk:",
         ("tests/test_derivation_core.py",)),
+    "grammar-charges-a-terminal-one-step": (
+        GRAMMAR, "((sym,), 0)", "((sym,), 1)",
+        ("tests/test_grammar.py::TestDeriveFull",
+         "tests/test_derivation_core.py::test_compiled_derivations_match_stepwise_oracle")),
+    "grammar-lets-a-symbol-be-both-kinds": (
+        GRAMMAR, "if shared := self.terminals & self.nonterminals:", "if shared := set():",
+        ("tests/test_grammar.py::TestConstruction",
+         "tests/test_records.py::test_grammar_keeps_its_checks")),
+    "derive-step-rewrites-the-leftmost-terminal": (
+        GRAMMAR, "if sym not in grammar.terminals:", "if sym in grammar.terminals:",
+        ("tests/test_grammar.py::TestDeriveStep",)),
+    "enumeration-takes-a-form-with-a-terminal-for-a-word": (
+        GRAMMAR, "if all(s in terminals for s in rewritten):",
+        "if any(s in terminals for s in rewritten):",
+        ("tests/test_grammar.py::TestEnumerateLanguage",)),
+    "pda-from-grammar-observes-the-nonterminals": (
+        PDA, "observable=grammar.terminals)", "observable=grammar.nonterminals)",
+        ("tests/test_derivation_core.py::test_pda_from_grammar_runs_the_derivation",
+         "tests/test_derivation_core.py::test_pda_from_grammar_stacks_the_grammars_own_symbols")),
+    "pda-emits-every-top-it-pops": (
+        PDA, "((sym,) if sym in self.observable else (), 1)", "((sym,), 1)",
+        ("tests/test_pda.py::TestRunToEmptyStack",)),
+    "pda-takes-observable-symbols-outside-its-alphabet": (
+        PDA, "if stray := self.observable - self.stack_alphabet:", "if stray := set():",
+        ("tests/test_pda.py::TestConstruction",
+         "tests/test_records.py::test_pda_keeps_its_checks")),
     "breadth-first-adds-counts-from-any-layer": (
         CONSTRUCTIONS, "elif seen == mark:", "elif seen:", ("tests/test_constructions.py",)),
     "legal-moves-list-two-uniform-patterns": (

@@ -76,7 +76,7 @@ class TestGrammarBuilder:
 
     def test_start_symbol_is_full_tower_relocation(self):
         g = build_hanoi_grammar(5)
-        assert g.start.payload == HanoiNonterminal(1, 3, 5)
+        assert g.start == HanoiNonterminal(1, 3, 5)
 
     def test_every_nonterminal_has_exactly_one_production(self):
         g = build_hanoi_grammar(4)
@@ -122,20 +122,19 @@ class TestPdaBuilder:
     def test_move_symbols_are_observable_task_symbols_not(self):
         m = build_hanoi_pda(3)
         for sym in m.stack_alphabet:
-            if isinstance(sym.payload, MoveSymbol):
-                assert sym.observable
+            if isinstance(sym, MoveSymbol):
+                assert sym in m.observable
             else:
-                assert not sym.observable
+                assert sym not in m.observable
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_tasks_push_their_grammar_rule_and_moves_pop(self, n):
         grammar, m = build_hanoi_grammar(n), build_hanoi_pda(n)
-        rules = {prod.lhs.payload: tuple(sym.payload for sym in prod.rhs)
-                 for prod in grammar.productions}
+        rules = {prod.lhs: prod.rhs for prod in grammar.productions}
         for top, pushes in m.transitions.items():
-            lhs = grammar.start.payload if top == STACK_BOTTOM else top.payload
-            expected = () if top.observable else rules[lhs]
-            assert [tuple(sym.payload for sym in push) for push in pushes] == [expected]
+            lhs = grammar.start if top == STACK_BOTTOM else top
+            expected = () if top in m.observable else rules[lhs]
+            assert list(pushes) == [expected]
 
     def test_single_disc_machine_emits_one_move(self):
         trace = pda_run(1)
@@ -239,8 +238,8 @@ class TestRunLaws:
         stack = (m.start_stack,)
         emitted, prefixes = [], [()]
         while stack:
-            if stack[0].observable:
-                emitted.append(stack[0].payload)
+            if stack[0] in m.observable:
+                emitted.append(stack[0])
             (stack,) = step(m, stack)
             prefixes.append(tuple(emitted))
         assert len(prefixes) == 127
@@ -284,7 +283,7 @@ class TestEngineAgreement:
         g = build_hanoi_grammar(n)
         form = (g.start,)
         while form is not None:
-            assert sum(1 for sym in form if not sym.is_terminal) <= n
+            assert sum(1 for sym in form if sym not in g.terminals) <= n
             form = derive_step(g, form)
 
     @pytest.mark.parametrize("n", range(1, 11))

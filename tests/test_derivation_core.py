@@ -2,7 +2,7 @@
 on random grammars against derive_step, which stays symbolic."""
 
 import tracemalloc
-from itertools import takewhile
+from itertools import islice, takewhile
 from unittest import mock
 
 import pytest
@@ -22,13 +22,13 @@ from hanoilang.grammar import (
     derive_full,
     derive_step,
     derive_streaming,
-    nonterminal,
-    terminal,
+    enumerate_language,
 )
-from hanoilang.pda import PdaError, RunOutcome, StackSymbol, pda_from_grammar, run_to_empty_stack
+from hanoilang.hanoi import HanoiNonterminal, MoveSymbol
+from hanoilang.pda import PdaError, RunOutcome, pda_from_grammar, run_to_empty_stack
 
-TERMINALS = [terminal(letter) for letter in "abc"]
-BOTTOM = StackSymbol("z0")
+TERMINALS = list("abc")
+BOTTOM = "z0"
 
 
 @st.composite
@@ -38,7 +38,7 @@ def grammars(draw, acyclic=True, max_nonterminals=6):
     so a derivation may also run forever. A nonterminal may have no
     production (a dead end), several (only the first is used), or an empty
     right-hand side."""
-    nonterminals = [nonterminal(f"N{i}") for i in range(draw(st.integers(1, max_nonterminals)))]
+    nonterminals = [f"N{i}" for i in range(draw(st.integers(1, max_nonterminals)))]
     productions = []
     for i, lhs in enumerate(nonterminals):
         symbols = TERMINALS + nonterminals[i + 1 if acyclic else 0 :]
@@ -64,8 +64,8 @@ def stepwise_forms(grammar):
 def stepwise(grammar, step_limit):
     """derive_full's contract, by iterating derive_step."""
     for steps, form in enumerate(stepwise_forms(grammar)):
-        if all(sym.is_terminal for sym in form):
-            return Derivation(tuple(sym.payload for sym in form), steps)
+        if all(sym in grammar.terminals for sym in form):
+            return Derivation(form, steps)
         if steps >= step_limit:
             raise StepLimitExceeded(f"derivation exceeded {step_limit} rewrites")
     raise AssertionError("derive_step stopped on a form with a nonterminal")
@@ -106,9 +106,9 @@ def test_compiled_derivations_match_stepwise_oracle(grammar, step_limit):
             assert count == expected
 
 
-def leftmost_payloads(form):
-    """The payloads of the terminals left of the form's leftmost nonterminal."""
-    return [sym.payload for sym in takewhile(lambda sym: sym.is_terminal, form)]
+def leftmost_terminals(grammar, form):
+    """The terminals left of the form's leftmost nonterminal."""
+    return list(takewhile(grammar.terminals.__contains__, form))
 
 
 def stepwise_handovers(grammar, cap):
@@ -123,11 +123,11 @@ def stepwise_handovers(grammar, cap):
         try:
             form = derive_step(grammar, form)
         except NoApplicableProduction as exc:
-            ending = leftmost_payloads(forms[-1]), (NoApplicableProduction, str(exc))
+            ending = leftmost_terminals(grammar, forms[-1]), (NoApplicableProduction, str(exc))
             settles_at = len(forms)
         else:
             if form is None:
-                ending = [sym.payload for sym in forms[-1]], len(forms) - 1
+                ending = list(forms[-1]), len(forms) - 1
                 settles_at = len(forms) - 1
     outcomes = {}
     for limit in range(1, min(len(forms), cap) + 1):
@@ -135,7 +135,8 @@ def stepwise_handovers(grammar, cap):
             outcomes[limit] = ending
         else:
             message = f"derivation exceeded {limit} rewrites"
-            outcomes[limit] = leftmost_payloads(forms[limit]), (StepLimitExceeded, message)
+            outcomes[limit] = (leftmost_terminals(grammar, forms[limit]),
+                               (StepLimitExceeded, message))
     return outcomes
 
 
@@ -209,7 +210,7 @@ def derivation_peak(grammar, step_limit):
 def test_a_derivation_that_never_ends_runs_in_fixed_memory():
     # N0 -> a N0 rewrites forever with a form of two symbols; N0 never
     # gets a word, and the visit that looks for one must keep nothing
-    n0, a = nonterminal("N0"), terminal("a")
+    n0, a = "N0", "a"
     grammar = Grammar({a}, {n0}, n0, [Production(n0, (a, n0))])
     peak, result = derivation_peak(grammar, 10 ** 5)
     assert result == (StepLimitExceeded, "derivation exceeded 100000 rewrites")
@@ -224,8 +225,8 @@ def test_the_cache_of_small_words_stays_bounded():
     # items. The whole chain reversed would keep _CHUNK^2 / 2, but takes
     # 8.4 million rewrites, nearly all stepwise once the cache is full.
     size = _CHUNK - 1
-    chain = [nonterminal(f"N{i}") for i in range(size)]
-    a, s = terminal("a"), nonterminal("S")
+    chain = [f"N{i}" for i in range(size)]
+    a, s = "a", "S"
     productions = [Production(lhs, (a, rhs)) for lhs, rhs in zip(chain, chain[1:])]
     productions.append(Production(chain[-1], (a,)))
     grammar = Grammar({a}, set(chain), chain[0], productions)
@@ -257,9 +258,21 @@ def test_pda_from_grammar_runs_the_derivation(grammar):
     assert run.steps == transitions
 
 
+@given(grammars(acyclic=False))
+def test_pda_from_grammar_stacks_the_grammars_own_symbols(grammar):
+    # an empty rule for each nonterminal without one, so the construction succeeds
+    grammar = Grammar(grammar.terminals, grammar.nonterminals, grammar.start, grammar.productions
+                      + tuple(Production(nt, ()) for nt in sorted(grammar.nonterminals)
+                              if not grammar.productions_for(nt)))
+    machine = pda_from_grammar(grammar, BOTTOM)
+    assert machine.observable == grammar.terminals
+    assert machine.stack_alphabet == (grammar.terminals | {BOTTOM}
+                                      | {sym for prod in grammar.productions for sym in prod.rhs})
+
+
 @given(grammars(), st.data())
 def test_pda_from_grammar_rejects_reachable_nonterminal_without_production(grammar, data):
-    reachable = {sym for form in reached_forms(grammar) for sym in form if not sym.is_terminal}
+    reachable = {sym for form in reached_forms(grammar) for sym in form} - grammar.terminals
     victim = data.draw(st.sampled_from(sorted(reachable, key=str)))
     pruned = Grammar(
         terminals=grammar.terminals,
@@ -272,7 +285,7 @@ def test_pda_from_grammar_rejects_reachable_nonterminal_without_production(gramm
 
 
 def test_pda_from_grammar_rejects_bottom_that_is_a_grammar_symbol():
-    start = nonterminal("S")
+    start = "S"
     grammar = Grammar(
         terminals=frozenset(TERMINALS),
         nonterminals=frozenset({start}),
@@ -280,4 +293,102 @@ def test_pda_from_grammar_rejects_bottom_that_is_a_grammar_symbol():
         productions=(Production(start, (TERMINALS[0],)),),
     )
     with pytest.raises(PdaError, match="bottom"):
-        pda_from_grammar(grammar, StackSymbol("a", observable=True))
+        pda_from_grammar(grammar, "a")
+
+
+# The engines never look inside a symbol: relabelling a grammar's symbols
+# one-to-one, into any kind of hashable value, relabels what they give.
+# Each family maps (index, text symbol) to a value; in "same-text" the
+# terminal 0 and the nonterminal "0" print alike but are distinct values.
+SYMBOLS = TERMINALS + [f"N{i}" for i in range(6)]
+FAMILIES = {
+    "text": lambda i, sym: sym,
+    "int": lambda i, sym: i,
+    "tuple": lambda i, sym: (i, (sym,)),
+    "frozenset": lambda i, sym: frozenset({i, -1}),
+    "hanoi-records": lambda i, sym: (
+        MoveSymbol(*[(1, 2), (1, 3), (2, 3)][i]) if sym in TERMINALS
+        else HanoiNonterminal(1, 3, i)),
+    "same-text": lambda i, sym: i if sym in TERMINALS else str(i - len(TERMINALS)),
+}
+
+
+def relabelling(family):
+    mapping = {sym: FAMILIES[family](i, sym) for i, sym in enumerate(SYMBOLS)}
+    assert len(set(mapping.values())) == len(mapping)
+    return mapping
+
+
+def relabel(grammar, mapping):
+    return Grammar(
+        terminals={mapping[sym] for sym in grammar.terminals},
+        nonterminals={mapping[sym] for sym in grammar.nonterminals},
+        start=mapping[grammar.start],
+        productions=[Production(mapping[p.lhs], [mapping[sym] for sym in p.rhs])
+                     for p in grammar.productions],
+    )
+
+
+def first_forms(grammar, count):
+    """The first count forms derive_step reaches, fewer at a dead end or a word."""
+    forms = []
+    try:
+        forms.extend(islice(stepwise_forms(grammar), count))
+    except NoApplicableProduction:
+        pass
+    return forms
+
+
+def relabelled_outcome(grammar, mapping, step_limit):
+    """derive_full's result on grammar, in the relabelled symbols."""
+    result = outcome(derive_full, grammar, step_limit)
+    if isinstance(result, Derivation):
+        return Derivation(tuple(mapping[sym] for sym in result.word), result.steps)
+    if result[0] is NoApplicableProduction:
+        last = reached_forms(grammar)[-1]
+        stuck = next(sym for sym in last if sym not in grammar.terminals)
+        return NoApplicableProduction, f"no production rewrites {mapping[stuck]}"
+    return result
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(grammar=grammars(acyclic=False), step_limit=st.integers(1, 60))
+def test_derivations_do_not_look_inside_symbols(family, grammar, step_limit):
+    mapping = relabelling(family)
+    relabelled = relabel(grammar, mapping)
+    expected = relabelled_outcome(grammar, mapping, step_limit)
+    assert outcome(derive_full, relabelled, step_limit) == expected
+    streamed: list = []
+    streaming = outcome(derive_streaming, relabelled, streamed.append, step_limit)
+    if isinstance(expected, Derivation):
+        assert streaming == len(expected.word) and tuple(streamed) == expected.word
+    else:
+        assert streaming == expected
+    forms = [tuple(mapping[sym] for sym in form) for form in first_forms(grammar, step_limit)]
+    assert first_forms(relabelled, step_limit) == forms
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(grammar=grammars(acyclic=False, max_nonterminals=4))
+def test_enumeration_does_not_look_inside_symbols(family, grammar):
+    mapping = relabelling(family)
+    words = enumerate_language(grammar, 5)
+    assert enumerate_language(relabel(grammar, mapping), 5) == {
+        tuple(mapping[sym] for sym in word) for word in words}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(grammar=grammars())
+def test_pda_from_grammar_does_not_look_inside_symbols(family, grammar):
+    mapping = relabelling(family)
+    relabelled = relabel(grammar, mapping)
+    expected = relabelled_outcome(grammar, mapping, 10_000)
+    if not isinstance(expected, Derivation):
+        with pytest.raises(PdaError):
+            pda_from_grammar(relabelled, BOTTOM)
+        return
+    machine = pda_from_grammar(relabelled, BOTTOM)
+    assert machine.observable == relabelled.terminals
+    run = run_to_empty_stack(machine, (), step_limit=expected.steps + len(expected.word))
+    assert run.outcome is RunOutcome.EMPTY_STACK_HALT
+    assert run.emitted == expected.word

@@ -13,20 +13,18 @@ from hanoilang.grammar import (
     derive_streaming,
     enumerate_language,
     format_form,
-    nonterminal,
-    terminal,
 )
 
-A = nonterminal("A")
-B = nonterminal("B")
-S = nonterminal("S")
-a = terminal("a")
-b = terminal("b")
+# A grammar's symbols are plain values; the sets a grammar lists tell
+# its terminals from its nonterminals.
+A, B, S = "A", "B", "S"
+a, b = "a", "b"
+TERMINALS = frozenset({a, b})
 
 
 def make_grammar(productions, start=S, extra_nonterminals=(), extra_terminals=()):
     nts = {p.lhs for p in productions} | {start} | set(extra_nonterminals)
-    ts = {sym for p in productions for sym in p.rhs if sym.is_terminal}
+    ts = {sym for p in productions for sym in p.rhs if sym in TERMINALS}
     ts |= set(extra_terminals)
     return Grammar(
         terminals=frozenset(ts),
@@ -39,7 +37,7 @@ def make_grammar(productions, start=S, extra_nonterminals=(), extra_terminals=()
 class TestConstruction:
     def test_production_lhs_must_be_nonterminal(self):
         with pytest.raises(GrammarError):
-            Production(a, (b,))
+            Grammar(terminals={a, b}, nonterminals={S}, start=S, productions=[Production(a, (b,))])
 
     def test_start_must_be_declared(self):
         with pytest.raises(GrammarError):
@@ -55,12 +53,11 @@ class TestConstruction:
             make_grammar([Production(S, (a, B))], extra_terminals=[a])
 
     def test_alphabets_must_be_disjoint(self):
-        clash = terminal("S")
         with pytest.raises(GrammarError):
             Grammar(
-                terminals=frozenset({clash}),
-                nonterminals=frozenset({nonterminal("S")}),
-                start=nonterminal("S"),
+                terminals=frozenset({S}),
+                nonterminals=frozenset({S}),
+                start=S,
                 productions=(),
             )
 
@@ -116,7 +113,7 @@ class TestDeriveFull:
             if nxt is None:
                 break
             form = nxt
-        assert tuple(sym.payload for sym in form) == derive_full(g, step_limit=10).word
+        assert form == derive_full(g, step_limit=10).word
 
 
 class TestDeriveStreaming:

@@ -14,39 +14,46 @@ from hanoilang.pda import (
     PdaError,
     RunOutcome,
     RunTrace,
-    StackSymbol,
     _run,
     is_deterministic,
     run_to_empty_stack,
     step,
 )
 
-Z = StackSymbol("Z")
-A = StackSymbol("A")
-M1 = StackSymbol("m1", observable=True)
-M2 = StackSymbol("m2", observable=True)
+# Stack symbols are plain values; m1 and m2 are the observable ones.
+Z, A, M1, M2 = "Z", "A", "m1", "m2"
 
 
-def make_pda(transitions, start_stack=Z):
+def make_pda(transitions, start_stack=Z, observable=(M1, M2)):
     return Pda(
         stack_alphabet=frozenset({Z, A, M1, M2}),
         transitions=transitions,
         start_stack=start_stack,
+        observable=observable,
     )
 
 
 class TestConstruction:
     def test_start_stack_must_be_in_alphabet(self):
         with pytest.raises(PdaError):
-            make_pda({}, start_stack=StackSymbol("other"))
+            make_pda({}, start_stack="other")
+
+    def test_observable_symbols_must_be_in_alphabet(self):
+        with pytest.raises(PdaError):
+            make_pda({}, observable=(M1, "ghost"))
+
+    def test_observable_defaults_to_empty(self):
+        pda = Pda(frozenset({Z, M1}), {Z: ((M1,),), M1: ((),)}, Z)
+        assert pda.observable == frozenset()
+        assert run_to_empty_stack(pda, (), step_limit=5).emitted == ()
 
     def test_transition_on_unknown_stack_symbol_rejected(self):
-        ghost = StackSymbol("ghost")
+        ghost = "ghost"
         with pytest.raises(PdaError):
             make_pda({ghost: ((),)})
 
     def test_transition_pushing_unknown_symbol_rejected(self):
-        ghost = StackSymbol("ghost")
+        ghost = "ghost"
         with pytest.raises(PdaError):
             make_pda({Z: ((ghost,),)})
 
@@ -219,8 +226,8 @@ def deterministic_runs(draw):
     reads them. Limits up to 40 often land inside a run that was recorded
     on an earlier visit, which must then be cut stepwise.
     """
-    symbols = [StackSymbol(f"s{i}", observable=draw(st.booleans()))
-               for i in range(draw(st.integers(2, 5)))]
+    symbols = [f"s{i}" for i in range(draw(st.integers(2, 5)))]
+    observable = [sym for sym in symbols if draw(st.booleans())]
     moves = st.lists(st.sampled_from(symbols), max_size=3).map(tuple)
     transitions = {}
     for top in symbols:
@@ -233,6 +240,7 @@ def deterministic_runs(draw):
         stack_alphabet=frozenset(symbols),
         transitions=transitions,
         start_stack=draw(st.sampled_from(symbols)),
+        observable=observable,
     )
     word = tuple(draw(st.lists(st.sampled_from("ab"), max_size=4)))
     return pda, word, draw(st.integers(1, 40))
@@ -250,8 +258,8 @@ def stepwise_run(pda, word, step_limit):
         if steps >= step_limit:
             return RunTrace(steps, tuple(emitted), RunOutcome.STEP_LIMIT)
         top = stack[0]
-        if top.observable:
-            emitted.append(top.payload)
+        if top in pda.observable:
+            emitted.append(top)
         (stack,) = successors
         steps += 1
     outcome = RunOutcome.STUCK if word else RunOutcome.EMPTY_STACK_HALT
@@ -286,9 +294,9 @@ def test_chunked_run_hands_over_the_stepwise_payloads(case, chunk, cache_chunks)
 def test_a_recorded_run_is_replayed_or_cut_at_every_limit():
     # Z pushes C over three A's, and each A pushes B C C: the later visits
     # to A may replay its recorded run, and limits inside it must cut it
-    B, C = StackSymbol("b", observable=True), StackSymbol("c", observable=True)
+    B, C = "b", "c"
     pda = Pda(frozenset({Z, A, B, C}), {Z: ((C, A, A, A),), A: ((B, C, C),), B: ((),),
-                                         C: ((),)}, Z)
+                                         C: ((),)}, Z, {B, C})
     assert stepwise_run(pda, (), 14) == (14, tuple("cbccbccbcc"), RunOutcome.EMPTY_STACK_HALT)
     for limit in range(1, 15):
         assert run_to_empty_stack(pda, (), step_limit=limit) == stepwise_run(pda, (), limit)

@@ -20,7 +20,7 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 UNEXPORTED = {
     "constructions": ("BFS_MAX_DISCS", "PEG_PAIRS", "BfsResult", "CapExceeded"),
     "grammar": ("Derivation", "Grammar", "GrammarError", "NoApplicableProduction", "Production",
-                "StepLimitExceeded", "Symbol", "format_form", "nonterminal", "terminal"),
+                "StepLimitExceeded", "format_form"),
     "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport",
               "move_at", "state_at"),
     "pda": ("DeterminismReport", "EmptyStack", "NondeterministicPda", "Pda", "PdaError",
