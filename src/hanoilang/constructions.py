@@ -13,7 +13,7 @@ this module constructs:
 
 The grammar and automaton share their symbols: a terminal ``p_ij``, a
 MoveSymbol, is the move of the top disc from peg i to peg j, and a
-nonterminal ``h_ij(n)``, a HanoiNonterminal, stands for the whole task of
+nonterminal ``h_ij(n)``, its text, ``h13(4)``, stands for the whole task of
 relocating a tower of n discs from peg i to peg j. The automaton module
 is loaded only to build the automaton.
 """
@@ -21,7 +21,7 @@ is loaded only to build the automaton.
 from collections import namedtuple
 
 from .grammar import _CHUNK, Grammar, Production
-from .hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol
+from .hanoi import InvalidDiscCount, MoveSymbol
 
 # All ordered peg pairs, lexicographically. Loops below iterate in this
 # order so built artifacts are reproducible symbol-for-symbol.
@@ -61,7 +61,7 @@ def build_hanoi_grammar(n_discs: int) -> Grammar:
         raise InvalidDiscCount(f"need at least one disc, got {n_discs}")
     moves = {(i, j): MoveSymbol.of(i, j) for i, j in PEG_PAIRS}
     tasks = {
-        (i, j, n): HanoiNonterminal(i, j, n)
+        (i, j, n): f"h{i}{j}({n})"
         for n in range(1, n_discs + 1)
         for i, j in PEG_PAIRS
     }

@@ -91,25 +91,6 @@ _CANONICAL_MOVES: dict[tuple[int, int], MoveSymbol] = {
 _MOVES_BY_CODE: dict[str, MoveSymbol] = {mv.code: mv for mv in _CANONICAL_MOVES.values()}
 
 
-class HanoiNonterminal(namedtuple("HanoiNonterminal", "src dst n")):
-    """A pending subplan, "carry the top n discs from peg src to peg dst"."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too goes through __new__
-
-    def __new__(cls, src: int, dst: int, n: int):
-        if src not in PEGS or dst not in PEGS:
-            raise ValueError(f"pegs must be in 1..3, got {src}->{dst}")
-        if src == dst:
-            raise ValueError("a subplan must use two distinct pegs")
-        if n < 1:
-            raise ValueError(f"disc count must be >= 1, got {n}")
-        return super().__new__(cls, src, dst, n)
-
-    def __str__(self) -> str:
-        return f"h{self.src}{self.dst}({self.n})"
-
-
 class ValidationReport(namedtuple(
         "ValidationReport", "legal failing_index failure_reason final_solved moves_checked")):
     """Outcome of replaying a move sequence from the initial tower.

@@ -41,6 +41,7 @@ COMPARE = ("tests/test_cli.py::TestCompare", "tests/test_cli.py::TestCompareDive
 VERIFY = "tests/test_cli.py::TestVerify"
 REFERENCE = "tests/test_reference.py"
 OUT_OF_MEMORY = "tests/test_cli.py::test_an_engine_out_of_memory_exits_three_in_one_line"
+GOLDEN_TRACE = "tests/test_cli.py::TestTrace::test_three_discs_match_the_golden_trace_byte_for_byte"
 
 # name: (file, snippet, replacement, tests)
 MUTANTS = {
@@ -144,6 +145,11 @@ MUTANTS = {
         PDA, "if stray := self.observable - self.stack_alphabet:", "if stray := set():",
         ("tests/test_pda.py::TestConstruction",
          "tests/test_records.py::test_pda_keeps_its_checks")),
+    "grammar-names-each-task-backwards": (
+        CONSTRUCTIONS, 'f"h{i}{j}({n})"', 'f"h{j}{i}({n})"',
+        (GOLDEN_TRACE, "tests/test_constructions.py::TestGrammarBuilder")),
+    "grammar-names-every-level-of-a-task-alike": (
+        CONSTRUCTIONS, 'f"h{i}{j}({n})"', 'f"h{i}{j}"', ("tests/test_constructions.py",)),
     "breadth-first-adds-counts-from-any-layer": (
         CONSTRUCTIONS, "elif seen == mark:", "elif seen:", ("tests/test_constructions.py",)),
     "legal-moves-list-two-uniform-patterns": (

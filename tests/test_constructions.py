@@ -1,5 +1,6 @@
 """Hanoi grammar/automaton builders, reference solvers, and cross-checks."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -21,9 +22,8 @@ from hanoilang.constructions import (
     recursive_chunks,
     recursive_solve,
 )
-from hanoilang.grammar import derive_full, derive_step, derive_streaming
+from hanoilang.grammar import Grammar, derive_full, derive_step, derive_streaming
 from hanoilang.hanoi import (
-    HanoiNonterminal,
     InvalidDiscCount,
     MoveSymbol,
     move_at,
@@ -76,7 +76,53 @@ class TestGrammarBuilder:
 
     def test_start_symbol_is_full_tower_relocation(self):
         g = build_hanoi_grammar(5)
-        assert g.start == HanoiNonterminal(1, 3, 5)
+        assert g.start == "h13(5)"
+
+    def test_rejects_negative_discs(self):
+        with pytest.raises(InvalidDiscCount):
+            build_hanoi_grammar(-1)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_task_is_its_text(self, n):
+        nonterminals = build_hanoi_grammar(n).nonterminals
+        assert nonterminals == {
+            f"h{i}{j}({m})"
+            for i in (1, 2, 3) for j in (1, 2, 3) if i != j for m in range(1, n + 1)
+        }
+        assert all(type(nt) is str for nt in nonterminals)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_each_task_derives_what_its_text_names(self, n):
+        # h_ab(m) must carry m discs from peg a to peg b: the optimal
+        # 1 -> 3 word with its pegs relabelled 1 -> a, 3 -> b, 2 -> spare
+        g = build_hanoi_grammar(n)
+        for task in g.nonterminals:
+            a, b, m = map(int, re.fullmatch(r"h([123])([123])\((\d+)\)", task).groups())
+            peg = {1: a, 3: b, 2: 6 - a - b}
+            expected = tuple(
+                MoveSymbol(peg[mv.src], peg[mv.dst])
+                for mv in (move_at(m, k) for k in range(1, 2**m))
+            )
+            sub = Grammar(g.terminals, g.nonterminals, task, g.productions)
+            assert derive_full(sub, step_limit=grammar_step_limit(m)).word == expected, task
+
+    def test_productions_print_as_text(self):
+        assert [str(p) for p in build_hanoi_grammar(2).productions] == [
+            "h12(1) -> p12", "h13(1) -> p13", "h21(1) -> p21",
+            "h23(1) -> p23", "h31(1) -> p31", "h32(1) -> p32",
+            "h12(2) -> h13(1) p12 h32(1)", "h13(2) -> h12(1) p13 h23(1)",
+            "h21(2) -> h23(1) p21 h31(1)", "h23(2) -> h21(1) p23 h13(1)",
+            "h31(2) -> h32(1) p31 h21(1)", "h32(2) -> h31(1) p32 h12(1)",
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_a_grammar_shares_one_string_per_task(self, n):
+        g = build_hanoi_grammar(n)
+        lhs = {p.lhs: p.lhs for p in g.productions}
+        assert g.start is lhs[g.start]
+        tasks = [sym for p in g.productions for sym in p.rhs if sym in g.nonterminals]
+        assert len(tasks) == 2 * 6 * (n - 1)
+        assert all(sym is lhs[sym] for sym in tasks)
 
     def test_every_nonterminal_has_exactly_one_production(self):
         g = build_hanoi_grammar(4)

@@ -24,7 +24,7 @@ from hanoilang.grammar import (
     derive_streaming,
     enumerate_language,
 )
-from hanoilang.hanoi import HanoiNonterminal, MoveSymbol
+from hanoilang.hanoi import MoveSymbol
 from hanoilang.pda import PdaError, RunOutcome, pda_from_grammar, run_to_empty_stack
 
 TERMINALS = list("abc")
@@ -308,7 +308,7 @@ FAMILIES = {
     "frozenset": lambda i, sym: frozenset({i, -1}),
     "hanoi-records": lambda i, sym: (
         MoveSymbol(*[(1, 2), (1, 3), (2, 3)][i]) if sym in TERMINALS
-        else HanoiNonterminal(1, 3, i)),
+        else f"h13({i})"),
     "same-text": lambda i, sym: i if sym in TERMINALS else str(i - len(TERMINALS)),
 }
 

@@ -19,7 +19,6 @@ from hanoilang.constructions import (
 from hanoilang.grammar import _derive
 from hanoilang.hanoi import (
     Board,
-    HanoiNonterminal,
     InvalidDiscCount,
     MoveParseError,
     MoveSymbol,
@@ -128,15 +127,6 @@ class TestMoveSymbol:
         assert MoveSymbol(1, 3) < MoveSymbol(2, 1)
         with pytest.raises(TypeError):
             MoveSymbol(1, 3, "p13")
-
-
-class TestHanoiNonterminal:
-    def test_str(self):
-        assert str(HanoiNonterminal(1, 2, 4)) == "h12(4)"
-
-    def test_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HanoiNonterminal(1, 2, 0)
 
 
 class TestHanoiState:

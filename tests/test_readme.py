@@ -21,8 +21,7 @@ UNEXPORTED = {
     "constructions": ("BFS_MAX_DISCS", "PEG_PAIRS", "BfsResult", "CapExceeded"),
     "grammar": ("Derivation", "Grammar", "GrammarError", "NoApplicableProduction", "Production",
                 "StepLimitExceeded", "format_form"),
-    "hanoi": ("HanoiNonterminal", "InvalidDiscCount", "MoveParseError", "ValidationReport",
-              "move_at", "state_at"),
+    "hanoi": ("InvalidDiscCount", "MoveParseError", "ValidationReport", "move_at", "state_at"),
     "pda": ("DeterminismReport", "EmptyStack", "NondeterministicPda", "Pda", "PdaError",
              "RunOutcome", "RunTrace", "step"),
 }

@@ -9,7 +9,7 @@ import pytest
 
 from hanoilang.constructions import BfsResult, HanoiInstance
 from hanoilang.grammar import Derivation, Grammar, GrammarError, Production
-from hanoilang.hanoi import HanoiNonterminal, InvalidDiscCount, MoveSymbol, ValidationReport
+from hanoilang.hanoi import InvalidDiscCount, MoveSymbol, ValidationReport
 from hanoilang.pda import DeterminismReport, Pda, PdaError, RunOutcome, RunTrace
 
 P13 = MoveSymbol(1, 3)
@@ -19,7 +19,6 @@ Z, M = "Z", "m"
 # Each record's class, the arguments of one instance, the same arguments
 # with one field changed, and that field's name.
 RECORDS = [
-    (HanoiNonterminal, (1, 3, 2), (1, 3, 3), "n"),
     (ValidationReport, (True, None, None, True, 7), (True, None, None, True, 8), "moves_checked"),
     (Production, (S, (a, S)), (S, (a,)), "rhs"),
     (Derivation, ((P13,), 1), ((P13,), 2), "steps"),
@@ -94,14 +93,8 @@ def test_records_take_their_fields_by_keyword_and_default():
     (lambda: MoveSymbol(0, 2), ValueError, "pegs must be in 1..3, got 0->2"),
     (lambda: MoveSymbol(2, 2), ValueError, "a move must use two distinct pegs"),
     (lambda: MoveSymbol.of(3, 3), ValueError, "a move must use two distinct pegs"),
-    (lambda: HanoiNonterminal(1, 4, 1), ValueError, "pegs must be in 1..3, got 1->4"),
-    (lambda: HanoiNonterminal(2, 2, 1), ValueError, "a subplan must use two distinct pegs"),
-    (lambda: HanoiNonterminal(1, 2, 0), ValueError, "disc count must be >= 1, got 0"),
     (lambda: HanoiInstance(0), InvalidDiscCount, "need at least one disc, got 0"),
     # namedtuple's own _make, which _replace calls, would skip these checks.
-    (lambda: HanoiNonterminal._make((1, 5, 1)), ValueError, "pegs must be in 1..3, got 1->5"),
-    (lambda: HanoiNonterminal(1, 3, 2)._replace(n=-1), ValueError,
-     "disc count must be >= 1, got -1"),
     (lambda: HanoiInstance._make([-1]), InvalidDiscCount, "need at least one disc, got -1"),
     (lambda: HanoiInstance(3)._replace(n_discs=-2), InvalidDiscCount,
      "need at least one disc, got -2"),
@@ -171,7 +164,6 @@ def test_reports_are_truthy_iff_the_check_passed():
 
 @pytest.mark.parametrize("record, text, representation", [
     (P13, "p13", "MoveSymbol(src=1, dst=3)"),
-    (HanoiNonterminal(1, 2, 4), "h12(4)", "HanoiNonterminal(src=1, dst=2, n=4)"),
 ], ids=lambda value: value if isinstance(value, str) and "(" not in value else None)
 def test_repr_and_str(record, text, representation):
     assert str(record) == text
