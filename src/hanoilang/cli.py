@@ -9,9 +9,11 @@ Subcommands:
 * trace      -- show each derivation step or each automaton configuration
 
 solve writes the moves to stdout chunk by chunk as the engine hands them
-over: one space-joined line, one move per line with --stream, or a JSON
-record {engine, n_discs, moves, move_count, elapsed_ms, verified}. Text
-modes put a summary line on stderr, so stdout diffs against golden files.
+over, each joined once by the output's one separator into the text that
+a Board judges and stdout takes: one space-joined line, one move per line
+with --stream, or a JSON record {engine, n_discs, moves, move_count,
+elapsed_ms, verified}. Text modes put a summary line on stderr, so stdout
+diffs against golden files.
 
 Exit codes: 0 success, 1 semantic failure (illegal or unsolved sequence,
 an engine leaving the optimal word), 2 usage error (bad arguments,
@@ -114,20 +116,20 @@ ENGINES = {
 }
 
 
-def _run_engine(engine: str, args, write=None, separator=" ") -> tuple:
-    """Run one engine, joining each list of codes it hands over by
-    separator once: that text is judged on a Board of its own, and then
-    the list and its text are passed to write. Returns (failure, board,
-    count, elapsed_ms): failure is None once the engine has handed over its
-    word, else why it could not; count is the codes handed over."""
+def _run_engine(engine: str, args, write=None, sep=" ") -> tuple:
+    """Run one engine, joining each list of codes it hands over by sep
+    once: that text is judged, in cells of a code and sep, on a Board of
+    its own, and then passed to write. Returns (failure, board, count,
+    elapsed_ms): failure is None once the engine has handed over its word,
+    else why it could not; count is the codes handed over."""
     board, count = Board(args.n), 0
 
     def sink(chunk: list) -> None:
         nonlocal count
         count += len(chunk)
-        board.run(text := separator.join(chunk))
+        board.run(text := sep.join(chunk), sep)
         if write is not None:
-            write(chunk, text)
+            write(text)
 
     started = time.perf_counter()
     from .constructions import CapExceeded
@@ -168,21 +170,21 @@ def cmd_solve(args) -> int:
     if args.stream and args.format == "json":
         _complain("--stream produces line output and cannot be combined with --format json")
         return EXIT_USAGE
-    # Every format is an opening, the codes joined by a separator, and a
-    # closing. JSON's are json.dumps(record, indent=2)'s bytes, written as
-    # text: its indented encoder runs in pure Python, over 3x slower per
-    # move, and engine names and numbers need no escaping.
-    opening, joiner = "", "\n" if args.stream else " "  # the board's separator
-    separator = '",\n    "' if args.format == "json" else joiner  # joined apart: faster
+    # Every format is an opening, the codes joined by one separator, which
+    # the board judges as written, and a closing. JSON's are the bytes of
+    # json.dumps(record, indent=2), as text: its indented encoder runs in
+    # pure Python, over 3x slower per move; engine names need no escaping.
+    opening, separator = "", "\n" if args.stream else " "
     if args.format == "json":
         opening = f'{{\n  "engine": "{args.engine}",\n  "n_discs": {args.n},\n  "moves": [\n    "'
+        separator = '",\n    "'
 
-    def write(chunk: list, text: str) -> None:
+    def write(text: str) -> None:
         nonlocal opening
-        _write(opening + (text if separator == joiner else separator.join(chunk)))
+        _write(opening + text)
         opening = separator  # the opening went out with the first chunk
 
-    failure, board, count, elapsed_ms = _run_engine(args.engine, args, write, joiner)
+    failure, board, count, elapsed_ms = _run_engine(args.engine, args, write, separator)
     if failure is not None:
         _complain(failure)
         return EXIT_ENGINE

@@ -129,19 +129,16 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int) -> tuple[int, 
     where the recorded runs of its pushed symbols cover that run, a run
     of at most _CHUNK items is recorded while the cache has room; it
     is replayed whenever the steps left cover it, and otherwise the
-    symbol takes one move.
+    symbol takes one move. A symbol with a part not yet known is tried
+    again at its next visit.
     """
     if step_limit < 1:
         raise ValueError(f"step_limit must be >= 1, got {step_limit}")
     start, moves, effects = table
     chunk, room = _CHUNK, _CACHE_CHUNKS * _CHUNK
     # runs[id] is None while unknown, the recorded (items, steps), or
-    # False once it will not be recorded. An attempt that meets an unknown
-    # part fails again until another run is decided, so failed[id] keeps
-    # the count of decided runs at its last failure.
+    # False once it will not be recorded.
     runs: list = [None] * len(moves)
-    failed: dict = {}
-    decided = 0
     stack = [start]
     pop, extend = stack.pop, stack.extend
     buffer: list = []
@@ -157,7 +154,7 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int) -> tuple[int, 
         top = pop()
         run = runs[top]
         push = moves[top]
-        if run is None and push is not None and failed.get(top) != decided:
+        if run is None and push is not None:
             parts = [effects[top]]
             for symbol in reversed(push):
                 run = runs[symbol]
@@ -171,11 +168,8 @@ def _unwind(table, sink: Callable[[list], None], step_limit: int) -> tuple[int, 
                 else:
                     room -= size
                     run = (sum((part[0] for part in parts), ()), sum(part[1] for part in parts))
-            if run is None:
-                failed[top] = decided
-            else:
+            if run is not None:
                 runs[top] = run
-                decided += 1
         if run and run[1] <= left:
             buffer += run[0]
             left -= run[1]

@@ -196,53 +196,55 @@ class Board:
 
     def _word(self, start: int, size: int, sep: str):
         """size characters of the optimal word's text from character start,
-        cells of a code and sep, cut at its end, or at move 2^64 - 1, which
-        no input reaches: slices of the period's text, and move_at's code
-        at each 2^m-th cell."""
+        a cell's first, in cells of a code and sep, 3 + len(sep) characters
+        each, cut at its end, or at move 2^64 - 1, which no input reaches:
+        slices of the period's text, and move_at's code at each 2^m-th cell."""
         n = self.n_discs
         period = _period_text(min(n, _PERIOD_DISCS), n & 1, sep)
-        block = len(period) // 3
-        stop = min(start + size, 4 * ((1 << min(n, 64)) - 1))
+        block, cell = len(period) // 3, 3 + len(sep)
+        stop = min(start + size, cell * ((1 << min(n, 64)) - 1))
         while start < stop:
             at = start % len(period)
-            piece = period[at:at + block - 4 - at % block] or move_at(n, start // 4 + 1).code + sep
+            piece = (period[at:at + block - cell - at % block]
+                     or move_at(n, start // cell + 1) + sep)
             yield piece[:stop - start]
             start += len(piece)
 
-    def run(self, text: str) -> None:
-        """Replay text, move codes each followed by one whitespace
-        character (the last one's may be missing), up to the first illegal
-        move, which sets played to its index and reason to its label,
-        "empty-source" or "larger-on-smaller", and leaves the board as it
-        was before that move. From then on the board takes no more text.
+    def run(self, text: str, sep=None) -> None:
+        """Replay text, move codes each followed by sep (the last one's may be
+        missing), up to the first illegal move, which sets played to its index
+        and reason to its label, "empty-source" or "larger-on-smaller", and
+        leaves the board as it was before that move, taking no more text.
 
-        While the board follows the optimal word, text is compared slice
-        by slice with that word's text for its separator, text[3], a space
-        or a newline; the first differing character, divided by 4, is the
-        departure. From there on, for good, text is split and each move
+        While the board follows the optimal word, text is compared slice by
+        slice with that word's text in cells of a code and sep (for sep None,
+        of text[3] if it is a newline, else a space); the first differing
+        character, divided by the cell width, is the departure. From there on,
+        for good, text is split by sep (None: any whitespace), each move is
         checked on the pegs, and a token that is no code raises KeyError."""
         if self.reason is not None:
             return
         if self.departure is None:
-            sep, done = text[3:4] or " ", 0
-            for piece in self._word(4 * self.played, len(text), sep) if sep in " \n" else ():
+            cut = sep or ("\n" if text[3:4] == "\n" else " ")
+            width, done = 3 + len(cut), 0
+            for piece in self._word(width * self.played, len(text), cut):
                 if text[done:done + len(piece)] != piece:  # the first difference, by bisection
                     done += bisect_left(range(len(piece)), True,
                                         key=lambda i: text[done:done + i + 1] != piece[:i + 1])
                     break
                 done += len(piece)
             else:
-                done += done == len(text)  # a missing last separator too
-            cells = done // 4
+                done += len(cut) * (done == len(text))  # a missing last separator too
+            cells = done // width
             self.played += cells
-            if 4 * cells >= len(text):
+            if width * cells >= len(text):
                 return
             self.departure = self.played
             _lay_out(self._pegs, self.n_discs, self.departure, min(self.n_discs, 64))
-            text = text[4 * cells:]
+            text = text[width * cells:]
         table = self.table
         index = self.played - 1
-        for index, code in enumerate(text.split(), self.played):
+        for index, code in enumerate(text.split(sep), self.played):
             src, dst = table[code]
             if not src or dst and dst[-1] < src[-1]:
                 self.played, self.reason = index, "larger-on-smaller" if src else "empty-source"

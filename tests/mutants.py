@@ -81,6 +81,9 @@ MUTANTS = {
     "compare-past-the-end-by-the-count": (
         CLI, "'past the end ' if index == word else ''", "'past the end ' if count > word else ''",
         COMPARE),
+    "engine-text-judged-without-its-separator": (
+        CLI, "board.run(text := sep.join(chunk), sep)", "board.run(text := sep.join(chunk))",
+        (REFERENCE,)),
     "run-engine-counts-only-the-moves-the-board-played": (
         CLI, "return failure, board, count,", "return failure, board, board.played,", COMPARE),
     "run-engine-formats-out-of-memory-in-its-handler": (
@@ -106,13 +109,15 @@ MUTANTS = {
         "_lay_out(self._pegs, self.n_discs, self.departure - cells,", ("tests/test_hanoi.py",)),
     "board-leaves-the-4096th-cells-unchecked": (
         HANOI, "if text[done:done + len(piece)] != piece:",
-        "if text[done:done + len(piece)] != piece and len(piece) > 4:",
+        "if text[done:done + len(piece)] != piece and len(piece) > width:",
         ("tests/test_hanoi.py", VERIFY)),
     "board-departs-one-cell-early": (
         HANOI, "self.departure = self.played\n", "self.departure = self.played - 1\n",
         ("tests/test_hanoi.py", *COMPARE)),
     "board-takes-any-character-as-a-separator": (
-        HANOI, 'if sep in " \\n" else ()', "if sep else ()", (VERIFY,)),
+        HANOI, '("\\n" if text[3:4] == "\\n" else " ")', '(text[3:4] or " ")', (VERIFY,)),
+    "board-cell-width-four": (
+        HANOI, "width, done = 3 + len(cut), 0", "width, done = 4, 0", ("tests/test_hanoi.py",)),
     "report-checks-one-move-too-few": (
         HANOI, "self.solved(), self.played)", "self.solved(), self.played - 1)",
         ("tests/test_hanoi.py",)),

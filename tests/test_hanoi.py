@@ -421,6 +421,8 @@ FAULTS = ("none", "substitution", "deletion", "insertion", "truncation", "extens
 # The board checks the word against the 3 * 4,096-move period of its 12
 # smallest discs' moves, with a larger disc's move at each index 4,095 + 4,096 t.
 BLOCK_EDGES = (4094, 4095, 4096, 4097, 8190, 8191)
+# The separators solve writes: text, --stream and JSON.
+SEPARATORS = (" ", "\n", '",\n    "')
 
 
 def draw_faulted_word(data, n_discs, edges=()):
@@ -459,14 +461,15 @@ def draw_chunks(data, codes, at):
     return [codes[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def replay_in_chunks(n_discs, chunks, fault):
-    """Feed chunks to a fresh Board as verify does, checking its pegs
-    against the recursion while it follows the optimal word, which it
-    must do up to the fault's index; returns the report's fields."""
+def replay_in_chunks(n_discs, chunks, fault, sep):
+    """Feed chunks, each joined by sep, to a fresh Board as solve does,
+    checking its pegs against the recursion while it follows the optimal
+    word, which it must do up to the fault's index; returns the report's
+    fields."""
     board = Board(n_discs)
     fed = 0
     for chunk in chunks:
-        board.run(" ".join(chunk))
+        board.run(sep.join(chunk), sep)
         fed += len(chunk)
         if fed <= fault:  # every code so far is the optimal word's
             assert board.departure is None
@@ -492,18 +495,22 @@ def substituted(codes, *indices):
     pytest.param(lambda w: list(w[:-1]), None, id="short by one"),
 ])
 def test_board_departure_is_where_the_checked_model_leaves_the_word(edit, departure):
-    codes, board = edit(optimal_codes(13)), Board(13)
-    for start in range(0, len(codes), 4096):
-        board.run(" ".join(codes[start:start + 4096]))
-        assert board.departure in (None, departure)
-    assert board.departure == checked_departure(13, codes) == departure
+    codes = edit(optimal_codes(13))
+    assert checked_departure(13, codes) == departure
+    for sep in SEPARATORS:
+        board = Board(13)
+        for start in range(0, len(codes), 4096):
+            board.run(sep.join(codes[start:start + 4096]), sep)
+            assert board.departure in (None, departure)
+        assert board.departure == departure
 
 
 @settings(max_examples=250, deadline=None)
 @given(n_discs=st.integers(min_value=1, max_value=13), data=st.data())
 def test_board_on_a_faulted_optimal_word_agrees_with_the_checked_replay(n_discs, data):
     codes, at = draw_faulted_word(data, n_discs)
-    report = replay_in_chunks(n_discs, draw_chunks(data, codes, at), at)
+    sep = data.draw(st.sampled_from(SEPARATORS), label="separator")
+    report = replay_in_chunks(n_discs, draw_chunks(data, codes, at), at, sep)
     assert report == checked_replay(n_discs, list(map(MoveSymbol.parse, codes)))
 
 
@@ -517,7 +524,8 @@ def test_board_on_a_faulted_20_disc_word_agrees_with_the_checked_replay(data):
     turn = data.draw(st.integers(1, 255), label="block")
     codes, at = draw_faulted_word(data, 20, edges=(4096 * turn - 1, 4096 * turn))
     codes, start = codes[:at + 200], max(0, at - 100)
-    report = replay_in_chunks(20, draw_chunks(data, codes, at), at)
+    sep = data.draw(st.sampled_from(SEPARATORS), label="separator")
+    report = replay_in_chunks(20, draw_chunks(data, codes, at), at, sep)
     assert report == checked_replay(20, list(map(MoveSymbol.parse, codes[start:])), start)
 
 
@@ -527,10 +535,13 @@ def test_the_word_the_board_compares_with_is_the_closed_form(n_discs, data):
     """Board._word against move_at, on windows that start near the
     block edges, the ends of the 3 * 4,096-move period, or the word's
     end (or move 2^64 - 1, where the board stops), and may span a
-    period."""
+    period, in cells of a code and each separator solve writes."""
     last = (1 << min(n_discs, 64)) - 1
     edges = [e for e in (0, *BLOCK_EDGES, 12286, 12287, 12288, 24575, last - 1) if e < last]
     start = data.draw(st.sampled_from(edges) | st.integers(0, last - 1), label="start")
     count = data.draw(st.integers(0, 13000), label="count")
+    sep = data.draw(st.sampled_from(SEPARATORS), label="separator")
     expected = [move_at(n_discs, k + 1).code for k in range(start, min(start + count, last))]
-    assert "".join(Board(n_discs)._word(4 * start, 4 * count, " ")).split() == expected
+    width = 3 + len(sep)
+    text = "".join(Board(n_discs)._word(width * start, width * count, sep))
+    assert text.split(sep) == [*expected, ""]
